@@ -8,9 +8,10 @@ Two computation paths coexist:
 
 * explicit sparse operators (`signed_boundary`, `signless_boundary`,
   `laplacian`) for desk-scale instances, and
-* matrix-free applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
-  driven by a cached face-index table, which is what the large-n spectral
-  code uses.
+* operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
+  that never form a Laplacian: they apply the signless boundary, cached
+  on the complex as a face-index table and as a CSR matrix. The large-n
+  eigensolver runs on `apply_q_up`.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     """Array of shape (|S_i|, i+1): row k lists the indices (in S_{i-1})
     of the boundary faces of the k-th i-face, in vertex-omission order.
 
-    Cached on the complex; this is the backing of the matrix-free path.
+    Cached on the complex; the CSR boundaries and `boundary_sums` read it.
     """
     _check_boundary_dim(K, i)
     key = ("btab", i)
@@ -107,6 +108,17 @@ def signed_boundary(K: SimplicialComplex, i: int) -> BoundaryMatrix:
 def signless_boundary(K: SimplicialComplex, i: int) -> BoundaryMatrix:
     """Same support as the signed boundary with every entry equal to 1."""
     return _boundary(K, i, signed=False)
+
+
+def boundary_csr(K: SimplicialComplex, i: int,
+                 signed: bool = False) -> sp.csr_matrix:
+    """The i-th boundary (signless by default) as a float64 CSR matrix,
+    cached on the complex."""
+    key = ("csr", i, signed)
+    B = K._cache.get(key)
+    if B is None:
+        B = K._cache[key] = _boundary(K, i, signed).tocsr()
+    return B
 
 
 def _boundary(K: SimplicialComplex, i: int, signed: bool) -> BoundaryMatrix:
@@ -164,11 +176,11 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> LaplacianOperator:
         raise DimensionOutOfRange(f"{kind} needs i >= 1")
 
     def up(signed: bool) -> sp.csr_matrix:
-        B = _boundary(K, i + 1, signed).tocsr()
+        B = boundary_csr(K, i + 1, signed)
         return (B @ B.T).tocsr()
 
     def down(signed: bool) -> sp.csr_matrix:
-        B = _boundary(K, i, signed).tocsr()
+        B = boundary_csr(K, i, signed)
         return (B.T @ B).tocsr()
 
     if kind == "Q_up":
@@ -190,7 +202,23 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> LaplacianOperator:
     return LaplacianOperator(kind, i, M)
 
 
-# -- matrix-free path ---------------------------------------------------------
+def up_connected(K: SimplicialComplex, i: int, skip: int | None = None) -> bool:
+    """Whether the i-faces are connected through shared (i+1)-faces, with
+    the (i+1)-face of index ``skip`` left out when given.
+
+    Components of the bipartite incidence graph of i- and (i+1)-faces.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    B = boundary_csr(K, i + 1)
+    if skip is not None:
+        B = B[:, np.arange(B.shape[1]) != skip]
+    _, labels = connected_components(sp.bmat([[None, B], [B.T, None]]),
+                                     directed=False)
+    return bool((labels[:B.shape[0]] == labels[0]).all())
+
+
+# -- operator applications ----------------------------------------------------
 
 
 def _as_vector(K: SimplicialComplex, i: int, f) -> np.ndarray:
@@ -210,27 +238,20 @@ def boundary_sums(K: SimplicialComplex, i: int, f) -> np.ndarray:
 
 
 def apply_q_up(K: SimplicialComplex, i: int, f) -> np.ndarray:
-    """Matrix-free application of the i-up signless Laplace operator.
+    """Application of the i-up signless Laplace operator as B (B^T f).
 
     Entry F of the result is the sum, over the (i+1)-faces containing F,
     of the boundary sum of ``f`` on that coface. Agrees with the explicit
     operator to machine precision.
     """
-    v = _as_vector(K, i, f)
-    tab = boundary_index_table(K, i + 1)
-    s = v[tab].sum(axis=1)
-    out = np.zeros_like(v)
-    np.add.at(out, tab, s[:, None])
-    return out
+    B = boundary_csr(K, i + 1)
+    return B @ (B.T @ _as_vector(K, i, f))
 
 
 def apply_q_down(K: SimplicialComplex, i: int, g) -> np.ndarray:
-    """Matrix-free application of the i-down signless Laplace operator."""
-    v = _as_vector(K, i, g)
-    tab = boundary_index_table(K, i)
-    h = np.zeros(K.n_faces(i - 1))
-    np.add.at(h, tab, v[:, None])
-    return h[tab].sum(axis=1)
+    """Application of the i-down signless Laplace operator as B^T (B g)."""
+    B = boundary_csr(K, i)
+    return B.T @ (B @ _as_vector(K, i, g))
 
 
 def quadratic_form(K: SimplicialComplex, i: int, f, g) -> float:

@@ -144,30 +144,9 @@ class SimplicialComplex:
         """Connectivity of the up-neighbor graph on the i-faces."""
         if not 0 <= i < self.dim:
             raise DimensionOutOfRange(f"path connectivity needs 0 <= i < dim, got {i}")
-        fs = self._faces_by_dim[i]
-        if len(fs) <= 1:
-            return True
-        # Each (i+1)-face makes a clique of its boundary i-faces; BFS over those.
-        idx = self._index[i]
-        adj: list[list[int]] = [[] for _ in fs]
-        for cof in self._faces_by_dim[i + 1]:
-            members = [idx[tuple(v for v in cof if v != drop)] for drop in cof]
-            for a in members:
-                for b in members:
-                    if a != b:
-                        adj[a].append(b)
-        seen = [False] * len(fs)
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            a = stack.pop()
-            for b in adj[a]:
-                if not seen[b]:
-                    seen[b] = True
-                    count += 1
-                    stack.append(b)
-        return count == len(fs)
+        from .chains import up_connected  # chains imports this module
+
+        return up_connected(self, i)
 
     # -- derived complexes --------------------------------------------------
 

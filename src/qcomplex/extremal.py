@@ -11,7 +11,7 @@ minor is at most 3^(k/2) < 3^8 in magnitude, while p = 2^31 - 1).
 
 Spectral radii inside the scan use the dense eigensolve (the edge space
 at n <= 6 has at most 15 dimensions); the large-n asymptotics go through
-the matrix-free power iteration in `spectra`.
+the Lanczos top-two solve in `spectra`.
 """
 
 from __future__ import annotations
@@ -676,9 +676,10 @@ def asymptotic_check(t: int, n_list, tol_schedule=None,
     """Normalized spectral excess of the tent-plus-common-edge family.
 
     For each n computes g(n) = (q1 - (2n-3)) * n^3 / (9t) with a
-    high-precision matrix-free solve. Restricted to t in {1, 2}, where
-    the extremal complex is identified. Raises if the eigenvalue error
-    bound is not comfortably below the signal 9t/n^3.
+    high-precision Lanczos solve. Restricted to t in {1, 2}, where the
+    extremal complex is identified. Raises if the measured gap to the
+    second eigenvalue is below `spectra.DEGENERACY_GAP` or the eigenvalue
+    error bound is not comfortably below the signal 9t/n^3.
     """
     if t not in (1, 2):
         raise BadParams(f"asymptotic check is defined for t in {{1, 2}}, got {t}")
@@ -701,7 +702,10 @@ def asymptotic_check(t: int, n_list, tol_schedule=None,
     eps = np.finfo(np.float64).eps
     for n, tol in zip(ns, tols):
         K = tent_plus_common_edge(n, t)
-        res = spectra.spectral_radius(K, 1, tol=tol, seed=seed, check_gap=False)
+        res = spectra.spectral_radius(K, 1, tol=tol, seed=seed)
+        if res.degenerate:
+            raise PrecisionInsufficient(
+                f"top eigenvalue numerically multiple at n={n}")
         signal = 9.0 * t / n ** 3
         error_bound = res.residual + 64 * eps * abs(res.value)
         if error_bound > 0.05 * signal:

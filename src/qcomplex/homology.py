@@ -19,11 +19,19 @@ from .errors import (
     NotBasicHole,
     NotPure,
     SpectrumAmbiguous,
+    TooLarge,
 )
 
 # int64 Bareiss updates are exact while |entries| stay below this bound
 # (update magnitude <= 2*M^2 must fit in int64).
 _INT64_GUARD = np.int64(1) << 31
+
+#: Largest dense int64 boundary matrix, in bytes, that `betti_profile` and
+#: `is_basic_hole` allocate; larger ones raise `TooLarge`. `integer_rank`
+#: holds about three more working copies, so the peak is about four times
+#: this. A 100-vertex tent's 4950 x 4852 matrix (192 MB) fits; a
+#: 240-vertex tent's (6.5 GB) is refused.
+DENSE_BYTES_LIMIT = 256 * 2**20
 
 
 def integer_rank(A) -> int:
@@ -134,7 +142,17 @@ class BettiProfile:
     ranks: tuple[int, ...]  # ranks[i] = rank of the i-th boundary map
 
 
+def _require_dense_fits(K: SimplicialComplex, i: int) -> None:
+    n_rows, n_cols = K.n_faces(i - 1), K.n_faces(i)
+    nbytes = 8 * n_rows * n_cols
+    if nbytes > DENSE_BYTES_LIMIT:
+        raise TooLarge(
+            f"dense {n_rows} x {n_cols} boundary needs {nbytes / 2**20:.0f} MiB, "
+            f"above the {DENSE_BYTES_LIMIT // 2**20} MiB limit")
+
+
 def _boundary_dense(K: SimplicialComplex, i: int) -> np.ndarray:
+    _require_dense_fits(K, i)
     tab = chains.boundary_index_table(K, i)
     n_rows = K.n_faces(i - 1)
     A = np.zeros((n_rows, tab.shape[0]), dtype=np.int64)
@@ -146,6 +164,8 @@ def _boundary_dense(K: SimplicialComplex, i: int) -> np.ndarray:
 
 def betti_profile(K: SimplicialComplex) -> BettiProfile:
     """Exact Betti numbers over the rationals."""
+    for i in range(1, K.dim + 1):  # refuse before any elimination runs
+        _require_dense_fits(K, i)
     ranks = [0]  # rank of the 0-th boundary map is 0
     for i in range(1, K.dim + 1):
         ranks.append(integer_rank(_boundary_dense(K, i)))
@@ -233,40 +253,6 @@ def check_basic_hole_properties(K: SimplicialComplex) -> BasicHoleReport:
     r = K.dim
     connected = K.is_path_connected(r - 1)
     degrees_ok = all(K.face_degree(F) >= 2 for F in K.faces(r - 1))
-    deletion_ok = all(
-        _connected_without(K, r - 1, skip)
-        for skip in range(K.n_faces(r))
-    )
+    deletion_ok = all(chains.up_connected(K, r - 1, skip)
+                      for skip in range(K.n_faces(r)))
     return BasicHoleReport(connected, degrees_ok, deletion_ok)
-
-
-def _connected_without(K: SimplicialComplex, i: int, skip_facet: int) -> bool:
-    """Up-neighbor connectivity of the i-faces with one top facet removed.
-
-    Facet deletion keeps every lower face, so only the adjacency changes.
-    """
-    faces = K.faces(i)
-    if len(faces) <= 1:
-        return True
-    tab = chains.boundary_index_table(K, i + 1)
-    adj: list[list[int]] = [[] for _ in faces]
-    for k in range(tab.shape[0]):
-        if k == skip_facet:
-            continue
-        members = tab[k]
-        for a in members:
-            for b in members:
-                if a != b:
-                    adj[a].append(int(b))
-    seen = [False] * len(faces)
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        a = stack.pop()
-        for b in adj[a]:
-            if not seen[b]:
-                seen[b] = True
-                count += 1
-                stack.append(b)
-    return count == len(faces)

@@ -22,6 +22,7 @@ from qcomplex.errors import (
     TooLarge,
     VertexInFace,
 )
+from qcomplex.chains import up_connected
 
 from conftest import mixed_complexes, pure2_complexes
 
@@ -144,11 +145,13 @@ class TestUpNeighbors:
 
 class TestPathConnected:
     @staticmethod
-    def _bfs_connected(K, i):
+    def _bfs_connected(K, i, skip=None):
         faces = list(K.faces(i))
         pos = {f: k for k, f in enumerate(faces)}
         adj = [set() for _ in faces]
-        for cof in K.faces(i + 1):
+        for k, cof in enumerate(K.faces(i + 1)):
+            if k == skip:
+                continue
             members = [pos[tuple(v for v in cof if v != drop)] for drop in cof]
             for a in members:
                 for b in members:
@@ -179,6 +182,13 @@ class TestPathConnected:
     def test_index_out_of_range(self, triangle):
         with pytest.raises(DimensionOutOfRange):
             triangle.is_path_connected(2)
+
+    @given(pure2_complexes())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bfs_oracle_with_and_without_a_facet(self, K):
+        assert K.is_path_connected(1) is self._bfs_connected(K, 1)
+        for skip in range(K.n_faces(2)):
+            assert up_connected(K, 1, skip) is self._bfs_connected(K, 1, skip)
 
 
 class TestSkeleton:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import combinations
 
@@ -21,7 +22,9 @@ from qcomplex import (
     tent_plus_faces,
     tented,
 )
-from qcomplex.errors import BadParams, NoApex, NotPure, TooLarge
+from qcomplex import spectra
+from qcomplex.errors import (
+    BadParams, NoApex, NotPure, PrecisionInsufficient, TooLarge)
 from qcomplex.extremal import search_betti2, _tables, _triangle_space
 
 
@@ -271,6 +274,14 @@ class TestAsymptoticCheck:
     def test_n_cap(self):
         with pytest.raises(BadParams):
             asymptotic_check(1, [300])
+
+    def test_degenerate_top_refused(self, monkeypatch):
+        # a numerically multiple top eigenvalue leaves q1 unidentified
+        solve = spectra.spectral_radius
+        monkeypatch.setattr(spectra, "spectral_radius", lambda *a, **kw:
+                            dataclasses.replace(solve(*a, **kw), degenerate=True))
+        with pytest.raises(PrecisionInsufficient):
+            asymptotic_check(1, [40])
 
 
 def test_telescoping_binomial_identity():

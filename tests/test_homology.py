@@ -18,7 +18,8 @@ from qcomplex import (
     tent_plus_common_edge,
     tented,
 )
-from qcomplex.errors import NotBasicHole, NotPure, SpectrumAmbiguous
+from qcomplex import homology
+from qcomplex.errors import NotBasicHole, NotPure, SpectrumAmbiguous, TooLarge
 
 from conftest import mixed_complexes, pure2_complexes
 from test_chains import fraction_rank
@@ -40,6 +41,22 @@ class TestIntegerRank:
         assert integer_rank(np.array([[big, big], [big, big]],
                                      dtype=np.int64)) == 1
 
+    def test_intermediate_growth_falls_back_exactly(self, monkeypatch):
+        # small entries whose Bareiss minors outgrow the int64 guard: the
+        # big-integer path finishes the elimination
+        rng = random.Random(5)
+        L = np.array([[rng.randint(-30, 30) for _ in range(7)] for _ in range(10)])
+        R = np.array([[rng.randint(-30, 30) for _ in range(12)] for _ in range(7)])
+        M = L @ R
+        assert np.abs(M).max() < 2 ** 31
+        calls = []
+        fallback = homology._python_bareiss_rank
+        monkeypatch.setattr(homology, "_python_bareiss_rank",
+                            lambda rows, prev: calls.append(prev)
+                            or fallback(rows, prev))
+        assert integer_rank(M) == fraction_rank(M.tolist()) == 7
+        assert calls
+
     def test_zero_matrix(self):
         assert integer_rank(np.zeros((3, 4), dtype=np.int64)) == 0
 
@@ -58,6 +75,14 @@ class TestBettiProfile:
     @pytest.mark.parametrize("n,t", [(6, 1), (6, 2), (8, 3), (12, 5)])
     def test_tent_plus_common_edge(self, n, t):
         assert betti_profile(tent_plus_common_edge(n, t)).betti == (1, 0, t)
+
+    def test_dense_matrix_above_limit_refused(self):
+        # the 28680 x 28442 top boundary would need 6.5 GB
+        K = tent_plus_common_edge(240, 1)
+        with pytest.raises(TooLarge):
+            betti_profile(K)
+        with pytest.raises(TooLarge):
+            is_basic_hole(K)
 
     def test_two_components(self, two_triangles):
         assert betti_profile(two_triangles).betti == (2, 0, 0)

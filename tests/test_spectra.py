@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from qcomplex import (
     apply_q_down,
     apply_q_up,
     dense_q_up_spectrum,
+    from_facets,
     perron_vector,
     rayleigh_quotient,
     second_order_identity_check,
@@ -23,9 +25,18 @@ from qcomplex.errors import (
     NotPathConnected,
     ResidualTooLarge,
 )
-from qcomplex.spectra import SpectralResult
+from qcomplex.spectra import DEGENERACY_GAP, DENSE_CUTOFF, SpectralResult
 
 from conftest import pure2_complexes
+
+
+def twin_tents(n, extra_face):
+    """Two disjoint n-vertex tents, optionally with one more face on the
+    second."""
+    first = [(0, a, b) for a, b in combinations(range(1, n), 2)]
+    second = [(n, n + a, n + b) for a, b in combinations(range(1, n), 2)]
+    extra = [(n + 1, n + 2, n + 3)] if extra_face else []
+    return from_facets(2 * n, first + second + extra)
 
 
 class TestSpectralRadius:
@@ -46,21 +57,56 @@ class TestSpectralRadius:
         assert res.value == pytest.approx(dense_q_up_spectrum(delta4, 1)[-1],
                                           abs=1e-10)
 
-    def test_power_matches_dense(self):
-        K = tented(8, 2)
+    def test_lanczos_matches_dense(self):
+        K = tent_plus_common_edge(40, 2)
+        assert K.n_faces(1) > DENSE_CUTOFF
         dense = spectral_radius(K, 1, method="dense")
-        power = spectral_radius(K, 1, method="power")
-        assert power.value == pytest.approx(dense.value, abs=1e-9)
-        assert power.iterations > 0 and dense.iterations == 0
-        assert power.residual <= 1e-10
+        lanczos = spectral_radius(K, 1)
+        assert lanczos.value == pytest.approx(dense.value, abs=1e-9)
+        assert lanczos.iterations > 0 and dense.iterations == 0
+        assert lanczos.residual <= 1e-10
+        assert not lanczos.degenerate
 
     def test_residual_bound_respected(self):
-        res = spectral_radius(tented(12, 2), 1, method="power", tol=1e-8)
+        res = spectral_radius(tented(12, 2), 1, method="lanczos", tol=1e-8)
         assert res.residual <= 1e-8
 
     def test_no_convergence(self):
-        with pytest.raises(NoConvergence):
-            spectral_radius(tented(10, 2), 1, method="power", max_iters=2)
+        with pytest.raises(NoConvergence) as exc:
+            spectral_radius(tented(10, 2), 1, method="lanczos", max_iters=2)
+        assert exc.value.iterations == 2
+        assert math.isfinite(exc.value.residual)
+
+    def test_lanczos_guards(self):
+        with pytest.raises(BadParams):  # k = 2 Ritz pairs need 3 faces
+            spectral_radius(from_facets(2, [(0, 1)]), 0, method="lanczos")
+        with pytest.raises(BadParams):
+            spectral_radius(tented(10, 2), 1, method="lanczos", max_iters=0)
+
+    def test_dense_polish_reports_unreachable_tol(self):
+        # no eigensolve reaches a zero residual: the dense pair is polished
+        # by Lanczos, which then reports the residual it did reach
+        with pytest.raises(NoConvergence) as exc:
+            spectral_radius(tented(8, 2), 1, method="dense", tol=0.0)
+        assert exc.value.iterations > 0
+
+    def test_twin_tent_small_gap(self):
+        # top gap about 1.6e-4: resolved, and not flagged as multiple
+        K = twin_tents(40, extra_face=True)
+        assert K.n_faces(1) == 1560
+        dense = dense_q_up_spectrum(K, 1)
+        res = spectral_radius(K, 1)
+        assert res.value == pytest.approx(dense[-1], abs=1e-9)
+        assert dense[-1] - dense[-2] > DEGENERACY_GAP
+        assert not res.degenerate
+
+    def test_identical_twin_tents_degenerate(self):
+        K = twin_tents(40, extra_face=False)
+        dense = dense_q_up_spectrum(K, 1)
+        assert dense[-1] - dense[-2] < DEGENERACY_GAP
+        res = spectral_radius(K, 1)
+        assert res.value == pytest.approx(dense[-1], abs=1e-9)
+        assert res.degenerate
 
     def test_dimension_guard(self, triangle):
         with pytest.raises(DimensionOutOfRange):
