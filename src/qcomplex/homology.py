@@ -1,8 +1,12 @@
 """Exact Betti numbers, the Euler identity, and basic-hole predicates.
 
-Ranks of boundary matrices are computed by fraction-free (Bareiss)
-integer elimination, so no tolerance enters any Betti number. The
-eigenvalue-based `hodge_betti` exists purely as a cross-check.
+Betti numbers are computed by collapse, then eliminate. Elementary
+collapses remove a face that has exactly one coface together with that
+coface; this keeps the homotopy type, so the Betti numbers stay exact.
+The ranks of the residual boundary matrices then come from
+fraction-free (Bareiss) integer elimination, so no tolerance enters any
+Betti number. The eigenvalue-based `hodge_betti` exists purely as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -26,11 +30,13 @@ from .errors import (
 # (update magnitude <= 2*M^2 must fit in int64).
 _INT64_GUARD = np.int64(1) << 31
 
-#: Largest dense int64 boundary matrix, in bytes, that `betti_profile` and
-#: `is_basic_hole` allocate; larger ones raise `TooLarge`. `integer_rank`
-#: holds about three more working copies, so the peak is about four times
-#: this. A 100-vertex tent's 4950 x 4852 matrix (192 MB) fits; a
-#: 240-vertex tent's (6.5 GB) is refused.
+#: Largest dense int64 residual boundary matrix, in bytes, that
+#: `betti_profile` and `is_basic_hole` allocate after collapsing; larger
+#: ones raise `TooLarge`. `integer_rank` holds about three more working
+#: copies, so the peak is about four times this. Tents with added faces
+#: collapse to a handful of faces at any size; the 2-skeleton of the
+#: 59-simplex has no free face, and its 1770 x 34220 top boundary
+#: (484 MB) is refused.
 DENSE_BYTES_LIMIT = 256 * 2**20
 
 
@@ -142,43 +148,98 @@ class BettiProfile:
     ranks: tuple[int, ...]  # ranks[i] = rank of the i-th boundary map
 
 
-def _require_dense_fits(K: SimplicialComplex, i: int) -> None:
-    n_rows, n_cols = K.n_faces(i - 1), K.n_faces(i)
+def _require_dense_fits(n_rows: int, n_cols: int) -> None:
     nbytes = 8 * n_rows * n_cols
     if nbytes > DENSE_BYTES_LIMIT:
         raise TooLarge(
-            f"dense {n_rows} x {n_cols} boundary needs {nbytes / 2**20:.0f} MiB, "
-            f"above the {DENSE_BYTES_LIMIT // 2**20} MiB limit")
+            f"dense {n_rows} x {n_cols} residual boundary needs "
+            f"{nbytes / 2**20:.0f} MiB, above the {DENSE_BYTES_LIMIT // 2**20} "
+            f"MiB limit")
 
 
-def _boundary_dense(K: SimplicialComplex, i: int) -> np.ndarray:
-    _require_dense_fits(K, i)
-    tab = chains.boundary_index_table(K, i)
-    n_rows = K.n_faces(i - 1)
+def _collapse(K: SimplicialComplex) -> list[np.ndarray]:
+    """Masks, one per dimension, of the faces left by elementary collapses.
+
+    While some face has exactly one remaining coface, the pair is removed.
+    That coface has no coface of its own, since one would hold a second
+    coface of the face, so the residual stays a complex. Each face keeps
+    the count and the index sum of its remaining cofaces, so the sum names
+    the coface once the count is 1. Cached on the complex.
+    """
+    alive = K._cache.get("collapse")
+    if alive is not None:
+        return alive
+    top = K.dim
+    faces, count, cosum, stack = [None], [], [], []
+    for d in range(top):
+        tab = chains.boundary_index_table(K, d + 1)
+        faces.append(tab.tolist())
+        flat = tab.reshape(-1)
+        owners = np.repeat(np.arange(tab.shape[0]), tab.shape[1])
+        c = np.bincount(flat, minlength=K.n_faces(d))
+        count.append(c.tolist())
+        cosum.append(np.bincount(flat, weights=owners, minlength=K.n_faces(d))
+                     .astype(np.int64).tolist())
+        stack.extend((d, s) for s in np.flatnonzero(c == 1).tolist())
+    removed = [[] for _ in range(top + 1)]
+    while stack:
+        d, s = stack.pop()
+        if count[d][s] != 1:  # removed faces have no cofaces left
+            continue
+        t = cosum[d][s]
+        removed[d].append(s)
+        removed[d + 1].append(t)
+        for e, x in ((d + 1, t), (d, s)):
+            if e == 0:
+                continue
+            for f in faces[e][x]:
+                count[e - 1][f] -= 1
+                cosum[e - 1][f] -= x
+                if count[e - 1][f] == 1:
+                    stack.append((e - 1, f))
+    alive = []
+    for d in range(top + 1):
+        mask = np.ones(K.n_faces(d), dtype=bool)
+        mask[removed[d]] = False
+        alive.append(mask)
+    K._cache["collapse"] = alive
+    return alive
+
+
+def _residual_boundary(K: SimplicialComplex, alive: list[np.ndarray],
+                       i: int) -> np.ndarray:
+    """Dense signed i-th boundary between the faces that survive collapse."""
+    tab = chains.boundary_index_table(K, i)[alive[i]]
+    n_rows = int(alive[i - 1].sum())
+    _require_dense_fits(n_rows, tab.shape[0])
+    rows = np.cumsum(alive[i - 1]) - 1
     A = np.zeros((n_rows, tab.shape[0]), dtype=np.int64)
     signs = np.array([(-1) ** j for j in range(tab.shape[1])], dtype=np.int64)
     cols = np.repeat(np.arange(tab.shape[0]), tab.shape[1])
-    A[tab.reshape(-1), cols] = np.tile(signs, tab.shape[0])
+    A[rows[tab].reshape(-1), cols] = np.tile(signs, tab.shape[0])
     return A
 
 
 def betti_profile(K: SimplicialComplex) -> BettiProfile:
-    """Exact Betti numbers over the rationals."""
-    for i in range(1, K.dim + 1):  # refuse before any elimination runs
-        _require_dense_fits(K, i)
-    ranks = [0]  # rank of the 0-th boundary map is 0
-    for i in range(1, K.dim + 1):
-        ranks.append(integer_rank(_boundary_dense(K, i)))
-    betti = []
-    for i in range(K.dim + 1):
-        up = ranks[i + 1] if i + 1 <= K.dim else 0
-        betti.append(K.n_faces(i) - ranks[i] - up)
-    chi_faces = sum((-1) ** i * K.n_faces(i) for i in range(K.dim + 1))
+    """Exact Betti numbers over the rationals: collapse, then eliminate."""
+    alive = _collapse(K)
+    sizes = [int(mask.sum()) for mask in alive]
+    for i in range(1, K.dim + 1):  # refuse before any allocation or elimination
+        _require_dense_fits(sizes[i - 1], sizes[i])
+    residual = [0] + [integer_rank(_residual_boundary(K, alive, i))
+                      for i in range(1, K.dim + 1)] + [0]
+    betti = tuple(sizes[i] - residual[i] - residual[i + 1]
+                  for i in range(K.dim + 1))
+    # ranks of the boundary maps of K itself, top-down from its face counts
+    ranks = [0] * (K.dim + 2)
+    for i in range(K.dim, 0, -1):
+        ranks[i] = K.n_faces(i) - betti[i] - ranks[i + 1]
+    chi = euler_characteristic(K)
     chi_betti = sum((-1) ** i * b for i, b in enumerate(betti))
-    if chi_faces != chi_betti:
+    if chi != chi_betti:
         raise AssertionError(
-            f"Euler identity violated: {chi_faces} != {chi_betti} on {K!r}")
-    return BettiProfile(tuple(betti), chi_faces, tuple(ranks))
+            f"Euler identity violated: {chi} != {chi_betti} on {K!r}")
+    return BettiProfile(betti, chi, tuple(ranks[:-1]))
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -216,12 +277,20 @@ def is_basic_hole(K: SimplicialComplex) -> bool:
     it. Since the top kernel is one-dimensional, deleting facet j drops
     the Betti number exactly when the kernel generator is nonzero at j,
     so a single exact kernel computation answers all deletions at once.
+
+    Every top cycle vanishes on a facet removed by collapse (by induction
+    over the collapse order, its free face meets no other remaining
+    facet), so K is not a basic hole once any facet collapses. Otherwise
+    the residual top boundary is the full one.
     """
     _require_pure(K)
     r = K.dim
     if r < 1:
         raise DimensionOutOfRange("basic holes need dimension >= 1")
-    A = _boundary_dense(K, r)
+    alive = _collapse(K)
+    if not alive[r].all():
+        return False
+    A = _residual_boundary(K, alive, r)
     nullity = K.n_faces(r) - integer_rank(A)
     if nullity != 1:
         return False

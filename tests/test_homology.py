@@ -15,6 +15,7 @@ from qcomplex import (
     is_basic_hole,
     rhombic,
     signed_boundary,
+    simplex_skeleton,
     tent_plus_common_edge,
     tented,
 )
@@ -76,13 +77,29 @@ class TestBettiProfile:
     def test_tent_plus_common_edge(self, n, t):
         assert betti_profile(tent_plus_common_edge(n, t)).betti == (1, 0, t)
 
-    def test_dense_matrix_above_limit_refused(self):
-        # the 28680 x 28442 top boundary would need 6.5 GB
-        K = tent_plus_common_edge(240, 1)
+    def test_dense_matrix_above_limit_refused(self, monkeypatch):
+        # no face of the 2-skeleton of the 59-simplex is free, so its whole
+        # 1770 x 34220 top boundary (484 MB) is the residual: refused
+        # before any elimination runs
+        K = simplex_skeleton(60, 2)
+        monkeypatch.setattr(homology, "integer_rank", None)
         with pytest.raises(TooLarge):
             betti_profile(K)
         with pytest.raises(TooLarge):
             is_basic_hole(K)
+        monkeypatch.undo()
+        # the 240-vertex tent's 28680 x 28442 top boundary (6.5 GB)
+        # collapses to a few faces
+        K = tent_plus_common_edge(240, 1)
+        profile = betti_profile(K)
+        assert profile.betti == (1, 0, 1)
+        assert profile.ranks == (0, 239, K.n_faces(2) - 1)
+        assert not is_basic_hole(K)
+
+    def test_tent_collapses_to_a_few_faces(self):
+        K = tent_plus_common_edge(50, 2)
+        assert betti_profile(K).betti == (1, 0, 2)
+        assert all(mask.sum() <= 10 for mask in homology._collapse(K))
 
     def test_two_components(self, two_triangles):
         assert betti_profile(two_triangles).betti == (2, 0, 0)
@@ -106,6 +123,42 @@ class TestBettiProfile:
         profile = betti_profile(K)
         rank2 = fraction_rank(signed_boundary(K, 2).toarray())
         assert profile.betti[2] == K.n_faces(2) - rank2
+
+
+def oracle_profile(K):
+    """Betti numbers and boundary ranks from the full, uncollapsed signed
+    boundaries by rational elimination."""
+    ranks = [0] + [fraction_rank(signed_boundary(K, i).toarray())
+                   for i in range(1, K.dim + 1)] + [0]
+    betti = tuple(K.n_faces(i) - ranks[i] - ranks[i + 1]
+                  for i in range(K.dim + 1))
+    return betti, tuple(ranks[:-1])
+
+
+class TestCollapseAgainstOracle:
+    @given(mixed_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_betti_and_ranks_match_full_elimination(self, K):
+        profile = betti_profile(K)
+        assert (profile.betti, profile.ranks) == oracle_profile(K)
+
+    @given(mixed_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_basic_hole_matches_uncollapsed_oracle(self, K):
+        if not K.is_pure():
+            with pytest.raises(NotPure):
+                is_basic_hole(K)
+        elif K.dim >= 1:
+            assert is_basic_hole(K) == naive_deletion_check(K)
+
+    @pytest.mark.parametrize("K", [delta_sphere(2), rhombic(2), delta_sphere(3)],
+                             ids=["delta_sphere2", "rhombic2", "delta_sphere3"])
+    def test_spheres_keep_every_facet(self, K):
+        # no free face: the kernel path runs on the full top boundary
+        assert homology._collapse(K)[K.dim].all()
+        assert is_basic_hole(K) and naive_deletion_check(K)
+        profile = betti_profile(K)
+        assert (profile.betti, profile.ranks) == oracle_profile(K)
 
 
 class TestEulerCharacteristic:
@@ -146,11 +199,11 @@ class TestHodgeBetti:
 
 
 def naive_deletion_check(K):
-    """Oracle for is_basic_hole: recompute the Betti number per deletion."""
-    r = K.dim
-    if betti_profile(K).betti[r] != 1:
+    """Oracle for is_basic_hole without collapse: the full top boundary has
+    a one-dimensional kernel and deleting any single facet kills it."""
+    A = signed_boundary(K, K.dim).toarray()
+    if A.shape[1] - fraction_rank(A) != 1:
         return False
-    A = signed_boundary(K, r).toarray()
     for j in range(A.shape[1]):
         sub = np.delete(A, j, axis=1)
         beta = sub.shape[1] - fraction_rank(sub)
