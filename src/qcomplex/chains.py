@@ -4,14 +4,17 @@ Faces are oriented by ascending vertex order, so the signed boundary of a
 column face carries the sign (-1)^j on the row face obtained by omitting
 its j-th vertex. The signless variants replace every sign with +1.
 
-Two computation paths coexist:
+Each complex holds one incidence per dimension, cached on it: the
+face-index table `boundary_index_table` and the CSR matrices
+`boundary_csr` built from it (signless, and signed on request). The
+neighbour queries of `SimplicialComplex`, `homology`, `spectra` and
+`extremal` all read this incidence. On top of it sit
 
 * explicit sparse operators (`signed_boundary`, `signless_boundary`,
   `laplacian`) for desk-scale instances, and
 * operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
-  that never form a Laplacian: they apply the signless boundary, cached
-  on the complex as a face-index table and as a CSR matrix. The large-n
-  eigensolver runs on `apply_q_up`.
+  that never form a Laplacian. The large-n eigensolver runs on
+  `apply_q_up`.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     key = ("btab", i)
     tab = K._cache.get(key)
     if tab is None:
-        lower = {f: k for k, f in enumerate(K.faces(i - 1))}
+        lower = K._index[i - 1]
         rows = [
             [lower[F[:j] + F[j + 1:]] for j in range(i + 1)]
             for F in K.faces(i)

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,14 +25,6 @@ JSON_SCHEMA_VERSION = 1
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation: subcommand plus every flag that shapes output."""
-
-    subcommand: str
-    options: dict = field(default_factory=dict)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -54,12 +45,7 @@ def _cmd_gen(opt) -> int:
     K = families.make(opt["family"], n=opt.get("n"), r=opt.get("r"),
                       t=opt.get("t"), seed=opt.get("seed") or 0,
                       added=_parse_added(opt.get("add")))
-    if opt.get("output"):
-        write_facets(K, opt["output"])
-    else:
-        sys.stdout.write(f"n {K.n_vertices}\n")
-        for f in K.facets:
-            sys.stdout.write(" ".join(map(str, f)) + "\n")
+    write_facets(K, opt.get("output") or sys.stdout)
     return 0
 
 
@@ -118,9 +104,9 @@ def _cmd_check(opt) -> int:
     record("euler_identity", chi == chi_b, f"chi={chi}")
 
     for i in range(2, K.dim + 1):
-        prod = (chains.signed_boundary(K, i - 1).toarray()
-                @ chains.signed_boundary(K, i).toarray())
-        record(f"chain_identity_d{i - 1}d{i}", not prod.any())
+        prod = (chains.boundary_csr(K, i - 1, signed=True)
+                @ chains.boundary_csr(K, i, signed=True))
+        record(f"chain_identity_d{i - 1}d{i}", not prod.count_nonzero())
 
     if max(K.n_faces(i) for i in range(K.dim + 1)) <= 512:
         hodge_ok = all(homology.hodge_betti(K, i) == profile.betti[i]
@@ -255,10 +241,10 @@ _DISPATCH = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(subcommand: str, options: dict) -> int:
     """Execute a parsed invocation and return the process exit code."""
     try:
-        return _DISPATCH[config.subcommand](config.options)
+        return _DISPATCH[subcommand](options)
     except QComplexError as exc:
         sys.stderr.write(f"error {exc.code}: {exc}\n")
         return 2 if isinstance(exc, USAGE_ERRORS) else 1
@@ -332,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     options = {k: v for k, v in vars(args).items() if k != "subcommand"}
-    return run(RunConfig(args.subcommand, options))
+    return run(args.subcommand, options)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,8 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     BadParams,
     BadVertexId,
@@ -93,22 +95,25 @@ class SimplicialComplex:
 
     def face_degree(self, F: Face) -> int:
         """Number of (dim F + 1)-faces containing ``F``."""
-        self.face_index(F)
+        k = self.face_index(F)
         i = len(F) - 1
         if i + 1 > self.dim:
             return 0
-        fs = set(F)
-        return sum(1 for G in self._faces_by_dim[i + 1] if fs.issubset(G))
+        from .chains import boundary_csr  # chains imports this module
+
+        indptr = boundary_csr(self, i + 1).indptr
+        return int(indptr[k + 1] - indptr[k])
 
     def down_neighbors(self, F: Face) -> list[Face]:
         """Same-dimension faces sharing a codimension-1 face with ``F``."""
-        self.face_index(F)
+        k = self.face_index(F)
         i = len(F) - 1
         if i < 1:
             raise DimensionOutOfRange("down neighbors need dimension >= 1")
-        fs = set(F)
-        return [G for G in self._faces_by_dim[i]
-                if G != F and len(fs.intersection(G)) == i]
+        from .chains import boundary_csr, boundary_index_table
+
+        rows = boundary_csr(self, i)[boundary_index_table(self, i)[k]]
+        return self._others(i, rows.indices, k)
 
     def down_neighbors_via_vertex(self, F: Face, x: int) -> list[Face]:
         """Down neighbors of ``F`` of the form {x} union (F minus one vertex)."""
@@ -126,19 +131,19 @@ class SimplicialComplex:
 
     def up_neighbors(self, F: Face) -> list[Face]:
         """Same-dimension faces jointly contained with ``F`` in a coface."""
-        self.face_index(F)
+        k = self.face_index(F)
         i = len(F) - 1
         if i + 1 > self.dim:
             return []
-        fs = set(F)
-        out = set()
-        for cof in self._faces_by_dim[i + 1]:
-            if fs.issubset(cof):
-                for drop in cof:
-                    G = tuple(v for v in cof if v != drop)
-                    if G != F:
-                        out.add(G)
-        return sorted(out)
+        from .chains import boundary_csr, boundary_index_table
+
+        cofaces = boundary_csr(self, i + 1)[k].indices
+        return self._others(i, boundary_index_table(self, i + 1)[cofaces], k)
+
+    def _others(self, i: int, indices, k: int) -> list[Face]:
+        """The i-faces at ``indices`` other than the k-th, in sorted order."""
+        fs = self._faces_by_dim[i]
+        return [fs[j] for j in np.unique(indices).tolist() if j != k]
 
     def is_path_connected(self, i: int) -> bool:
         """Connectivity of the up-neighbor graph on the i-faces."""
@@ -320,8 +325,11 @@ def read_facets(path) -> SimplicialComplex:
 
 
 def write_facets(K: SimplicialComplex, path) -> None:
-    """Write the ``.facets`` format in canonical sorted order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"n {K.n_vertices}\n")
-        for f in K.facets:
-            fh.write(" ".join(str(v) for v in f) + "\n")
+    """Write the ``.facets`` format in canonical sorted order to a path,
+    or to ``path`` itself when it is an open text stream."""
+    if hasattr(path, "write"):
+        path.write(f"n {K.n_vertices}\n")
+        path.writelines(" ".join(map(str, f)) + "\n" for f in K.facets)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            write_facets(K, fh)

@@ -39,7 +39,7 @@ from .errors import (
     PrecisionInsufficient,
     TooLarge,
 )
-from .families import tent_plus_common_edge, tented
+from .families import simplex_skeleton, tent_plus_common_edge, tented
 
 _PRIME = 2_147_483_647
 
@@ -75,12 +75,11 @@ def _check_bound_params(n: int, r: int, t: int) -> None:
 
 
 class _TriangleSpace(NamedTuple):
-    n: int
+    skeleton: SimplicialComplex   # 2-skeleton of the (n-1)-simplex
     triangles: tuple[Face, ...]
-    n_edges: int
-    boundary_rows: np.ndarray     # (m, 3) edge indices per triangle
     edge_masks: tuple[int, ...]   # bitmask over edges per triangle
-    signed_cols: tuple[tuple[int, ...], ...]  # dense columns mod _PRIME
+    signed_cols: tuple[tuple[int, ...], ...]  # signed boundary columns mod _PRIME
+    signless: np.ndarray          # dense (edges, triangles) signless boundary
 
 
 _SPACE_CACHE: dict[int, _TriangleSpace] = {}
@@ -90,28 +89,16 @@ _Q_CACHE: dict[int, np.ndarray] = {}
 
 def _triangle_space(n: int) -> _TriangleSpace:
     space = _SPACE_CACHE.get(n)
-    if space is not None:
-        return space
-    edges = list(combinations(range(n), 2))
-    eidx = {e: k for k, e in enumerate(edges)}
-    triangles = tuple(combinations(range(n), 3))
-    rows = np.array(
-        [[eidx[(b, c)], eidx[(a, c)], eidx[(a, b)]] for (a, b, c) in triangles],
-        dtype=np.int64)
-    emasks = tuple(
-        (1 << eidx[(b, c)]) | (1 << eidx[(a, c)]) | (1 << eidx[(a, b)])
-        for (a, b, c) in triangles)
-    # modular Bareiss needs the prime above the Hadamard bound 3^(E/2)
-    assert _PRIME > 3 ** (len(edges) // 2 + 1)
-    cols = []
-    for (a, b, c) in triangles:
-        col = [0] * len(edges)
-        col[eidx[(b, c)]] = 1
-        col[eidx[(a, c)]] = _PRIME - 1
-        col[eidx[(a, b)]] = 1
-        cols.append(tuple(col))
-    space = _TriangleSpace(n, triangles, len(edges), rows, emasks, tuple(cols))
-    _SPACE_CACHE[n] = space
+    if space is None:
+        S = simplex_skeleton(n, 2)
+        # modular Bareiss needs the prime above the Hadamard bound 3^(E/2)
+        assert _PRIME > 3 ** (S.n_faces(1) // 2 + 1)
+        emasks = tuple(sum(1 << e for e in row)
+                       for row in chains.boundary_index_table(S, 2).tolist())
+        cols = (chains.signed_boundary(S, 2).toarray() % _PRIME).T.tolist()
+        space = _SPACE_CACHE[n] = _TriangleSpace(
+            S, S.faces(2), emasks, tuple(map(tuple, cols)),
+            chains.boundary_csr(S, 2).toarray())
     return space
 
 
@@ -190,7 +177,7 @@ def _tables(n: int, workers: int = 1):
         half = 1 << bit
         cover_union[half:2 * half] = cover_union[:half] | space.edge_masks[bit]
         popcount[half:2 * half] = popcount[:half] + 1
-    cover = cover_union == (1 << space.n_edges) - 1
+    cover = cover_union == (1 << space.skeleton.n_faces(1)) - 1
     result = (rank, cover, popcount)
     _TABLE_CACHE[n] = result
     return result
@@ -204,17 +191,10 @@ def _q_block_job(args: tuple[int, np.ndarray]) -> np.ndarray:
     """Top eigenvalue of the up signless Laplacian for each mask."""
     n, masks = args
     space = _triangle_space(n)
-    E = space.n_edges
-    rows = space.boundary_rows
     out = np.empty(len(masks))
     for j, mask in enumerate(masks):
-        ids = [k for k in range(len(space.triangles)) if mask >> k & 1]
-        sel = rows[ids]
-        B = np.zeros((E, len(ids)))
-        ar = np.arange(len(ids))
-        B[sel[:, 0], ar] = 1.0
-        B[sel[:, 1], ar] = 1.0
-        B[sel[:, 2], ar] = 1.0
+        B = space.signless[:, [k for k in range(len(space.triangles))
+                               if mask >> k & 1]]
         out[j] = np.linalg.eigvalsh(B @ B.T)[-1]
     return out
 
@@ -260,8 +240,9 @@ def enumerate_pure2(n: int, full_skeleton: bool = True) -> Iterator[SimplicialCo
     With ``full_skeleton`` the domain is exactly the triangle subsets
     covering all possible edges; otherwise every nonempty subset.
     """
+    masks = _domain_masks(n, full_skeleton)
     space = _triangle_space(n)
-    for mask in _domain_masks(n, full_skeleton):
+    for mask in masks:
         yield from_facets(n, _mask_faces(space, int(mask)), require_pure=True)
 
 
@@ -320,9 +301,8 @@ def _perm_triangle_maps(n: int) -> list[tuple[int, ...]]:
     maps = _PERM_MAP_CACHE.get(n)
     if maps is None:
         space = _triangle_space(n)
-        tri_index = {t: k for k, t in enumerate(space.triangles)}
         maps = [
-            tuple(tri_index[tuple(sorted(perm[v] for v in t))]
+            tuple(space.skeleton.face_index(tuple(sorted(perm[v] for v in t)))
                   for t in space.triangles)
             for perm in permutations(range(n))
         ]
@@ -652,11 +632,11 @@ def perron_profile(K: SimplicialComplex, tol: float = 1e-10,
 
     missing_rows = []
     sums = chains.boundary_sums(K, 1, f)
-    face_pos = {F: k for k, F in enumerate(K.faces(2))}
     for F in missing_faces:
         nd = len(K.down_neighbors(F))
         pred = 3.0 / (2 * n - 3) + 3.0 * nd / (4.0 * n * n)
-        missing_rows.append(row(",".join(map(str, F)), sums[face_pos[F]], pred))
+        missing_rows.append(row(",".join(map(str, F)), sums[K.face_index(F)],
+                                pred))
 
     return PerronProfile(n, t, tuple(non_apex), tuple(apex_rows),
                          tuple(missing_rows))

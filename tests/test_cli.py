@@ -24,6 +24,14 @@ class TestGen:
         assert out.startswith("n 4\n")
         assert "0 1 2" in out
 
+    def test_gen_stdout_bytes_equal_file_bytes(self, tmp_path, capsys):
+        out = tmp_path / "t.facets"
+        args = ("gen", "tent_plus_common_edge", "--n", "9", "--t", "2")
+        assert run_cli(*args) == 0
+        stdout = capsys.readouterr().out
+        assert run_cli(*args, "-o", str(out)) == 0
+        assert stdout.encode("utf-8") == out.read_bytes()
+
     def test_gen_added_faces(self, tmp_path):
         out = tmp_path / "a.facets"
         assert run_cli("gen", "tent_plus_faces", "--n", "7",
@@ -94,6 +102,17 @@ class TestCheck:
         run_cli("gen", "tented", "--n", "7", "-o", str(f))
         assert run_cli("check", str(f)) == 0
         assert "basic_hole: no" in capsys.readouterr().out
+
+
+    def test_check_beyond_dense_limit(self, tmp_path, capsys):
+        # 4,950 edges: past the dense-matrix limit of the chain identity
+        f = tmp_path / "t100.facets"
+        run_cli("gen", "tent_plus_common_edge", "--n", "100", "--t", "1",
+                "-o", str(f))
+        assert run_cli("check", str(f)) == 0
+        out = capsys.readouterr().out
+        assert "chain_identity_d1d2: pass\n" in out
+        assert "FAIL" not in out
 
 
 class TestSearch:

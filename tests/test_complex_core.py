@@ -143,6 +143,59 @@ class TestUpNeighbors:
         assert two_triangles.up_neighbors((0, 1)) == [(0, 2), (1, 2)]
 
 
+def scan_face_degree(K, F):
+    """Oracle: count the (dim F + 1)-faces containing F by a full scan."""
+    K.face_index(F)
+    i = len(F) - 1
+    if i + 1 > K.dim:
+        return 0
+    return sum(1 for G in K.faces(i + 1) if set(F).issubset(G))
+
+
+def scan_down_neighbors(K, F):
+    """Oracle: same-dimension faces meeting F in i vertices, by a full scan."""
+    K.face_index(F)
+    i = len(F) - 1
+    if i < 1:
+        raise DimensionOutOfRange("down neighbors need dimension >= 1")
+    return [G for G in K.faces(i) if G != F and len(set(F) & set(G)) == i]
+
+
+def scan_up_neighbors(K, F):
+    """Oracle: boundary faces of every coface of F, by a full scan."""
+    K.face_index(F)
+    i = len(F) - 1
+    if i + 1 > K.dim:
+        return []
+    out = set()
+    for cof in K.faces(i + 1):
+        if set(F).issubset(cof):
+            out.update(G for G in combinations(cof, i + 1) if G != F)
+    return sorted(out)
+
+
+class TestNeighborQueriesAgainstScan:
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (FaceNotInComplex, DimensionOutOfRange) as exc:
+            return type(exc)
+
+    @given(mixed_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scan_on_every_vertex_subset(self, K):
+        # every subset of the vertex set: faces of each dimension, and
+        # non-faces (including ones above K.dim) for the error paths
+        for size in range(1, K.n_vertices + 1):
+            for F in combinations(range(K.n_vertices), size):
+                for fast, scan in ((K.face_degree, scan_face_degree),
+                                   (K.down_neighbors, scan_down_neighbors),
+                                   (K.up_neighbors, scan_up_neighbors)):
+                    assert (self._outcome(fast, F)
+                            == self._outcome(scan, K, F))
+
+
 class TestPathConnected:
     @staticmethod
     def _bfs_connected(K, i, skip=None):

@@ -81,6 +81,8 @@ class TestEnumeration:
             next(enumerate_pure2(7))
         with pytest.raises(TooLarge):
             next(enumerate_pure2(6, full_skeleton=False))
+        with pytest.raises(TooLarge):  # refused before any triangle table
+            next(enumerate_pure2(10))
 
     def test_search_betti_matches_exact_profile(self):
         # dual route: the modular search rank against Bareiss Betti numbers
@@ -92,6 +94,34 @@ class TestEnumeration:
             faces = [space.triangles[k] for k in range(10) if mask >> k & 1]
             K = from_facets(5, faces, require_pure=True)
             assert search_betti2(5, mask) == betti_profile(K).betti[2]
+
+
+class TestTriangleSpace:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_matches_combinations(self, n):
+        # oracle: edge and triangle lists built directly, signs (-1)^j on
+        # the edge that omits the j-th vertex
+        edges = list(combinations(range(n), 2))
+        triangles = list(combinations(range(n), 3))
+        signless = np.zeros((len(edges), len(triangles)))
+        cols, masks = [], []
+        for k, t in enumerate(triangles):
+            col = [0] * len(edges)
+            mask = 0
+            for j in range(3):
+                e = edges.index(t[:j] + t[j + 1:])
+                col[e] = (-1) ** j % 2_147_483_647
+                mask |= 1 << e
+                signless[e, k] = 1.0
+            cols.append(tuple(col))
+            masks.append(mask)
+        space = _triangle_space(n)
+        assert space.triangles == tuple(triangles)
+        assert space.edge_masks == tuple(masks)
+        assert space.signed_cols == tuple(cols)
+        assert all(type(x) is int for col in space.signed_cols for x in col)
+        assert space.signless.dtype == np.float64
+        assert np.array_equal(space.signless, signless)
 
 
 class TestMaxFacetsSearch:
