@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -147,12 +146,10 @@ def _cmd_check(opt) -> int:
 
 
 def _cmd_search(opt) -> int:
-    workers = opt.get("workers") or os.cpu_count() or 1
-    kwargs = dict(full_skeleton=opt.get("full_skeleton", True), workers=workers)
-    if opt["mode"] == "facets":
-        report = extremal.max_facets_search(opt["n"], opt["t"], **kwargs)
-    else:
-        report = extremal.max_spectral_search(opt["n"], opt["t"], **kwargs)
+    search = (extremal.max_facets_search if opt["mode"] == "facets"
+              else extremal.max_spectral_search)
+    report = search(opt["n"], opt["t"],
+                    full_skeleton=opt.get("full_skeleton", True))
     payload = {"schema": JSON_SCHEMA_VERSION, "mode": opt["mode"],
                **report.to_dict()}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n",
@@ -254,8 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: logical cores)")
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=None)
     common.add_argument("-o", "--output", default=None)

@@ -1,23 +1,33 @@
 """Exhaustive extremal search over pure 2-complexes and proof inspectors.
 
 The search domain at a given vertex count is the set of triangle subsets,
-encoded as bitmasks over the lexicographic triangle list. Exact top Betti
-numbers for every mask come from one depth-first sweep that maintains an
-incremental column echelon of the signed boundary columns over a prime
-field. The prime is far above the Hadamard bound on any minor of these
-matrices, which makes the modular rank provably equal to the rational
-rank (entries are -1/0/1 with three nonzeros per column, so any k x k
-minor is at most 3^(k/2) < 3^8 in magnitude, while p = 2^31 - 1).
+encoded as bitmasks over the lexicographic triangle list. The three search
+kernels are batched numpy in one process:
 
-Spectral radii inside the scan use the dense eigensolve (the edge space
-at n <= 6 has at most 15 dimensions); the large-n asymptotics go through
-the Lanczos top-two solve in `spectra`.
+- Exact top Betti numbers of every mask come from the rank of its signed
+  boundary columns over the prime field of p = 65521 elements. The
+  boundary is first row-reduced mod p to its rank r (10 rows at n = 6);
+  a doubling sweep then extends a reduced row echelon basis per mask one
+  triangle at a time, for all masks at once. The modular rank equals the
+  rational rank because p exceeds the Hadamard bound on every minor:
+  entries are -1/0/1 with three nonzeros per column, so a k x k minor is
+  at most 3^(k/2) <= 3^(r/2) (243 at n = 6). Products stay exact in int64
+  because r p^2 < 2^63.
+- The top eigenvalue of the up signless Laplacian of each mask comes from
+  one batched `eigvalsh` per chunk of masks. Each Q_up is the sum of its
+  triangles' outer products of signless boundary columns, so it is the
+  very matrix a per-mask B B^T gives, and so are its eigenvalues.
+- Witness masks are grouped into orbits of the vertex-permutation action
+  through precomputed triangle-permutation tables, and each orbit's
+  canonical form is read off the orbit itself.
+
+The large-n asymptotics go through the Lanczos top-two solve in `spectra`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator, NamedTuple
@@ -41,7 +51,13 @@ from .errors import (
 )
 from .families import simplex_skeleton, tent_plus_common_edge, tented
 
-_PRIME = 2_147_483_647
+_PRIME = 65_521  # largest prime below 2^16
+#: Mask bits swept for all states at once before chunking the rest.
+_LOW_BITS = 10
+#: Low-bit states extended together over the high bits (a few MB each).
+_STATE_CHUNK = 8
+#: Masks per batched eigensolve.
+_Q_CHUNK = 1024
 
 #: Exhaustive full-skeleton enumeration limit (2^C(n,3) masks get filtered).
 FULL_SKELETON_MAX_N = 6
@@ -78,7 +94,8 @@ class _TriangleSpace(NamedTuple):
     skeleton: SimplicialComplex   # 2-skeleton of the (n-1)-simplex
     triangles: tuple[Face, ...]
     edge_masks: tuple[int, ...]   # bitmask over edges per triangle
-    signed_cols: tuple[tuple[int, ...], ...]  # signed boundary columns mod _PRIME
+    reduced_cols: np.ndarray      # (triangles, rank) int64 columns of the
+                                  # signed boundary row-reduced mod _PRIME
     signless: np.ndarray          # dense (edges, triangles) signless boundary
 
 
@@ -91,86 +108,122 @@ def _triangle_space(n: int) -> _TriangleSpace:
     space = _SPACE_CACHE.get(n)
     if space is None:
         S = simplex_skeleton(n, 2)
-        # modular Bareiss needs the prime above the Hadamard bound 3^(E/2)
-        assert _PRIME > 3 ** (S.n_faces(1) // 2 + 1)
+        rows = _row_basis_mod_p(chains.signed_boundary(S, 2).toarray())
+        r = len(rows)
+        # exact modular rank needs p > 3^(r/2) (Hadamard); the batched
+        # products need r p^2 < 2^63
+        assert 3 ** r < _PRIME ** 2 and r * _PRIME ** 2 < 2 ** 63
         emasks = tuple(sum(1 << e for e in row)
                        for row in chains.boundary_index_table(S, 2).tolist())
-        cols = (chains.signed_boundary(S, 2).toarray() % _PRIME).T.tolist()
         space = _SPACE_CACHE[n] = _TriangleSpace(
-            S, S.faces(2), emasks, tuple(map(tuple, cols)),
+            S, S.faces(2), emasks, np.ascontiguousarray(rows.T),
             chains.boundary_csr(S, 2).toarray())
     return space
 
 
-def _rank_block_job(args: tuple[int, int, int]) -> tuple[int, np.ndarray]:
-    """Rank of every triangle subset whose low bits equal ``prefix``.
+def _row_basis_mod_p(A: np.ndarray) -> np.ndarray:
+    """Echelon rows spanning the row space of an integer matrix mod _PRIME.
 
-    Returns an int8 array indexed by the suffix bits. Used both as the
-    sequential core (one block, empty prefix) and as the worker task.
+    Row operations are invertible mod p, so every subset of columns keeps
+    its rank mod p.
     """
-    n, prefix, prefix_len = args
-    space = _triangle_space(n)
-    m = len(space.triangles)
-    cols = space.signed_cols
-    echelon: list[tuple[int, tuple[int, ...]]] = []
-
-    def reduce_column(col) -> tuple[int, tuple[int, ...]] | None:
-        v = list(col)
-        for piv, evec in echelon:
-            c = v[piv]
-            if c:
-                v = [(a - c * b) % _PRIME for a, b in zip(v, evec)]
-        piv = next((k for k, a in enumerate(v) if a), -1)
-        if piv < 0:
-            return None
-        inv = pow(v[piv], _PRIME - 2, _PRIME)
-        return piv, tuple((a * inv) % _PRIME for a in v)
-
-    base_rank = 0
-    for bit in range(prefix_len):
-        if prefix >> bit & 1:
-            entry = reduce_column(cols[bit])
-            if entry is not None:
-                echelon.append(entry)
-                base_rank += 1
-
-    out = np.empty(1 << (m - prefix_len), dtype=np.int8)
-
-    def sweep(idx: int, suffix: int, rank: int) -> None:
-        if idx == m:
-            out[suffix] = rank
-            return
-        sweep(idx + 1, suffix, rank)
-        here = suffix | (1 << (idx - prefix_len))
-        entry = reduce_column(cols[idx])
-        if entry is None:
-            sweep(idx + 1, here, rank)
-        else:
-            echelon.append(entry)
-            sweep(idx + 1, here, rank + 1)
-            echelon.pop()
-
-    sweep(prefix_len, 0, base_rank)
-    return prefix, out
+    A = A.astype(np.int64) % _PRIME
+    rows = []
+    for c in range(A.shape[1]):
+        nz = np.flatnonzero(A[:, c])
+        if nz.size:
+            pivot = A[nz[0]] * pow(int(A[nz[0], c]), _PRIME - 2, _PRIME) % _PRIME
+            A = (A - np.outer(A[:, c], pivot)) % _PRIME
+            rows.append(pivot)
+    return np.array(rows, dtype=np.int64).reshape(-1, A.shape[1])
 
 
-def _tables(n: int, workers: int = 1):
+@functools.cache
+def _inverses() -> np.ndarray:
+    """x^(p-2) mod p for every residue x, the inverse of each nonzero x."""
+    base = np.arange(_PRIME, dtype=np.int64)
+    out = np.ones(_PRIME, dtype=np.int64)
+    e = _PRIME - 2
+    while e:
+        if e & 1:
+            out = out * base % _PRIME
+        base = base * base % _PRIME
+        e >>= 1
+    return out
+
+
+def _extend(E: np.ndarray, rank: np.ndarray, col: np.ndarray):
+    """The states without and then with one more column.
+
+    ``E[s]`` is the reduced row echelon basis of state ``s`` with row j
+    the basis vector whose pivot is j (zero if j is no pivot), so one
+    product reduces ``col`` against every state, and a new pivot c
+    enters as a rank-1 update that also clears column c of the other
+    rows.
+    """
+    w = (col - col @ E) % _PRIME
+    grows = w.any(axis=1)
+    idx = np.flatnonzero(grows)
+    w = w[idx]
+    at = np.arange(idx.size)
+    c = (w != 0).argmax(axis=1)
+    u = w * _inverses()[w[at, c]][:, None] % _PRIME
+    old = E[idx, :, c]
+    old[at, c] -= 1               # row c is zero, so it becomes u
+    grown = E.copy()
+    grown[idx] = (E[idx] - old[:, :, None] * u[:, None, :]) % _PRIME
+    return np.concatenate([E, grown]), np.concatenate([rank, rank + grows])
+
+
+def _last_ranks(E: np.ndarray, rank: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Ranks of the states extended by each subset of one or two last
+    columns, in mask order, from their residues alone."""
+    w = [(col - col @ E) % _PRIME for col in tail]
+    g = [x.any(axis=1) for x in w]
+    if len(tail) == 1:
+        return np.concatenate([rank, rank + g[0]])
+    # the second residue adds to the first unless it is a multiple of it
+    c = (w[0] != 0).argmax(axis=1)
+    at = np.arange(len(c))
+    cross = w[0][at, c][:, None] * w[1] - w[1][at, c][:, None] * w[0]
+    second = np.where(g[0], (cross % _PRIME).any(axis=1), g[1])
+    return np.concatenate([rank, rank + g[0], rank + g[1],
+                           rank + g[0] + second])
+
+
+def _rank_table(space: _TriangleSpace) -> np.ndarray:
+    """Rank of the boundary columns of every mask, as int8 by mask.
+
+    Doubles all states over the low bits, then takes the high bits in
+    chunks of low-bit states, so no array grows with 2^m; the last two
+    columns need residues only.
+    """
+    cols = space.reduced_cols
+    m, r = cols.shape
+    tail = min(m, 2)
+    low = min(m - tail, _LOW_BITS)
+    E = np.zeros((1, r, r), dtype=np.int64)
+    rank = np.zeros(1, dtype=np.int8)
+    for b in range(low):
+        E, rank = _extend(E, rank, cols[b])
+    width = min(_STATE_CHUNK, 1 << low)
+    out = np.empty((1 << (m - low), 1 << low), dtype=np.int8)
+    for s in range(0, 1 << low, width):
+        e, q = E[s:s + width], rank[s:s + width]
+        for b in range(low, m - tail):
+            e, q = _extend(e, q, cols[b])
+        out[:, s:s + width] = _last_ranks(e, q, cols[m - tail:]).reshape(-1, width)
+    return out.reshape(-1)
+
+
+def _tables(n: int):
     """Per-mask rank, full-skeleton coverage, and facet-count tables."""
     cached = _TABLE_CACHE.get(n)
     if cached is not None:
         return cached
     space = _triangle_space(n)
     m = len(space.triangles)
-    rank = np.empty(1 << m, dtype=np.int8)
-    if workers > 1 and m >= 10:
-        prefix_len = 3
-        jobs = [(n, prefix, prefix_len) for prefix in range(1 << prefix_len)]
-        # spawn: forking after BLAS threads exist is not reliably safe
-        with multiprocessing.get_context("spawn").Pool(workers) as pool:
-            for prefix, block in pool.imap_unordered(_rank_block_job, jobs):
-                rank[prefix::1 << prefix_len] = block
-    else:
-        _, rank[:] = _rank_block_job((n, 0, 0))
+    rank = _rank_table(space)
     cover_union = np.zeros(1 << m, dtype=np.int64)
     popcount = np.zeros(1 << m, dtype=np.int8)
     for bit in range(m):
@@ -187,40 +240,33 @@ def _mask_faces(space: _TriangleSpace, mask: int) -> list[Face]:
     return [space.triangles[k] for k in range(len(space.triangles)) if mask >> k & 1]
 
 
-def _q_block_job(args: tuple[int, np.ndarray]) -> np.ndarray:
+def _q_values(n: int, masks: np.ndarray) -> np.ndarray:
     """Top eigenvalue of the up signless Laplacian for each mask."""
-    n, masks = args
     space = _triangle_space(n)
-    out = np.empty(len(masks))
-    for j, mask in enumerate(masks):
-        B = space.signless[:, [k for k in range(len(space.triangles))
-                               if mask >> k & 1]]
-        out[j] = np.linalg.eigvalsh(B @ B.T)[-1]
-    return out
-
-
-def _q_values(n: int, masks: np.ndarray, workers: int = 1) -> np.ndarray:
+    edges, m = space.signless.shape
     cache = _Q_CACHE.get(n)
     if cache is None:
-        m = len(_triangle_space(n).triangles)
-        cache = np.full(1 << m, np.nan)
-        _Q_CACHE[n] = cache
+        cache = _Q_CACHE[n] = np.full(1 << m, np.nan)
     missing = masks[np.isnan(cache[masks])]
     if missing.size:
-        if workers > 1 and missing.size >= 64:
-            chunks = [c for c in np.array_split(missing, workers * 4) if c.size]
-            with multiprocessing.get_context("spawn").Pool(workers) as pool:
-                values = pool.map(_q_block_job, [(n, c) for c in chunks])
-            cache[np.concatenate(chunks)] = np.concatenate(values)
-        else:
-            cache[missing] = _q_block_job((n, missing))
+        # Q_up of a mask is the sum of its triangles' outer products b b^T.
+        # Adding each one's 0/1 support, rather than a BLAS product, keeps
+        # the threaded BLAS from spinning a core through the eigensolves.
+        B = space.signless
+        support = [np.flatnonzero(np.outer(b, b)) for b in B.T]
+        for start in range(0, missing.size, _Q_CHUNK):
+            chunk = missing[start:start + _Q_CHUNK]
+            Q = np.zeros((chunk.size, edges * edges))
+            for k, nz in enumerate(support):
+                Q[:, nz] += (chunk >> k & 1)[:, None]
+            cache[chunk] = np.linalg.eigvalsh(Q.reshape(-1, edges, edges))[:, -1]
     return cache[masks]
 
 
 # -- enumeration and searches -------------------------------------------------
 
 
-def _domain_masks(n: int, full_skeleton: bool, workers: int = 1) -> np.ndarray:
+def _check_domain(n: int, full_skeleton: bool) -> None:
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
     limit = FULL_SKELETON_MAX_N if full_skeleton else UNRESTRICTED_MAX_N
@@ -228,7 +274,11 @@ def _domain_masks(n: int, full_skeleton: bool, workers: int = 1) -> np.ndarray:
         raise TooLarge(
             f"enumeration with full_skeleton={full_skeleton} is limited to "
             f"n <= {limit}, got {n}")
-    rank, cover, popcount = _tables(n, workers)
+
+
+def _domain_masks(n: int, full_skeleton: bool) -> np.ndarray:
+    _check_domain(n, full_skeleton)
+    rank, cover, popcount = _tables(n)
     if full_skeleton:
         return np.nonzero(cover)[0]
     return np.nonzero(popcount > 0)[0]
@@ -248,6 +298,10 @@ def enumerate_pure2(n: int, full_skeleton: bool = True) -> Iterator[SimplicialCo
 
 def search_betti2(n: int, mask: int) -> int:
     """Exact top Betti number of a triangle-subset mask (search fast path)."""
+    _check_domain(n, full_skeleton=True)  # the tables hold every mask
+    m = math.comb(n, 3)
+    if not 0 <= mask < 1 << m:
+        raise BadParams(f"mask must lie in [0, 2^{m}), got {mask}")
     rank, _, popcount = _tables(n)
     return int(popcount[mask]) - int(rank[mask])
 
@@ -293,20 +347,20 @@ def _check_search_params(n: int, t: int) -> None:
         raise BadParams(f"need 0 <= t <= n-3, got n={n}, t={t}")
 
 
-_PERM_MAP_CACHE: dict[int, list[tuple[int, ...]]] = {}
+_PERM_MAP_CACHE: dict[int, np.ndarray] = {}
 
 
-def _perm_triangle_maps(n: int) -> list[tuple[int, ...]]:
-    """Triangle-index permutation induced by each vertex permutation."""
+def _perm_triangle_maps(n: int) -> np.ndarray:
+    """(n!, triangles) table: where each vertex permutation sends each
+    triangle index."""
     maps = _PERM_MAP_CACHE.get(n)
     if maps is None:
         space = _triangle_space(n)
-        maps = [
-            tuple(space.skeleton.face_index(tuple(sorted(perm[v] for v in t)))
-                  for t in space.triangles)
+        maps = _PERM_MAP_CACHE[n] = np.array([
+            [space.skeleton.face_index(tuple(sorted(perm[v] for v in t)))
+             for t in space.triangles]
             for perm in permutations(range(n))
-        ]
-        _PERM_MAP_CACHE[n] = maps
+        ], dtype=np.int64)
     return maps
 
 
@@ -314,40 +368,40 @@ def _dedup_canonical(n: int, masks) -> tuple[tuple[Face, ...], ...]:
     """Canonical facet list of each isomorphism class among the masks.
 
     Witness sets can be large (tens of thousands of labeled maximizers),
-    so grouping canonicalizes whole orbits of the vertex-permutation
-    action at once instead of canonicalizing every mask.
+    so the loop runs once per orbit of the vertex-permutation action.
+    Images of one mask have one size, and for equal sizes the sorted
+    facet lists order like the bit-reversed masks (the least triangle of
+    a symmetric difference is its highest reversed bit). So the least
+    facet list in the orbit is the image with the largest reversed mask.
+    It uses only vertex ids below the number of used vertices (moving a
+    used id onto a lower unused one lowers every facet it touches), so it
+    equals `canonical_form` of the mask's complex.
     """
     space = _triangle_space(n)
     maps = _perm_triangle_maps(n)
-    remaining = {int(m) for m in masks}
-    forms = set()
+    m = maps.shape[1]
+    weights, reversed_weights = 1 << maps, 1 << (m - 1 - maps)
+    remaining = {int(x) for x in masks}
+    forms = []
     while remaining:
         mask = next(iter(remaining))
-        orbit = set()
-        for pm in maps:
-            mm = mask
-            image = 0
-            while mm:
-                low = mm & -mm
-                image |= 1 << pm[low.bit_length() - 1]
-                mm ^= low
-            orbit.add(image)
-        remaining -= orbit
-        rep = min(orbit)
-        forms.add(canonical_form(
-            from_facets(n, _mask_faces(space, rep), require_pure=True)))
+        bits = [k for k in range(m) if mask >> k & 1]
+        orbit = weights[:, bits].sum(axis=1)
+        remaining.difference_update(orbit.tolist())
+        least = orbit[reversed_weights[:, bits].sum(axis=1).argmax()]
+        forms.append(tuple(_mask_faces(space, int(least))))
     return tuple(sorted(forms))
 
 
-def max_facets_search(n: int, t: int, full_skeleton: bool = True,
-                      workers: int = 1) -> SearchReport:
+def max_facets_search(n: int, t: int,
+                      full_skeleton: bool = True) -> SearchReport:
     """Exhaustive facet-count maximization over the (n, t) domain.
 
     Checks the closed-form bound and that the tent family attains it;
     discrepancies are recorded in ``bound_violations``.
     """
     _check_search_params(n, t)
-    masks = _domain_masks(n, full_skeleton, workers)
+    masks = _domain_masks(n, full_skeleton)
     rank, _, popcount = _tables(n)
     beta = popcount[masks].astype(np.int64) - rank[masks]
     hits = masks[beta == t]
@@ -375,8 +429,7 @@ def max_facets_search(n: int, t: int, full_skeleton: bool = True,
 
 
 def max_spectral_search(n: int, t: int, tol: float = EPS_MAXIMIZER,
-                        full_skeleton: bool = True,
-                        workers: int = 1) -> SearchReport:
+                        full_skeleton: bool = True) -> SearchReport:
     """Exhaustive spectral-radius maximization over the (n, t) domain.
 
     Reports all maximizers within ``tol`` of the maximum (up to
@@ -385,7 +438,7 @@ def max_spectral_search(n: int, t: int, tol: float = EPS_MAXIMIZER,
     not asserted: it is only guaranteed for large n.
     """
     _check_search_params(n, t)
-    masks = _domain_masks(n, full_skeleton, workers)
+    masks = _domain_masks(n, full_skeleton)
     rank, _, popcount = _tables(n)
     beta = popcount[masks].astype(np.int64) - rank[masks]
     hits = masks[beta == t]
@@ -394,7 +447,7 @@ def max_spectral_search(n: int, t: int, tol: float = EPS_MAXIMIZER,
                             bound_violations=(
                                 {"kind": "empty_domain",
                                  "detail": f"no complex with beta_2={t}"},))
-    qs = _q_values(n, hits, workers)
+    qs = _q_values(n, hits)
     bound = spectral_bound(n, 2, t)
     space = _triangle_space(n)
     violations = [

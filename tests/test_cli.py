@@ -119,7 +119,7 @@ class TestSearch:
     def test_facets_report(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run_cli("search", "--mode", "facets", "--n", "5", "--t", "1",
-                       "--full-skeleton", "--workers", "1", "-o", str(out))
+                       "--full-skeleton", "-o", str(out))
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["schema"] == 1
@@ -131,10 +131,17 @@ class TestSearch:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
             assert run_cli("search", "--mode", "spectral", "--n", "5",
-                           "--t", "0", "--workers", "1", "-o", str(path)) == 0
+                           "--t", "0", "-o", str(path)) == 0
         assert a.read_bytes() == b.read_bytes()
         rep = json.loads(a.read_text())
         assert rep["max_q1"] == pytest.approx(7.0, abs=1e-9)
+
+    def test_workers_flag_removed(self):
+        # the search runs in one process and takes no worker count
+        with pytest.raises(SystemExit) as exc:
+            run_cli("search", "--mode", "facets", "--n", "5", "--t", "1",
+                    "--workers", "2")
+        assert exc.value.code == 2
 
     def test_usage_error_on_bad_t(self):
         assert run_cli("search", "--mode", "facets", "--n", "5", "--t", "9") == 2

@@ -22,10 +22,12 @@ from qcomplex import (
     tent_plus_faces,
     tented,
 )
-from qcomplex import spectra
+from qcomplex import extremal, spectra
 from qcomplex.errors import (
     BadParams, NoApex, NotPure, PrecisionInsufficient, TooLarge)
-from qcomplex.extremal import search_betti2, _tables, _triangle_space
+from qcomplex.extremal import (
+    EPS_MAXIMIZER, _PRIME, _dedup_canonical, _domain_masks, _mask_faces,
+    _q_values, _tables, _triangle_space, search_betti2)
 
 
 class TestBounds:
@@ -96,32 +98,179 @@ class TestEnumeration:
             assert search_betti2(5, mask) == betti_profile(K).betti[2]
 
 
+def oracle_boundary(n):
+    """Triangles and the signed boundary built directly, signs (-1)^j on
+    the edge that omits the j-th vertex."""
+    edges = list(combinations(range(n), 2))
+    triangles = list(combinations(range(n), 3))
+    signed = np.zeros((len(edges), len(triangles)), dtype=np.int64)
+    for k, t in enumerate(triangles):
+        for j in range(3):
+            signed[edges.index(t[:j] + t[j + 1:]), k] = (-1) ** j
+    return triangles, signed
+
+
+def rank_mod(rows, p):
+    """Rank over GF(p) of an integer matrix given as rows, by plain
+    Gauss-Jordan elimination on Python ints."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[c]:
+                f = row[c]
+                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[rank])]
+        rank += 1
+    return rank
+
+
+def dfs_rank_table(n):
+    """Oracle: the depth-first rank sweep the search ran before its batched
+    kernel, an incremental column echelon mod 2^31 - 1 on Python ints."""
+    p = 2_147_483_647
+    _, signed = oracle_boundary(n)
+    cols = [[int(x) % p for x in col] for col in signed.T]
+    m = len(cols)
+    echelon = []
+    out = np.empty(1 << m, dtype=np.int8)
+
+    def reduce_column(col):
+        v = list(col)
+        for piv, evec in echelon:
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, evec)]
+        piv = next((k for k, a in enumerate(v) if a), -1)
+        if piv < 0:
+            return None
+        inv = pow(v[piv], p - 2, p)
+        return piv, [(a * inv) % p for a in v]
+
+    def sweep(idx, mask, rank):
+        if idx == m:
+            out[mask] = rank
+            return
+        sweep(idx + 1, mask, rank)
+        entry = reduce_column(cols[idx])
+        if entry is None:
+            sweep(idx + 1, mask | 1 << idx, rank)
+        else:
+            echelon.append(entry)
+            sweep(idx + 1, mask | 1 << idx, rank + 1)
+            echelon.pop()
+
+    sweep(0, 0, 0)
+    return out
+
+
+def per_mask_q(space, mask):
+    """Oracle: one dense solve of B B^T on the mask's signless columns."""
+    B = space.signless[:, [k for k in range(len(space.triangles))
+                           if mask >> k & 1]]
+    return np.linalg.eigvalsh(B @ B.T)[-1]
+
+
+def canonical_oracle(n, masks):
+    space = _triangle_space(n)
+    return tuple(sorted({
+        canonical_form(from_facets(n, _mask_faces(space, int(mask)),
+                                   require_pure=True))
+        for mask in masks}))
+
+
 class TestTriangleSpace:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_matches_combinations(self, n):
-        # oracle: edge and triangle lists built directly, signs (-1)^j on
-        # the edge that omits the j-th vertex
-        edges = list(combinations(range(n), 2))
-        triangles = list(combinations(range(n), 3))
-        signless = np.zeros((len(edges), len(triangles)))
-        cols, masks = [], []
-        for k, t in enumerate(triangles):
-            col = [0] * len(edges)
-            mask = 0
-            for j in range(3):
-                e = edges.index(t[:j] + t[j + 1:])
-                col[e] = (-1) ** j % 2_147_483_647
-                mask |= 1 << e
-                signless[e, k] = 1.0
-            cols.append(tuple(col))
-            masks.append(mask)
+        triangles, signed = oracle_boundary(n)
+        masks = tuple(sum(1 << int(e) for e in np.flatnonzero(col))
+                      for col in signed.T)
         space = _triangle_space(n)
         assert space.triangles == tuple(triangles)
-        assert space.edge_masks == tuple(masks)
-        assert space.signed_cols == tuple(cols)
-        assert all(type(x) is int for col in space.signed_cols for x in col)
+        assert space.edge_masks == masks
         assert space.signless.dtype == np.float64
-        assert np.array_equal(space.signless, signless)
+        assert np.array_equal(space.signless, np.abs(signed))
+        # the reduced columns have one coordinate per unit of rank and
+        # the row space of the signed boundary mod p
+        R = space.reduced_cols
+        r = math.comb(n - 1, 2)
+        assert R.shape == (len(triangles), r) and R.dtype == np.int64
+        assert 0 <= R.min() and R.max() < _PRIME
+        rows, reduced = signed.tolist(), R.T.tolist()
+        assert (rank_mod(rows, _PRIME) == rank_mod(reduced, _PRIME)
+                == rank_mod(rows + reduced, _PRIME) == r)
+
+
+class TestRankTable:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_every_mask_matches_dfs_oracle(self, n):
+        assert np.array_equal(_tables(n)[0], dfs_rank_table(n))
+
+    def test_n6_sample_matches_exact_betti(self):
+        space = _triangle_space(6)
+        rng = np.random.default_rng(6)
+        for mask in rng.choice(np.arange(1, 1 << 20), 2000, replace=False):
+            K = from_facets(6, _mask_faces(space, int(mask)),
+                            require_pure=True)
+            assert search_betti2(6, int(mask)) == betti_profile(K).betti[2]
+
+
+class TestQValues:
+    @pytest.mark.parametrize("n,sample", [(5, None), (6, 1500)])
+    def test_bitwise_equal_to_per_mask_solve(self, n, sample, monkeypatch):
+        monkeypatch.setattr(extremal, "_Q_CACHE", {})
+        space = _triangle_space(n)
+        every = np.arange(1 << len(space.triangles))
+        masks = every if sample is None else np.random.default_rng(
+            n).choice(every, sample, replace=False)
+        want = np.array([per_mask_q(space, int(mask)) for mask in masks])
+        assert _q_values(n, masks).tobytes() == want.tobytes()
+
+
+class TestDedup:
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    def test_n5_witness_sets_match_canonical_form(self, t):
+        rank, _, popcount = _tables(5)
+        masks = _domain_masks(5, True)
+        hits = masks[popcount[masks] - rank[masks] == t]
+        qs = _q_values(5, hits)
+        for witnesses in (hits[popcount[hits] == popcount[hits].max()],
+                          hits[qs >= qs.max() - EPS_MAXIMIZER]):
+            assert (_dedup_canonical(5, witnesses)
+                    == canonical_oracle(5, witnesses))
+
+    def test_n6_sample_of_classes(self):
+        # covering masks use every vertex; masks of at most four
+        # triangles leave some unused
+        _, cover, popcount = _tables(6)
+        rng = np.random.default_rng(66)
+        for pool in (np.flatnonzero(cover),
+                     np.flatnonzero((popcount > 0) & (popcount <= 4))):
+            masks = rng.choice(pool, 30, replace=False)
+            assert _dedup_canonical(6, masks) == canonical_oracle(6, masks)
+
+
+class TestSearchBetti2Guards:
+    def test_mask_out_of_range(self):
+        with pytest.raises(BadParams):
+            search_betti2(5, -1)
+        with pytest.raises(BadParams):
+            search_betti2(5, 1 << 10)
+        assert search_betti2(5, (1 << 10) - 1) == 4  # the full 2-skeleton
+
+    def test_vertex_count_refused_before_tables(self, monkeypatch):
+        def build(n):
+            raise AssertionError(f"tables built for n={n}")
+        monkeypatch.setattr(extremal, "_tables", build)
+        with pytest.raises(TooLarge):
+            search_betti2(7, 0)
+        with pytest.raises(BadParams):
+            search_betti2(2, 0)
 
 
 class TestMaxFacetsSearch:
@@ -190,13 +339,14 @@ class TestMaxSpectralSearch:
             rep = max_spectral_search(n, t)
             assert rep.max_q1 > 2 * n - 3
 
-    def test_workers_deterministic(self):
-        seq = max_spectral_search(5, 1, workers=1)
-        par = max_spectral_search(5, 1, workers=2)
-        assert seq == par
-        seq_f = max_facets_search(5, 2, workers=1)
-        par_f = max_facets_search(5, 2, workers=2)
-        assert seq_f == par_f
+    def test_cold_and_warm_cache_reports_equal(self, monkeypatch):
+        for cache in ("_SPACE_CACHE", "_TABLE_CACHE", "_Q_CACHE",
+                      "_PERM_MAP_CACHE"):
+            monkeypatch.setattr(extremal, cache, {})
+        extremal._inverses.cache_clear()
+        cold = max_spectral_search(5, 1), max_facets_search(5, 2)
+        warm = max_spectral_search(5, 1), max_facets_search(5, 2)
+        assert cold == warm
 
 
 class TestDetectApex:
