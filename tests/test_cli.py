@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -145,6 +146,37 @@ class TestSearch:
 
     def test_usage_error_on_bad_t(self):
         assert run_cli("search", "--mode", "facets", "--n", "5", "--t", "9") == 2
+
+
+#: SHA-256 of the `search` JSON reports, facets mode then spectral mode.
+SEARCH_DIGESTS = {
+    (6, 0, True): (
+        "7ffd02eb99737a58b627807272761884b02b20384f1580e2644cddd737811f9b",
+        "8a91cb031a225e139baf41054a1f6fec0d77efa9e643b29bcf5ff7fa13c50581"),
+    (6, 1, True): (
+        "8fc5d1d9416987bb67ad7bd11c916a41fe369132a297978baa01e9db5745d035",
+        "df93e44d2ea94c0cbdde1920008c870da8bb0ddd51de2dfa7e941752b27b8564"),
+    (6, 2, True): (
+        "b4e745a20fab45a2af0797a0ad319a6fbdd1c897e38e921f263c6b3445b997d2",
+        "2d2e8dd96b614c24503e1674951726c6da42e1f448fa3124f105003acb7f8e41"),
+    (5, 1, False): (
+        "ca5165e999c6e4fe4665f231d486e041a49f0116ddcd09334ff6cce8f4a9fb47",
+        "8e3cc69630185b350709c709d03d17af909a9beec476738a2c40dc63dfa7340c"),
+    (5, 2, False): (
+        "c0732e8177b2a7aafe06743c71ff5071c0f9668a693bd8a7fc3b8b28c62c2768",
+        "f622311cc258937135e3ca13c26add8c4669d149ce7739aba7deced7ec89752f"),
+}
+
+
+class TestSearchGoldenBytes:
+    @pytest.mark.parametrize("n,t,full", sorted(SEARCH_DIGESTS))
+    def test_report_digests(self, n, t, full, tmp_path):
+        skeleton = "--full-skeleton" if full else "--no-full-skeleton"
+        for mode, want in zip(("facets", "spectral"), SEARCH_DIGESTS[n, t, full]):
+            out = tmp_path / f"{mode}.json"
+            assert run_cli("search", "--mode", mode, "--n", str(n),
+                           "--t", str(t), skeleton, "-o", str(out)) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 class TestInspectAndAsymptotic:
