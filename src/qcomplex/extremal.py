@@ -1,33 +1,41 @@
 """Exhaustive extremal search over pure 2-complexes and proof inspectors.
 
 The search domain at a given vertex count is the set of triangle subsets,
-encoded as bitmasks over the lexicographic triangle list. The three search
-kernels are batched numpy in one process:
+encoded as bitmasks over the lexicographic triangle list. Relabeling the
+vertices permutes the triangles and so acts on the masks; the boundary
+rank, the edge coverage, the facet count and the spectrum are constant
+on each orbit. The search therefore works once per orbit (2,136 orbits
+among the 2^20 masks at n = 6):
 
-- Exact top Betti numbers of every mask come from the rank of its signed
-  boundary columns over the prime field of p = 65521 elements. The
-  boundary is first row-reduced mod p to its rank r (10 rows at n = 6);
-  a doubling sweep then extends a reduced row echelon basis per mask one
-  triangle at a time, for all masks at once. The modular rank equals the
-  rational rank because p exceeds the Hadamard bound on every minor:
-  entries are -1/0/1 with three nonzeros per column, so a k x k minor is
-  at most 3^(k/2) <= 3^(r/2) (243 at n = 6). Products stay exact in int64
-  because r p^2 < 2^63.
-- The top eigenvalue of the up signless Laplacian of each mask comes from
-  one batched `eigvalsh` per chunk of masks. Each Q_up is the sum of its
-  triangles' outer products of signless boundary columns, so it is the
-  very matrix a per-mask B B^T gives, and so are its eigenvalues.
-- Witness masks are grouped into orbits of the vertex-permutation action
-  through precomputed triangle-permutation tables, and each orbit's
-  canonical form is read off the orbit itself.
+- One ascending scan of the masks through precomputed
+  triangle-permutation tables gives every mask an orbit id. The first
+  mask met in an orbit, its least, is the orbit's representative.
+- The rank of each representative's signed boundary columns is exact.
+  A triangle with an edge that no other triangle has lies in no 2-cycle,
+  so it adds one to the rank of the mask without it: a smaller mask, in
+  an orbit met earlier. The representatives with no such triangle (175
+  at n = 6) go through the exact integer elimination
+  `homology.integer_rank`. Every mask reads its rank, coverage and facet
+  count through its orbit id.
+- The top eigenvalue of the up signless Laplacian comes from one batched
+  `eigvalsh` per chunk of masks. Each Q_up is the sum of its triangles'
+  outer products of signless boundary columns, so it is the very matrix
+  a per-mask B B^T gives, and so are its eigenvalues. The representatives
+  are solved first. A member's Q_up is its representative's in permuted
+  order, and its computed eigenvalue can differ in the last bits, so the
+  members of every orbit within `RESOLVE_MARGIN` of the witness window
+  or of the bound are re-solved one by one. The maximum, the witnesses
+  and the bound violations are read from those labeled values.
+- Witness orbits take their canonical form from the same permutation
+  tables.
 
 The large-n asymptotics go through the Lanczos top-two solve in `spectra`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator, NamedTuple
@@ -51,11 +59,8 @@ from .errors import (
 )
 from .families import simplex_skeleton, tent_plus_common_edge, tented
 
-_PRIME = 65_521  # largest prime below 2^16
-#: Mask bits swept for all states at once before chunking the rest.
-_LOW_BITS = 10
-#: Low-bit states extended together over the high bits (a few MB each).
-_STATE_CHUNK = 8
+#: Masks per step of the ascending orbit scan.
+_SCAN_CHUNK = 4096
 #: Masks per batched eigensolve.
 _Q_CHUNK = 1024
 
@@ -68,6 +73,14 @@ UNRESTRICTED_MAX_N = 5
 EPS_MAXIMIZER = 1e-8
 #: Slack allowed on the closed-form spectral bound.
 BOUND_SLACK = 1e-7
+#: How close an orbit representative's top eigenvalue must come to the
+#: witness window or to the bound for its orbit's members to be re-solved
+#: one by one. A member's Q_up is its representative's in permuted order;
+#: backward-stable solves of the two each lie within a small multiple of
+#: eps * ||Q|| (||Q|| <= 12 at n = 6) of the exact value. The largest
+#: difference measured over every mask at n <= 6 is 2.3e-14; the margin
+#: is about 40 times that.
+RESOLVE_MARGIN = 1e-12
 
 
 def facet_bound(n: int, r: int, t: int) -> int:
@@ -94,179 +107,128 @@ class _TriangleSpace(NamedTuple):
     skeleton: SimplicialComplex   # 2-skeleton of the (n-1)-simplex
     triangles: tuple[Face, ...]
     edge_masks: tuple[int, ...]   # bitmask over edges per triangle
-    reduced_cols: np.ndarray      # (triangles, rank) int64 columns of the
-                                  # signed boundary row-reduced mod _PRIME
+    signed: np.ndarray            # dense (edges, triangles) int64 boundary
     signless: np.ndarray          # dense (edges, triangles) signless boundary
 
 
+class _Tables(NamedTuple):
+    orbit: np.ndarray             # int32 orbit id per mask
+    reps: np.ndarray              # least mask of each orbit, by orbit id
+    rank: np.ndarray              # int8 boundary rank per mask
+    cover: np.ndarray             # whether each mask covers every edge
+    popcount: np.ndarray          # int8 facet count per mask
+
+
 _SPACE_CACHE: dict[int, _TriangleSpace] = {}
-_TABLE_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-_Q_CACHE: dict[int, np.ndarray] = {}
+_TABLE_CACHE: dict[int, _Tables] = {}
+_PERM_MAP_CACHE: dict[int, np.ndarray] = {}
 
 
 def _triangle_space(n: int) -> _TriangleSpace:
     space = _SPACE_CACHE.get(n)
     if space is None:
         S = simplex_skeleton(n, 2)
-        rows = _row_basis_mod_p(chains.signed_boundary(S, 2).toarray())
-        r = len(rows)
-        # exact modular rank needs p > 3^(r/2) (Hadamard); the batched
-        # products need r p^2 < 2^63
-        assert 3 ** r < _PRIME ** 2 and r * _PRIME ** 2 < 2 ** 63
         emasks = tuple(sum(1 << e for e in row)
                        for row in chains.boundary_index_table(S, 2).tolist())
         space = _SPACE_CACHE[n] = _TriangleSpace(
-            S, S.faces(2), emasks, np.ascontiguousarray(rows.T),
+            S, S.faces(2), emasks,
+            chains.signed_boundary(S, 2).toarray().astype(np.int64),
             chains.boundary_csr(S, 2).toarray())
     return space
 
 
-def _row_basis_mod_p(A: np.ndarray) -> np.ndarray:
-    """Echelon rows spanning the row space of an integer matrix mod _PRIME.
-
-    Row operations are invertible mod p, so every subset of columns keeps
-    its rank mod p.
-    """
-    A = A.astype(np.int64) % _PRIME
-    rows = []
-    for c in range(A.shape[1]):
-        nz = np.flatnonzero(A[:, c])
-        if nz.size:
-            pivot = A[nz[0]] * pow(int(A[nz[0], c]), _PRIME - 2, _PRIME) % _PRIME
-            A = (A - np.outer(A[:, c], pivot)) % _PRIME
-            rows.append(pivot)
-    return np.array(rows, dtype=np.int64).reshape(-1, A.shape[1])
+def _perm_triangle_maps(n: int) -> np.ndarray:
+    """(n!, triangles) table: where each vertex permutation sends each
+    triangle index."""
+    maps = _PERM_MAP_CACHE.get(n)
+    if maps is None:
+        space = _triangle_space(n)
+        maps = _PERM_MAP_CACHE[n] = np.array([
+            [space.skeleton.face_index(tuple(sorted(perm[v] for v in t)))
+             for t in space.triangles]
+            for perm in permutations(range(n))
+        ], dtype=np.int64)
+    return maps
 
 
-@functools.cache
-def _inverses() -> np.ndarray:
-    """x^(p-2) mod p for every residue x, the inverse of each nonzero x."""
-    base = np.arange(_PRIME, dtype=np.int64)
-    out = np.ones(_PRIME, dtype=np.int64)
-    e = _PRIME - 2
-    while e:
-        if e & 1:
-            out = out * base % _PRIME
-        base = base * base % _PRIME
-        e >>= 1
-    return out
-
-
-def _extend(E: np.ndarray, rank: np.ndarray, col: np.ndarray):
-    """The states without and then with one more column.
-
-    ``E[s]`` is the reduced row echelon basis of state ``s`` with row j
-    the basis vector whose pivot is j (zero if j is no pivot), so one
-    product reduces ``col`` against every state, and a new pivot c
-    enters as a rank-1 update that also clears column c of the other
-    rows.
-    """
-    w = (col - col @ E) % _PRIME
-    grows = w.any(axis=1)
-    idx = np.flatnonzero(grows)
-    w = w[idx]
-    at = np.arange(idx.size)
-    c = (w != 0).argmax(axis=1)
-    u = w * _inverses()[w[at, c]][:, None] % _PRIME
-    old = E[idx, :, c]
-    old[at, c] -= 1               # row c is zero, so it becomes u
-    grown = E.copy()
-    grown[idx] = (E[idx] - old[:, :, None] * u[:, None, :]) % _PRIME
-    return np.concatenate([E, grown]), np.concatenate([rank, rank + grows])
-
-
-def _last_ranks(E: np.ndarray, rank: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Ranks of the states extended by each subset of one or two last
-    columns, in mask order, from their residues alone."""
-    w = [(col - col @ E) % _PRIME for col in tail]
-    g = [x.any(axis=1) for x in w]
-    if len(tail) == 1:
-        return np.concatenate([rank, rank + g[0]])
-    # the second residue adds to the first unless it is a multiple of it
-    c = (w[0] != 0).argmax(axis=1)
-    at = np.arange(len(c))
-    cross = w[0][at, c][:, None] * w[1] - w[1][at, c][:, None] * w[0]
-    second = np.where(g[0], (cross % _PRIME).any(axis=1), g[1])
-    return np.concatenate([rank, rank + g[0], rank + g[1],
-                           rank + g[0] + second])
-
-
-def _rank_table(space: _TriangleSpace) -> np.ndarray:
-    """Rank of the boundary columns of every mask, as int8 by mask.
-
-    Doubles all states over the low bits, then takes the high bits in
-    chunks of low-bit states, so no array grows with 2^m; the last two
-    columns need residues only.
-    """
-    cols = space.reduced_cols
-    m, r = cols.shape
-    tail = min(m, 2)
-    low = min(m - tail, _LOW_BITS)
-    E = np.zeros((1, r, r), dtype=np.int64)
-    rank = np.zeros(1, dtype=np.int8)
-    for b in range(low):
-        E, rank = _extend(E, rank, cols[b])
-    width = min(_STATE_CHUNK, 1 << low)
-    out = np.empty((1 << (m - low), 1 << low), dtype=np.int8)
-    for s in range(0, 1 << low, width):
-        e, q = E[s:s + width], rank[s:s + width]
-        for b in range(low, m - tail):
-            e, q = _extend(e, q, cols[b])
-        out[:, s:s + width] = _last_ranks(e, q, cols[m - tail:]).reshape(-1, width)
-    return out.reshape(-1)
-
-
-def _tables(n: int):
-    """Per-mask rank, full-skeleton coverage, and facet-count tables."""
-    cached = _TABLE_CACHE.get(n)
-    if cached is not None:
-        return cached
-    space = _triangle_space(n)
-    m = len(space.triangles)
-    rank = _rank_table(space)
-    cover_union = np.zeros(1 << m, dtype=np.int64)
-    popcount = np.zeros(1 << m, dtype=np.int8)
-    for bit in range(m):
-        half = 1 << bit
-        cover_union[half:2 * half] = cover_union[:half] | space.edge_masks[bit]
-        popcount[half:2 * half] = popcount[:half] + 1
-    cover = cover_union == (1 << space.skeleton.n_faces(1)) - 1
-    result = (rank, cover, popcount)
-    _TABLE_CACHE[n] = result
-    return result
+def _mask_bits(mask: int) -> list[int]:
+    return [k for k in range(int(mask).bit_length()) if mask >> k & 1]
 
 
 def _mask_faces(space: _TriangleSpace, mask: int) -> list[Face]:
-    return [space.triangles[k] for k in range(len(space.triangles)) if mask >> k & 1]
+    return [space.triangles[k] for k in _mask_bits(mask)]
+
+
+def _tables(n: int) -> _Tables:
+    """Orbit id of every mask, and its rank, full-skeleton coverage and
+    facet count, each computed once per orbit.
+
+    Masks are scanned in ascending order, so the first mask met in an
+    orbit is its least; its images under every permutation are the orbit.
+    """
+    tables = _TABLE_CACHE.get(n)
+    if tables is None:
+        space = _triangle_space(n)
+        weights = 1 << _perm_triangle_maps(n)
+        m = weights.shape[1]
+        orbit = np.full(1 << m, -1, dtype=np.int32)
+        reps: list[int] = []
+        for start in range(0, orbit.size, _SCAN_CHUNK):
+            unseen = np.flatnonzero(orbit[start:start + _SCAN_CHUNK] < 0)
+            for mask in (unseen + start).tolist():
+                if orbit[mask] < 0:
+                    orbit[weights[:, _mask_bits(mask)].sum(axis=1)] = len(reps)
+                    reps.append(mask)
+        bits = (np.array(reps)[:, None] >> np.arange(m) & 1).astype(float)
+        degree = bits @ space.signless.T        # edge degrees per orbit
+        # free[i, k]: how many edges of no other triangle triangle k has
+        free = ((degree == 1) @ space.signless) * bits
+        drop = free.argmax(axis=1).tolist()
+        rank = np.empty(len(reps), dtype=np.int8)
+        for i, mask in enumerate(reps):
+            if free[i, drop[i]]:
+                rank[i] = rank[orbit[mask ^ (1 << drop[i])]] + 1
+            else:
+                rank[i] = homology.integer_rank(
+                    space.signed[:, _mask_bits(mask)])
+        tables = _TABLE_CACHE[n] = _Tables(
+            orbit, np.array(reps, dtype=np.int64), rank[orbit],
+            (degree > 0).all(axis=1)[orbit],
+            bits.sum(axis=1).astype(np.int8)[orbit])
+    return tables
 
 
 def _q_values(n: int, masks: np.ndarray) -> np.ndarray:
-    """Top eigenvalue of the up signless Laplacian for each mask."""
-    space = _triangle_space(n)
-    edges, m = space.signless.shape
-    cache = _Q_CACHE.get(n)
-    if cache is None:
-        cache = _Q_CACHE[n] = np.full(1 << m, np.nan)
-    missing = masks[np.isnan(cache[masks])]
-    if missing.size:
-        # Q_up of a mask is the sum of its triangles' outer products b b^T.
-        # Adding each one's 0/1 support, rather than a BLAS product, keeps
-        # the threaded BLAS from spinning a core through the eigensolves.
-        B = space.signless
-        support = [np.flatnonzero(np.outer(b, b)) for b in B.T]
-        for start in range(0, missing.size, _Q_CHUNK):
-            chunk = missing[start:start + _Q_CHUNK]
-            Q = np.zeros((chunk.size, edges * edges))
-            for k, nz in enumerate(support):
-                Q[:, nz] += (chunk >> k & 1)[:, None]
-            cache[chunk] = np.linalg.eigvalsh(Q.reshape(-1, edges, edges))[:, -1]
-    return cache[masks]
+    """Top eigenvalue of the up signless Laplacian for each mask, bitwise
+    the value a per-mask solve gives."""
+    B = _triangle_space(n).signless
+    edges = B.shape[0]
+    # Q_up of a mask is the sum of its triangles' outer products b b^T.
+    # Adding each one's 0/1 support, rather than a BLAS product, keeps
+    # the threaded BLAS from spinning a core through the eigensolves.
+    support = [np.flatnonzero(np.outer(b, b)) for b in B.T]
+    out = np.empty(masks.size)
+    for start in range(0, masks.size, _Q_CHUNK):
+        chunk = masks[start:start + _Q_CHUNK]
+        Q = np.zeros((chunk.size, edges * edges))
+        for k, nz in enumerate(support):
+            Q[:, nz] += (chunk >> k & 1)[:, None]
+        out[start:start + chunk.size] = np.linalg.eigvalsh(
+            Q.reshape(-1, edges, edges))[:, -1]
+    return out
 
 
 # -- enumeration and searches -------------------------------------------------
 
 
+def _require_int(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise BadParams(f"{name} must be an integer, got {value!r}")
+
+
 def _check_domain(n: int, full_skeleton: bool) -> None:
+    _require_int(n=n)
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
     limit = FULL_SKELETON_MAX_N if full_skeleton else UNRESTRICTED_MAX_N
@@ -278,10 +240,17 @@ def _check_domain(n: int, full_skeleton: bool) -> None:
 
 def _domain_masks(n: int, full_skeleton: bool) -> np.ndarray:
     _check_domain(n, full_skeleton)
-    rank, cover, popcount = _tables(n)
+    tables = _tables(n)
     if full_skeleton:
-        return np.nonzero(cover)[0]
-    return np.nonzero(popcount > 0)[0]
+        return np.flatnonzero(tables.cover)
+    return np.flatnonzero(tables.popcount > 0)
+
+
+def _hits(n: int, t: int, full_skeleton: bool) -> np.ndarray:
+    """Masks of the domain with top Betti number t, ascending."""
+    masks = _domain_masks(n, full_skeleton)
+    tables = _tables(n)
+    return masks[tables.popcount[masks] - tables.rank[masks] == t]
 
 
 def enumerate_pure2(n: int, full_skeleton: bool = True) -> Iterator[SimplicialComplex]:
@@ -299,11 +268,12 @@ def enumerate_pure2(n: int, full_skeleton: bool = True) -> Iterator[SimplicialCo
 def search_betti2(n: int, mask: int) -> int:
     """Exact top Betti number of a triangle-subset mask (search fast path)."""
     _check_domain(n, full_skeleton=True)  # the tables hold every mask
+    _require_int(mask=mask)
     m = math.comb(n, 3)
     if not 0 <= mask < 1 << m:
         raise BadParams(f"mask must lie in [0, 2^{m}), got {mask}")
-    rank, _, popcount = _tables(n)
-    return int(popcount[mask]) - int(rank[mask])
+    tables = _tables(n)
+    return int(tables.popcount[mask]) - int(tables.rank[mask])
 
 
 @dataclass(frozen=True)
@@ -343,53 +313,39 @@ def _tent_canonical(n: int, t: int) -> tuple[Face, ...]:
 
 
 def _check_search_params(n: int, t: int) -> None:
+    _require_int(n=n, t=t)
     if not 0 <= t <= n - 3:
         raise BadParams(f"need 0 <= t <= n-3, got n={n}, t={t}")
 
 
-_PERM_MAP_CACHE: dict[int, np.ndarray] = {}
-
-
-def _perm_triangle_maps(n: int) -> np.ndarray:
-    """(n!, triangles) table: where each vertex permutation sends each
-    triangle index."""
-    maps = _PERM_MAP_CACHE.get(n)
-    if maps is None:
-        space = _triangle_space(n)
-        maps = _PERM_MAP_CACHE[n] = np.array([
-            [space.skeleton.face_index(tuple(sorted(perm[v] for v in t)))
-             for t in space.triangles]
-            for perm in permutations(range(n))
-        ], dtype=np.int64)
-    return maps
+def _empty_report(n: int, t: int, full_skeleton: bool) -> SearchReport:
+    return SearchReport(n, t, full_skeleton, 0,
+                        bound_violations=(
+                            {"kind": "empty_domain",
+                             "detail": f"no complex with beta_2={t}"},))
 
 
 def _dedup_canonical(n: int, masks) -> tuple[tuple[Face, ...], ...]:
     """Canonical facet list of each isomorphism class among the masks.
 
-    Witness sets can be large (tens of thousands of labeled maximizers),
-    so the loop runs once per orbit of the vertex-permutation action.
-    Images of one mask have one size, and for equal sizes the sorted
-    facet lists order like the bit-reversed masks (the least triangle of
-    a symmetric difference is its highest reversed bit). So the least
-    facet list in the orbit is the image with the largest reversed mask.
-    It uses only vertex ids below the number of used vertices (moving a
-    used id onto a lower unused one lowers every facet it touches), so it
-    equals `canonical_form` of the mask's complex.
+    Runs once per orbit of the vertex-permutation action, from the orbit
+    tables. Images of one mask have one size, and for equal sizes the
+    sorted facet lists order like the bit-reversed masks (the least
+    triangle of a symmetric difference is its highest reversed bit). So
+    the least facet list in the orbit is the image with the largest
+    reversed mask. It uses only vertex ids below the number of used
+    vertices (moving a used id onto a lower unused one lowers every facet
+    it touches), so it equals `canonical_form` of the mask's complex.
     """
+    tables = _tables(n)
     space = _triangle_space(n)
     maps = _perm_triangle_maps(n)
-    m = maps.shape[1]
-    weights, reversed_weights = 1 << maps, 1 << (m - 1 - maps)
-    remaining = {int(x) for x in masks}
+    reversed_weights = 1 << (maps.shape[1] - 1 - maps)
     forms = []
-    while remaining:
-        mask = next(iter(remaining))
-        bits = [k for k in range(m) if mask >> k & 1]
-        orbit = weights[:, bits].sum(axis=1)
-        remaining.difference_update(orbit.tolist())
-        least = orbit[reversed_weights[:, bits].sum(axis=1).argmax()]
-        forms.append(tuple(_mask_faces(space, int(least))))
+    for rep in tables.reps[np.unique(tables.orbit[masks])].tolist():
+        bits = _mask_bits(rep)
+        least = maps[reversed_weights[:, bits].sum(axis=1).argmax(), bits]
+        forms.append(tuple(space.triangles[k] for k in sorted(least.tolist())))
     return tuple(sorted(forms))
 
 
@@ -401,25 +357,18 @@ def max_facets_search(n: int, t: int,
     discrepancies are recorded in ``bound_violations``.
     """
     _check_search_params(n, t)
-    masks = _domain_masks(n, full_skeleton)
-    rank, _, popcount = _tables(n)
-    beta = popcount[masks].astype(np.int64) - rank[masks]
-    hits = masks[beta == t]
-    violations: list[dict] = []
+    hits = _hits(n, t, full_skeleton)
     if hits.size == 0:
-        return SearchReport(n, t, full_skeleton, 0,
-                            bound_violations=(
-                                {"kind": "empty_domain",
-                                 "detail": f"no complex with beta_2={t}"},))
-    counts = popcount[hits].astype(np.int64)
+        return _empty_report(n, t, full_skeleton)
+    counts = _tables(n).popcount[hits]
     best = int(counts.max())
     witnesses = _dedup_canonical(n, hits[counts == best])
+    violations: list[dict] = []
     bound = facet_bound(n, 2, t)
     if best != bound:
         violations.append({"kind": "facet_max_mismatch",
                            "max_facets": best, "bound": bound})
-    tent_form = _tent_canonical(n, t)
-    tent_hit = tent_form in witnesses
+    tent_hit = _tent_canonical(n, t) in witnesses
     if not tent_hit:
         violations.append({"kind": "tent_not_witness", "t": t})
     return SearchReport(n, t, full_skeleton, int(hits.size),
@@ -438,25 +387,29 @@ def max_spectral_search(n: int, t: int, tol: float = EPS_MAXIMIZER,
     not asserted: it is only guaranteed for large n.
     """
     _check_search_params(n, t)
-    masks = _domain_masks(n, full_skeleton)
-    rank, _, popcount = _tables(n)
-    beta = popcount[masks].astype(np.int64) - rank[masks]
-    hits = masks[beta == t]
+    spectra.check_tol(tol)
+    hits = _hits(n, t, full_skeleton)
     if hits.size == 0:
-        return SearchReport(n, t, full_skeleton, 0,
-                            bound_violations=(
-                                {"kind": "empty_domain",
-                                 "detail": f"no complex with beta_2={t}"},))
-    qs = _q_values(n, hits)
+        return _empty_report(n, t, full_skeleton)
+    tables = _tables(n)
+    orbits = np.unique(tables.orbit[hits])
+    rep_qs = _q_values(n, tables.reps[orbits])
+    # the representative of an orbit is a hit, so rep_qs.max() is no
+    # larger than the labeled maximum
     bound = spectral_bound(n, 2, t)
+    near = orbits[(rep_qs >= rep_qs.max() - tol - RESOLVE_MARGIN)
+                  | (rep_qs > bound + BOUND_SLACK - RESOLVE_MARGIN)]
+    members = hits[np.isin(tables.orbit[hits], near)]
+    qs = _q_values(n, members)
     space = _triangle_space(n)
     violations = [
-        {"kind": "spectral_bound", "q1": float(q), "bound": bound,
-         "facets": [list(f) for f in _mask_faces(space, int(mask))]}
-        for mask, q in zip(hits, qs) if q > bound + BOUND_SLACK
+        {"kind": "spectral_bound", "q1": q, "bound": bound,
+         "facets": [list(f) for f in _mask_faces(space, mask)]}
+        for mask, q in zip(members.tolist(), qs.tolist())
+        if q > bound + BOUND_SLACK
     ]
     best = float(qs.max())
-    witnesses = _dedup_canonical(n, hits[qs >= best - tol])
+    witnesses = _dedup_canonical(n, members[qs >= best - tol])
     tent_hit = _tent_canonical(n, t) in witnesses
     return SearchReport(n, t, full_skeleton, int(hits.size),
                         max_q1=best, spectral_witnesses=witnesses,
@@ -731,6 +684,8 @@ def asymptotic_check(t: int, n_list, tol_schedule=None,
         tols = [float(x) for x in tol_schedule]
         if len(tols) != len(ns):
             raise BadParams("tol_schedule length must match n_list")
+    for tol in tols:
+        spectra.check_tol(tol)
     rows = []
     eps = np.finfo(np.float64).eps
     for n, tol in zip(ns, tols):

@@ -13,6 +13,7 @@ so that the asymptotic runs at n = 240 keep absolute accuracy near 1e-12.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,12 @@ class SpectralResult:
     iterations: int
     normalization: str
     degenerate: bool = False
+
+
+def check_tol(tol) -> None:
+    """Refuse a tolerance that is not a nonnegative number (NaN included)."""
+    if not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise BadParams(f"tol must be a nonnegative number, got {tol!r}")
 
 
 def _boundary_table(K: SimplicialComplex, i: int) -> np.ndarray:
@@ -124,6 +131,7 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
         raise BadParams(f"unknown method {method!r}")
     if max_iters is not None and max_iters < 1:
         raise BadParams(f"max_iters must be positive, got {max_iters}")
+    check_tol(tol)
     tab = _boundary_table(K, i)
     n_i = K.n_faces(i)
     use_dense = method == "dense" or (method == "auto" and n_i <= DENSE_CUTOFF)
@@ -161,6 +169,7 @@ def perron_vector(K: SimplicialComplex, i: int,
     """Strictly positive top eigenvector of an i-path-connected complex."""
     if normalization not in NORMALIZATIONS:
         raise BadParams(f"normalization must be one of {NORMALIZATIONS}")
+    check_tol(tol)
     if not K.is_path_connected(i):
         raise NotPathConnected(f"complex is not {i}-path connected")
     res = spectral_radius(K, i, tol=tol, seed=seed, max_iters=max_iters)

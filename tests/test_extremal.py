@@ -26,8 +26,8 @@ from qcomplex import extremal, spectra
 from qcomplex.errors import (
     BadParams, NoApex, NotPure, PrecisionInsufficient, TooLarge)
 from qcomplex.extremal import (
-    EPS_MAXIMIZER, _PRIME, _dedup_canonical, _domain_masks, _mask_faces,
-    _q_values, _tables, _triangle_space, search_betti2)
+    EPS_MAXIMIZER, RESOLVE_MARGIN, _dedup_canonical, _domain_masks,
+    _mask_faces, _q_values, _tables, _triangle_space, search_betti2)
 
 
 class TestBounds:
@@ -87,7 +87,7 @@ class TestEnumeration:
             next(enumerate_pure2(10))
 
     def test_search_betti_matches_exact_profile(self):
-        # dual route: the modular search rank against Bareiss Betti numbers
+        # dual route: the orbit rank table against collapsed Betti numbers
         space = _triangle_space(5)
         _tables(5)
         rng = np.random.default_rng(5)
@@ -108,26 +108,6 @@ def oracle_boundary(n):
         for j in range(3):
             signed[edges.index(t[:j] + t[j + 1:]), k] = (-1) ** j
     return triangles, signed
-
-
-def rank_mod(rows, p):
-    """Rank over GF(p) of an integer matrix given as rows, by plain
-    Gauss-Jordan elimination on Python ints."""
-    rows = [[x % p for x in row] for row in rows]
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][c], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[c]:
-                f = row[c]
-                rows[i] = [(a - f * b) % p for a, b in zip(row, rows[rank])]
-        rank += 1
-    return rank
 
 
 def dfs_rank_table(n):
@@ -195,21 +175,62 @@ class TestTriangleSpace:
         assert space.edge_masks == masks
         assert space.signless.dtype == np.float64
         assert np.array_equal(space.signless, np.abs(signed))
-        # the reduced columns have one coordinate per unit of rank and
-        # the row space of the signed boundary mod p
-        R = space.reduced_cols
-        r = math.comb(n - 1, 2)
-        assert R.shape == (len(triangles), r) and R.dtype == np.int64
-        assert 0 <= R.min() and R.max() < _PRIME
-        rows, reduced = signed.tolist(), R.T.tolist()
-        assert (rank_mod(rows, _PRIME) == rank_mod(reduced, _PRIME)
-                == rank_mod(rows + reduced, _PRIME) == r)
+        assert space.signed.dtype == np.int64
+        assert np.array_equal(space.signed, signed)
+
+
+def oracle_orbit_images(n, perm):
+    """Image of every mask under a vertex permutation, from the
+    lexicographic triangle list."""
+    triangles = list(combinations(range(n), 3))
+    images = np.zeros(1 << len(triangles), dtype=np.int64)
+    for k, t in enumerate(triangles):
+        half = 1 << k
+        target = triangles.index(tuple(sorted(perm[v] for v in t)))
+        images[half:2 * half] = images[:half] | 1 << target
+    return images
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("n,count", [(3, 2), (4, 5), (5, 34), (6, 2136)])
+    def test_orbit_counts(self, n, count):
+        # 3-uniform hypergraphs on n unlabeled vertices (OEIS A000665)
+        tables = _tables(n)
+        assert len(tables.reps) == tables.orbit.max() + 1 == count
+        assert tables.orbit.dtype == np.int32 and tables.orbit.min() == 0
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_ids_invariant_under_generators(self, n):
+        # a transposition and an n-cycle generate every permutation
+        orbit = _tables(n).orbit
+        transposition = [1, 0] + list(range(2, n))
+        cycle = list(range(1, n)) + [0]
+        for perm in (transposition, cycle):
+            assert np.array_equal(orbit[oracle_orbit_images(n, perm)], orbit)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_representative_is_least_member(self, n):
+        tables = _tables(n)
+        assert np.array_equal(tables.orbit[tables.reps],
+                              np.arange(len(tables.reps)))
+        assert (tables.reps[tables.orbit] <= np.arange(tables.orbit.size)).all()
+
+    @pytest.mark.parametrize("n,sample", [(5, None), (6, 3000)])
+    def test_members_solve_within_margin(self, n, sample):
+        tables = _tables(n)
+        masks = _domain_masks(n, True)
+        hits = masks[tables.popcount[masks] - tables.rank[masks] <= 2]
+        if sample is not None:
+            hits = np.random.default_rng(n).choice(hits, sample, replace=False)
+        deviation = np.abs(_q_values(n, hits)
+                           - _q_values(n, tables.reps[tables.orbit[hits]]))
+        assert deviation.max() < RESOLVE_MARGIN / 10
 
 
 class TestRankTable:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_every_mask_matches_dfs_oracle(self, n):
-        assert np.array_equal(_tables(n)[0], dfs_rank_table(n))
+        assert np.array_equal(_tables(n).rank, dfs_rank_table(n))
 
     def test_n6_sample_matches_exact_betti(self):
         space = _triangle_space(6)
@@ -222,8 +243,7 @@ class TestRankTable:
 
 class TestQValues:
     @pytest.mark.parametrize("n,sample", [(5, None), (6, 1500)])
-    def test_bitwise_equal_to_per_mask_solve(self, n, sample, monkeypatch):
-        monkeypatch.setattr(extremal, "_Q_CACHE", {})
+    def test_bitwise_equal_to_per_mask_solve(self, n, sample):
         space = _triangle_space(n)
         every = np.arange(1 << len(space.triangles))
         masks = every if sample is None else np.random.default_rng(
@@ -235,9 +255,10 @@ class TestQValues:
 class TestDedup:
     @pytest.mark.parametrize("t", [0, 1, 2])
     def test_n5_witness_sets_match_canonical_form(self, t):
-        rank, _, popcount = _tables(5)
+        tables = _tables(5)
         masks = _domain_masks(5, True)
-        hits = masks[popcount[masks] - rank[masks] == t]
+        popcount = tables.popcount
+        hits = masks[popcount[masks] - tables.rank[masks] == t]
         qs = _q_values(5, hits)
         for witnesses in (hits[popcount[hits] == popcount[hits].max()],
                           hits[qs >= qs.max() - EPS_MAXIMIZER]):
@@ -247,9 +268,10 @@ class TestDedup:
     def test_n6_sample_of_classes(self):
         # covering masks use every vertex; masks of at most four
         # triangles leave some unused
-        _, cover, popcount = _tables(6)
+        tables = _tables(6)
+        popcount = tables.popcount
         rng = np.random.default_rng(66)
-        for pool in (np.flatnonzero(cover),
+        for pool in (np.flatnonzero(tables.cover),
                      np.flatnonzero((popcount > 0) & (popcount <= 4))):
             masks = rng.choice(pool, 30, replace=False)
             assert _dedup_canonical(6, masks) == canonical_oracle(6, masks)
@@ -271,6 +293,62 @@ class TestSearchBetti2Guards:
             search_betti2(7, 0)
         with pytest.raises(BadParams):
             search_betti2(2, 0)
+
+
+class TestSearchParamGuards:
+    def test_non_integral_refused_before_tables(self, monkeypatch):
+        def build(n):
+            raise AssertionError(f"tables built for n={n}")
+        monkeypatch.setattr(extremal, "_tables", build)
+        calls = [(search_betti2, (5, 1.5)), (search_betti2, (5.0, 3)),
+                 (max_facets_search, (5, 1.5)), (max_facets_search, (5.0, 1)),
+                 (max_spectral_search, (5, 1.5)),
+                 (max_spectral_search, (5.0, 1)),
+                 (lambda *a: next(enumerate_pure2(*a)), (5.0,))]
+        for fn, args in calls:
+            with pytest.raises(BadParams):
+                fn(*args)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-12, "0"])
+    def test_bad_spectral_tol_refused(self, tol):
+        with pytest.raises(BadParams):
+            max_spectral_search(5, 1, tol=tol)
+
+
+def per_mask_search(n, t):
+    """Oracle: the hits with beta_2 = t of the n-vertex domain and their top
+    eigenvalues, each solved on its own."""
+    tables = _tables(n)
+    masks = _domain_masks(n, True)
+    hits = masks[tables.popcount[masks] - tables.rank[masks] == t]
+    space = _triangle_space(n)
+    qs = np.array([per_mask_q(space, int(mask)) for mask in hits])
+    return hits, qs
+
+
+class TestOrbitResolve:
+    @pytest.mark.parametrize("t", [0, 1, 2])
+    @pytest.mark.parametrize("tol", [EPS_MAXIMIZER, 0.0, 0.5])
+    def test_maximum_and_witnesses_match_per_mask_search(self, t, tol):
+        hits, qs = per_mask_search(5, t)
+        rep = max_spectral_search(5, t, tol=tol)
+        assert rep.max_q1 == float(qs.max())
+        assert rep.spectral_witnesses == canonical_oracle(
+            5, hits[qs >= qs.max() - tol])
+
+    def test_bound_violations_match_per_mask_search(self, monkeypatch):
+        # a bound through the middle of the spectrum puts about half of
+        # the hits above it
+        hits, qs = per_mask_search(5, 1)
+        bound = float(np.median(qs))
+        monkeypatch.setattr(extremal, "spectral_bound", lambda n, r, t: bound)
+        space = _triangle_space(5)
+        want = [{"kind": "spectral_bound", "q1": float(q), "bound": bound,
+                 "facets": [list(f) for f in _mask_faces(space, int(mask))]}
+                for mask, q in zip(hits, qs)
+                if q > bound + extremal.BOUND_SLACK]
+        assert len(want) > 10
+        assert list(max_spectral_search(5, 1).bound_violations) == want
 
 
 class TestMaxFacetsSearch:
@@ -340,10 +418,8 @@ class TestMaxSpectralSearch:
             assert rep.max_q1 > 2 * n - 3
 
     def test_cold_and_warm_cache_reports_equal(self, monkeypatch):
-        for cache in ("_SPACE_CACHE", "_TABLE_CACHE", "_Q_CACHE",
-                      "_PERM_MAP_CACHE"):
+        for cache in ("_SPACE_CACHE", "_TABLE_CACHE", "_PERM_MAP_CACHE"):
             monkeypatch.setattr(extremal, cache, {})
-        extremal._inverses.cache_clear()
         cold = max_spectral_search(5, 1), max_facets_search(5, 2)
         warm = max_spectral_search(5, 1), max_facets_search(5, 2)
         assert cold == warm
@@ -454,6 +530,16 @@ class TestAsymptoticCheck:
     def test_n_cap(self):
         with pytest.raises(BadParams):
             asymptotic_check(1, [300])
+
+    @pytest.mark.parametrize("tols", [math.nan, -1.0, [1e-10, math.nan]])
+    def test_bad_tol_refused(self, tols, monkeypatch):
+        # every entry is checked before the first solve
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the tolerances were checked")
+        monkeypatch.setattr(spectra, "spectral_radius", solve)
+        n_list = [40, 80] if isinstance(tols, list) else [40]
+        with pytest.raises(BadParams):
+            asymptotic_check(1, n_list, tol_schedule=tols)
 
     def test_degenerate_top_refused(self, monkeypatch):
         # a numerically multiple top eigenvalue leaves q1 unidentified

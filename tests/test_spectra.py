@@ -83,6 +83,12 @@ class TestSpectralRadius:
         with pytest.raises(BadParams):
             spectral_radius(tented(10, 2), 1, method="lanczos", max_iters=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-10"])
+    def test_bad_tol_refused(self, tol):
+        # before any solve: -1 used to run 21 operator applications
+        with pytest.raises(BadParams):
+            spectral_radius(tented(8, 2), 1, tol=tol)
+
     def test_dense_polish_reports_unreachable_tol(self):
         # no eigensolve reaches a zero residual: the dense pair is polished
         # by Lanczos, which then reports the residual it did reach
@@ -169,6 +175,12 @@ class TestPerronVector:
     def test_strictly_positive(self):
         res = perron_vector(tent_plus_common_edge(7, 2), 1)
         assert res.vector.min() > 0
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_bad_tol_refused(self, tol, two_triangles):
+        # refused before the connectivity check
+        with pytest.raises(BadParams):
+            perron_vector(two_triangles, 1, tol=tol)
 
     def test_bad_normalization(self, delta4):
         with pytest.raises(BadParams):
