@@ -180,8 +180,9 @@ def _tables(n: int) -> _Tables:
                     orbit[weights[:, _mask_bits(mask)].sum(axis=1)] = len(reps)
                     reps.append(mask)
         bits = (np.array(reps)[:, None] >> np.arange(m) & 1).astype(float)
-        degree = bits @ space.signless.T        # edge degrees per orbit
-        # free[i, k]: how many edges of no other triangle triangle k has
+        degree = bits @ space.signless.T   # edge degrees per representative
+        # free[i, k] > 0: triangle k of representative i has an edge that
+        # no other of its triangles has, so it lies in no 2-cycle
         free = ((degree == 1) @ space.signless) * bits
         drop = free.argmax(axis=1).tolist()
         rank = np.empty(len(reps), dtype=np.int8)
