@@ -10,8 +10,10 @@ face-index table `boundary_index_table` and the CSR matrices
 neighbour queries of `SimplicialComplex`, `homology`, `spectra` and
 `extremal` all read this incidence. On top of it sit
 
-* explicit sparse operators (`signed_boundary`, `signless_boundary`,
-  `laplacian`) for desk-scale instances, and
+* explicit operators (`signed_boundary`, `signless_boundary`,
+  `laplacian`) for desk-scale instances. A Laplacian's dense form is
+  one scatter of the index tables; its sparse product is built on the
+  first `apply`. And
 * operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
   that never form a Laplacian. The large-n eigensolver runs on
   `apply_q_up`.
@@ -19,7 +21,8 @@ neighbour queries of `SimplicialComplex`, `homology`, `spectra` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,26 +132,56 @@ def _boundary(K: SimplicialComplex, i: int, signed: bool) -> BoundaryMatrix:
     n_cols, width = tab.shape
     col_indices = np.repeat(np.arange(n_cols, dtype=np.int64), width)
     row_indices = tab.reshape(-1)
-    if signed:
-        values = np.tile(np.array([(-1) ** j for j in range(width)],
-                                  dtype=np.int64), n_cols)
-    else:
-        values = np.ones(n_cols * width, dtype=np.int64)
+    values = np.tile(_signs(width, signed), n_cols)
     return BoundaryMatrix(K.faces(i - 1), K.faces(i),
                           row_indices, col_indices, values, signed)
 
 
+def _signs(width: int, signed: bool) -> np.ndarray:
+    """Boundary coefficients by omitted position j: (-1)^j, or all 1."""
+    return (-1) ** np.arange(width) if signed else np.ones(width, np.int64)
+
+
 @dataclass(frozen=True)
 class LaplacianOperator:
-    """Symmetric PSD operator on the space spanned by the i-faces."""
+    """Symmetric PSD operator of the given kind on the i-faces of
+    ``complex`` (i = ``dim_index``). `toarray` scatters the dense form
+    from the boundary index tables; `matrix`, the sparse product that
+    `apply` multiplies by, is built on first use and cached.
+    """
 
     kind: str
     dim_index: int
-    matrix: sp.csr_matrix
+    complex: SimplicialComplex = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        n_i = self.complex.n_faces(self.dim_index)
+        return (n_i, n_i)
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        K, i, kind = self.complex, self.dim_index, self.kind
+        signed = kind.startswith("L")
+
+        def up() -> sp.csr_matrix:
+            B = boundary_csr(K, i + 1, signed)
+            return (B @ B.T).tocsr()
+
+        def down() -> sp.csr_matrix:
+            B = boundary_csr(K, i, signed)
+            return (B.T @ B).tocsr()
+
+        if kind.endswith("up"):
+            return up()
+        if kind.endswith("down"):
+            return down()
+        M = sp.csr_matrix(self.shape, dtype=np.float64)  # L_full
+        if i < K.dim:
+            M = M + up()
+        if i >= 1:
+            M = M + down()
+        return M.tocsr()
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f, dtype=np.float64)
@@ -157,17 +190,44 @@ class LaplacianOperator:
         return self.matrix @ f
 
     def toarray(self) -> np.ndarray:
-        if max(self.shape) > DENSE_LIMIT:
+        """Dense form, equal entry for entry to ``matrix.toarray()``: each
+        pair of i-faces in one (i+1)-face, or on one (i-1)-face, adds its
+        sign product in one `np.bincount` (exact: small integer sums).
+        """
+        K, i, n_i = self.complex, self.dim_index, self.shape[0]
+        if n_i > DENSE_LIMIT:
             raise TooLarge(f"dense form refused for shape {self.shape}")
-        return self.matrix.toarray()
+        signed = self.kind.startswith("L")
+        flat, weights = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        if not self.kind.endswith("down") and i < K.dim:
+            tab = boundary_index_table(K, i + 1)
+            s = _signs(i + 2, signed)
+            flat.append((tab[:, :, None] * n_i + tab[:, None, :]).ravel())
+            weights.append(np.tile(np.outer(s, s).ravel(), len(tab)))
+        if not self.kind.endswith("up") and i >= 1:
+            # group the (i-face, (i-1)-face) incidences by (i-1)-face
+            lower = boundary_index_table(K, i).ravel()
+            order = np.argsort(lower)
+            key = lower[order]
+            size = np.bincount(key)[key]
+            shift = np.searchsorted(key, key) - np.cumsum(size) + size
+            face, j = np.divmod(order, i + 1)
+            s = _signs(i + 1, signed)[j]
+            other = np.repeat(shift, size) + np.arange(size.sum())
+            flat.append(np.repeat(face * n_i, size) + face[other])
+            weights.append(np.repeat(s, size) * s[other])
+        dense = np.bincount(np.concatenate(flat), np.concatenate(weights),
+                            minlength=n_i * n_i)
+        return dense.astype(np.float64, copy=False).reshape(n_i, n_i)
 
 
 def laplacian(K: SimplicialComplex, i: int, kind: str) -> LaplacianOperator:
-    """Explicit operator of the requested kind on the i-faces.
+    """Operator of the requested kind on the i-faces.
 
     ``L_*`` kinds use the signed boundary, ``Q_*`` the signless one;
     ``L_full`` is the sum of the up and down parts (terms that do not
-    exist at the boundary dimensions are zero).
+    exist at the boundary dimensions are zero). Nothing is built here:
+    see `LaplacianOperator` for the dense and the sparse form.
     """
     if kind not in LAPLACIAN_KINDS:
         raise BadParams(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
@@ -177,32 +237,7 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> LaplacianOperator:
         raise DimensionOutOfRange(f"{kind} needs i < dim = {K.dim}")
     if kind in ("L_down", "Q_down") and i < 1:
         raise DimensionOutOfRange(f"{kind} needs i >= 1")
-
-    def up(signed: bool) -> sp.csr_matrix:
-        B = boundary_csr(K, i + 1, signed)
-        return (B @ B.T).tocsr()
-
-    def down(signed: bool) -> sp.csr_matrix:
-        B = boundary_csr(K, i, signed)
-        return (B.T @ B).tocsr()
-
-    if kind == "Q_up":
-        M = up(signed=False)
-    elif kind == "Q_down":
-        M = down(signed=False)
-    elif kind == "L_up":
-        M = up(signed=True)
-    elif kind == "L_down":
-        M = down(signed=True)
-    else:  # L_full
-        n_i = K.n_faces(i)
-        M = sp.csr_matrix((n_i, n_i), dtype=np.float64)
-        if i < K.dim:
-            M = M + up(signed=True)
-        if i >= 1:
-            M = M + down(signed=True)
-        M = M.tocsr()
-    return LaplacianOperator(kind, i, M)
+    return LaplacianOperator(kind, i, K)
 
 
 def up_connected(K: SimplicialComplex, i: int, skip: int | None = None) -> bool:

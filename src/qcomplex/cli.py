@@ -17,7 +17,7 @@ import numpy as np
 
 from . import acceptance, chains, extremal, families, homology, spectra
 from .complex_core import read_facets, write_facets
-from .errors import USAGE_ERRORS, QComplexError
+from .errors import USAGE_ERRORS, BadParams, QComplexError
 
 JSON_SCHEMA_VERSION = 1
 
@@ -66,7 +66,7 @@ def _cmd_betti(opt) -> int:
 def _cmd_spectra(opt) -> int:
     K = read_facets(opt["file"])
     i = opt["dim"]
-    tol = opt.get("tol") or 1e-10
+    tol = 1e-10 if opt.get("tol") is None else opt["tol"]
     seed = opt.get("seed") or 0
     if opt.get("perron"):
         res = spectra.perron_vector(K, i, opt.get("normalization", "unit_norm"),
@@ -146,9 +146,12 @@ def _cmd_check(opt) -> int:
 
 
 def _cmd_search(opt) -> int:
+    tol = opt.get("tol")
+    if opt["mode"] == "facets" and tol is not None:
+        raise BadParams("--mode facets takes no --tol")
     search = (extremal.max_facets_search if opt["mode"] == "facets"
               else extremal.max_spectral_search)
-    report = search(opt["n"], opt["t"],
+    report = search(opt["n"], opt["t"], **({} if tol is None else {"tol": tol}),
                     full_skeleton=opt.get("full_skeleton", True))
     payload = {"schema": JSON_SCHEMA_VERSION, "mode": opt["mode"],
                **report.to_dict()}
@@ -167,7 +170,8 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 def _cmd_inspect(opt) -> int:
     K = read_facets(opt["file"])
-    report = extremal.proof_inspector(K, tol=opt.get("tol") or 1e-10,
+    tol = 1e-10 if opt.get("tol") is None else opt["tol"]
+    report = extremal.proof_inspector(K, tol=tol,
                                       seed=opt.get("seed") or 0)
     d = report.to_dict()
     if opt.get("format") == "json":

@@ -2,19 +2,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 
 from qcomplex import (
     apply_q_down,
     apply_q_up,
     boundary_sums,
+    from_facets,
     laplacian,
     quadratic_form,
     signed_boundary,
     signless_boundary,
+    tent_plus_common_edge,
     tented,
 )
-from qcomplex.errors import BadParams, DimensionOutOfRange, LengthMismatch
+from qcomplex.chains import LAPLACIAN_KINDS
+from qcomplex.errors import (BadParams, DimensionOutOfRange, LengthMismatch,
+                             TooLarge)
 
 from conftest import mixed_complexes, pure2_complexes
 
@@ -146,6 +151,82 @@ class TestLaplacian:
             M = laplacian(K, 1, kind).toarray()
             assert np.allclose(M, M.T)
             assert np.linalg.eigvalsh(M)[0] > -1e-9
+
+
+def sparse_laplacian(K, i, kind):
+    """The sparse product of the boundaries, built from the triplets
+    (test oracle for both forms of `LaplacianOperator`)."""
+    boundary = signed_boundary if kind.startswith("L") else signless_boundary
+
+    def up():
+        B = boundary(K, i + 1).tocsr()
+        return (B @ B.T).tocsr()
+
+    def down():
+        B = boundary(K, i).tocsr()
+        return (B.T @ B).tocsr()
+
+    if kind.endswith("up"):
+        return up()
+    if kind.endswith("down"):
+        return down()
+    M = sp.csr_matrix((K.n_faces(i), K.n_faces(i)), dtype=np.float64)
+    if i < K.dim:
+        M = M + up()
+    if i >= 1:
+        M = M + down()
+    return M.tocsr()
+
+
+def valid_operators(K):
+    for kind in LAPLACIAN_KINDS:
+        lo = 1 if kind.endswith("down") else 0
+        hi = K.dim - 1 if kind.endswith("up") else K.dim
+        for i in range(lo, hi + 1):
+            yield kind, i
+
+
+class TestLaplacianForms:
+    @given(mixed_complexes())
+    @settings(max_examples=40, deadline=None)
+    def test_scatter_equals_sparse_product_bitwise(self, K):
+        for kind, i in valid_operators(K):
+            op = laplacian(K, i, kind)
+            dense = op.toarray()
+            # the dense path never builds the sparse product
+            assert "matrix" not in op.__dict__
+            want = op.matrix.toarray()
+            assert dense.dtype == want.dtype == np.float64
+            assert dense.tobytes() == want.tobytes()
+            oracle = sparse_laplacian(K, i, kind).toarray()
+            assert want.tobytes() == oracle.tobytes()
+
+    @given(mixed_complexes())
+    @settings(max_examples=30, deadline=None)
+    def test_apply_bits_equal_sparse_product(self, K):
+        rng = np.random.default_rng(K.n_faces(0))
+        for kind, i in valid_operators(K):
+            op = laplacian(K, i, kind)
+            f = rng.standard_normal(K.n_faces(i))
+            got = op.apply(f)
+            assert got.tobytes() == (op.matrix @ f).tobytes()
+            oracle = sparse_laplacian(K, i, kind) @ f
+            assert got.tobytes() == oracle.tobytes()
+
+    def test_vertex_only_complex(self):
+        K = from_facets(2, [(0,), (1,)])
+        L = laplacian(K, 0, "L_full").toarray()
+        assert L.dtype == np.float64 and not L.any() and L.shape == (2, 2)
+
+    def test_too_large_refused_before_scatter(self, monkeypatch):
+        K = tent_plus_common_edge(100, 1)  # 4,950 edges
+
+        def no_scatter(*args, **kwargs):
+            raise AssertionError("scatter reached past the size check")
+
+        monkeypatch.setattr(np, "bincount", no_scatter)
+        with pytest.raises(TooLarge):
+            laplacian(K, 1, "Q_up").toarray()
 
 
 class TestApplyQUp:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from qcomplex import read_facets, tented
+from qcomplex import max_spectral_search, read_facets, tented
 from qcomplex.cli import main
 
 
@@ -76,6 +76,15 @@ class TestBettiAndSpectra:
         assert face_token == "0,1"
         assert float(value_token) == pytest.approx(1 / 3 ** 0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("command", [("spectra", "--dim", "1"),
+                                         ("inspect",)])
+    def test_tol_zero_is_honoured(self, command, tmp_path, capsys):
+        # a zero tolerance is never met, so the solver must refuse
+        f = tmp_path / "t.facets"
+        run_cli("gen", "tented", "--n", "8", "--r", "2", "-o", str(f))
+        assert run_cli(command[0], str(f), *command[1:], "--tol", "0") == 1
+        assert "error no_convergence:" in capsys.readouterr().err
+
     def test_round_trip_gen_betti_never_errors(self, tmp_path):
         cases = [
             ("tented", "--n", "8"),
@@ -143,6 +152,25 @@ class TestSearch:
             run_cli("search", "--mode", "facets", "--n", "5", "--t", "1",
                     "--workers", "2")
         assert exc.value.code == 2
+
+    def test_spectral_tol_passed_on(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run_cli("search", "--mode", "spectral", "--n", "5", "--t", "1",
+                       "--tol", "0.5", "-o", str(out)) == 0
+        want = max_spectral_search(5, 1, tol=0.5).to_dict()
+        assert want != max_spectral_search(5, 1).to_dict()
+        assert json.loads(out.read_text()) == {"schema": 1, "mode": "spectral",
+                                               **want}
+
+    def test_spectral_nan_tol_refused(self, capsys):
+        assert run_cli("search", "--mode", "spectral", "--n", "5", "--t", "1",
+                       "--tol", "nan") == 2
+        assert "error bad_params:" in capsys.readouterr().err
+
+    def test_facets_tol_refused(self, capsys):
+        assert run_cli("search", "--mode", "facets", "--n", "5", "--t", "1",
+                       "--tol", "1e-9") == 2
+        assert "error bad_params:" in capsys.readouterr().err
 
     def test_usage_error_on_bad_t(self):
         assert run_cli("search", "--mode", "facets", "--n", "5", "--t", "9") == 2
