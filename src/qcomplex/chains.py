@@ -5,9 +5,10 @@ column face carries the sign (-1)^j on the row face obtained by omitting
 its j-th vertex. The signless variants replace every sign with +1.
 
 Each complex holds one incidence per dimension, cached on it: the
-face-index table `boundary_index_table` and the CSR matrices
-`boundary_csr` built from it (signless, and signed on request). The
-neighbour queries of `SimplicialComplex`, `homology`, `spectra` and
+face-index table `boundary_index_table`, one `SimplicialComplex.row_index`
+search of the vertex-omitted face rows, and the CSR matrices `boundary_csr`
+built from it (signless, and signed on request); no face tuple is made.
+The neighbour queries of `SimplicialComplex`, `homology`, `spectra` and
 `extremal` all read this incidence. On top of it sit
 
 * explicit operators (`signed_boundary`, `signless_boundary`,
@@ -81,28 +82,20 @@ class BoundaryMatrix:
                          f"{self.values[k]}\n")
 
 
-def _check_boundary_dim(K: SimplicialComplex, i: int) -> None:
-    if not 1 <= i <= K.dim:
-        raise DimensionOutOfRange(f"boundary map needs 1 <= i <= {K.dim}, got {i}")
-
-
 def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     """Array of shape (|S_i|, i+1): row k lists the indices (in S_{i-1})
     of the boundary faces of the k-th i-face, in vertex-omission order.
 
     Cached on the complex; the CSR boundaries and `boundary_sums` read it.
     """
-    _check_boundary_dim(K, i)
+    if not 1 <= i <= K.dim:
+        raise DimensionOutOfRange(f"boundary map needs 1 <= i <= {K.dim}, got {i}")
     key = ("btab", i)
     tab = K._cache.get(key)
     if tab is None:
-        lower = K._index[i - 1]
-        rows = [
-            [lower[F[:j] + F[j + 1:]] for j in range(i + 1)]
-            for F in K.faces(i)
-        ]
-        tab = np.array(rows, dtype=np.int64)
-        K._cache[key] = tab
+        keep = [[c for c in range(i + 1) if c != j] for j in range(i + 1)]
+        omitted = K.rows(i)[:, keep].reshape(-1, i)
+        tab = K._cache[key] = K.row_index(omitted).reshape(-1, i + 1)
     return tab
 
 
@@ -123,18 +116,23 @@ def boundary_csr(K: SimplicialComplex, i: int,
     key = ("csr", i, signed)
     B = K._cache.get(key)
     if B is None:
-        B = K._cache[key] = _boundary(K, i, signed).tocsr()
+        rows, cols, values = _triplets(K, i, signed)
+        B = K._cache[key] = sp.csr_matrix((values.astype(np.float64), (rows, cols)),
+                                          shape=(K.n_faces(i - 1), K.n_faces(i)))
     return B
 
 
 def _boundary(K: SimplicialComplex, i: int, signed: bool) -> BoundaryMatrix:
+    return BoundaryMatrix(K.faces(i - 1), K.faces(i),
+                          *_triplets(K, i, signed), signed)
+
+
+def _triplets(K: SimplicialComplex, i: int, signed: bool):
+    """Row indices, column indices and values, column face by column face."""
     tab = boundary_index_table(K, i)
     n_cols, width = tab.shape
-    col_indices = np.repeat(np.arange(n_cols, dtype=np.int64), width)
-    row_indices = tab.reshape(-1)
-    values = np.tile(_signs(width, signed), n_cols)
-    return BoundaryMatrix(K.faces(i - 1), K.faces(i),
-                          row_indices, col_indices, values, signed)
+    return (tab.reshape(-1), np.repeat(np.arange(n_cols, dtype=np.int64), width),
+            np.tile(_signs(width, signed), n_cols))
 
 
 def _signs(width: int, signed: bool) -> np.ndarray:

@@ -34,10 +34,16 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _ints(spec: str, option: str) -> list[int]:
+    """Comma-separated integers; a token that is not one is a usage error."""
+    try:
+        return [int(tok) for tok in spec.split(",")]
+    except ValueError as exc:  # the message names the token
+        raise BadParams(f"{option} {spec!r}: {exc}") from None
+
+
 def _parse_added(spec: str | None):
-    if not spec:
-        return None
-    return [tuple(int(v) for v in part.split(",")) for part in spec.split(";")]
+    return [_ints(part, "--add") for part in spec.split(";")] if spec else None
 
 
 def _cmd_gen(opt) -> int:
@@ -193,8 +199,7 @@ def _cmd_inspect(opt) -> int:
 
 
 def _cmd_asymptotic(opt) -> int:
-    n_list = [int(x) for x in opt["n"].split(",")]
-    rows = extremal.asymptotic_check(opt["t"], n_list,
+    rows = extremal.asymptotic_check(opt["t"], _ints(opt["n"], "--n"),
                                      tol_schedule=opt.get("tol"),
                                      seed=opt.get("seed") or 0)
     if opt.get("format") == "json":

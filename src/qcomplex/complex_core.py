@@ -1,14 +1,15 @@
 """Pure simplicial complexes and their combinatorial neighbor structure.
 
 A complex is stored as a vertex count plus its inclusion-maximal faces
-(facets); every lower face is derived by closure. Faces are sorted integer
-tuples, and the position of a face inside the sorted list ``faces(i)`` is
-its index in all matrix representations, so indexing is stable across runs.
+(facets); every lower face is derived by closure. The i-faces are sorted int64
+vertex rows, keyed by (rank of ``row[:-1]`` among the (i-1)-faces) * n +
+``row[-1]``. Key order is lexicographic order, and a face's position is its
+index in every matrix. Face tuples and face-index dicts are built on demand.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,27 +52,43 @@ class SimplicialComplex:
     arguments are already validated and closed.
     """
 
-    __slots__ = ("n_vertices", "facets", "dim", "_faces_by_dim", "_index", "_cache")
+    __slots__ = ("n_vertices", "facets", "dim", "_rows", "_keys", "_cache")
 
     def __init__(self, n_vertices: int, facets: tuple[Face, ...],
-                 faces_by_dim: tuple[tuple[Face, ...], ...]):
+                 rows: list[np.ndarray], keys: list[np.ndarray]):
         self.n_vertices = n_vertices
         self.facets = facets
-        self.dim = len(faces_by_dim) - 1
-        self._faces_by_dim = faces_by_dim
-        self._index = tuple({f: k for k, f in enumerate(fs)} for fs in faces_by_dim)
-        self._cache: dict = {}
+        self.dim = len(rows) - 1
+        self._rows, self._keys = rows, keys
+        self._cache: dict = {}  # also the face tuples and face-index dicts
 
     # -- basic queries ----------------------------------------------------
 
-    def faces(self, i: int) -> tuple[Face, ...]:
-        """All i-faces in sorted (lexicographic) order."""
+    def rows(self, i: int) -> np.ndarray:
+        """All i-faces as a sorted (|S_i|, i+1) int64 array."""
         if not 0 <= i <= self.dim:
             raise DimensionOutOfRange(f"no faces of dimension {i} (dim={self.dim})")
-        return self._faces_by_dim[i]
+        return self._rows[i]
+
+    def faces(self, i: int) -> tuple[Face, ...]:
+        """All i-faces in sorted (lexicographic) order."""
+        rows = self.rows(i)
+        if ("faces", i) not in self._cache:
+            self._cache["faces", i] = tuple(map(tuple, rows.tolist()))
+        return self._cache["faces", i]
 
     def n_faces(self, i: int) -> int:
-        return len(self.faces(i))
+        return len(self.rows(i))
+
+    def row_index(self, rows: np.ndarray) -> np.ndarray:
+        """Indices among the i-faces of (m, i+1) sorted vertex rows of faces."""
+        keys = _prefix_keys(rows, self._keys, self.n_vertices)
+        return np.searchsorted(self._keys[rows.shape[1] - 1], keys)
+
+    def _lookup(self, i: int) -> dict[Face, int]:
+        if ("index", i) not in self._cache:
+            self._cache["index", i] = {f: k for k, f in enumerate(self.faces(i))}
+        return self._cache["index", i]
 
     def face_index(self, F: Face) -> int:
         """Rank of ``F`` within the sorted list of faces of its dimension."""
@@ -79,17 +96,16 @@ class SimplicialComplex:
         if not 0 <= i <= self.dim:
             raise FaceNotInComplex(f"{F} has no valid dimension here")
         try:
-            return self._index[i][F]
+            return self._lookup(i)[F]
         except KeyError:
             raise FaceNotInComplex(f"{F} is not a face") from None
 
     def has_face(self, F: Face) -> bool:
         i = len(F) - 1
-        return 0 <= i <= self.dim and F in self._index[i]
+        return 0 <= i <= self.dim and F in self._lookup(i)
 
     def is_pure(self) -> bool:
-        d = self.dim
-        return all(len(f) - 1 == d for f in self.facets)
+        return all(len(f) == self.dim + 1 for f in self.facets)
 
     # -- neighbor structure -----------------------------------------------
 
@@ -99,9 +115,7 @@ class SimplicialComplex:
         i = len(F) - 1
         if i + 1 > self.dim:
             return 0
-        from .chains import boundary_csr  # chains imports this module
-
-        indptr = boundary_csr(self, i + 1).indptr
+        indptr = chains.boundary_csr(self, i + 1).indptr
         return int(indptr[k + 1] - indptr[k])
 
     def down_neighbors(self, F: Face) -> list[Face]:
@@ -110,10 +124,8 @@ class SimplicialComplex:
         i = len(F) - 1
         if i < 1:
             raise DimensionOutOfRange("down neighbors need dimension >= 1")
-        from .chains import boundary_csr, boundary_index_table
-
-        rows = boundary_csr(self, i)[boundary_index_table(self, i)[k]]
-        return self._others(i, rows.indices, k)
+        tab = chains.boundary_index_table(self, i)
+        return self._others(i, chains.boundary_csr(self, i)[tab[k]].indices, k)
 
     def down_neighbors_via_vertex(self, F: Face, x: int) -> list[Face]:
         """Down neighbors of ``F`` of the form {x} union (F minus one vertex)."""
@@ -122,12 +134,8 @@ class SimplicialComplex:
             raise BadVertexId(f"vertex {x} outside [0, {self.n_vertices})")
         if x in F:
             raise VertexInFace(f"vertex {x} lies in {F}")
-        out = []
-        for drop in F:
-            G = tuple(sorted(set(F) - {drop} | {x}))
-            if self.has_face(G):
-                out.append(G)
-        return sorted(out)
+        swapped = (tuple(sorted(set(F) - {drop} | {x})) for drop in F)
+        return sorted(G for G in swapped if self.has_face(G))
 
     def up_neighbors(self, F: Face) -> list[Face]:
         """Same-dimension faces jointly contained with ``F`` in a coface."""
@@ -135,23 +143,19 @@ class SimplicialComplex:
         i = len(F) - 1
         if i + 1 > self.dim:
             return []
-        from .chains import boundary_csr, boundary_index_table
-
-        cofaces = boundary_csr(self, i + 1)[k].indices
-        return self._others(i, boundary_index_table(self, i + 1)[cofaces], k)
+        cofaces = chains.boundary_csr(self, i + 1)[k].indices
+        return self._others(i, chains.boundary_index_table(self, i + 1)[cofaces], k)
 
     def _others(self, i: int, indices, k: int) -> list[Face]:
         """The i-faces at ``indices`` other than the k-th, in sorted order."""
-        fs = self._faces_by_dim[i]
+        fs = self.faces(i)
         return [fs[j] for j in np.unique(indices).tolist() if j != k]
 
     def is_path_connected(self, i: int) -> bool:
         """Connectivity of the up-neighbor graph on the i-faces."""
         if not 0 <= i < self.dim:
             raise DimensionOutOfRange(f"path connectivity needs 0 <= i < dim, got {i}")
-        from .chains import up_connected  # chains imports this module
-
-        return up_connected(self, i)
+        return chains.up_connected(self, i)
 
     # -- derived complexes --------------------------------------------------
 
@@ -161,7 +165,7 @@ class SimplicialComplex:
             raise DimensionOutOfRange(f"skeleton order {r} outside [0, {self.dim}]")
         if r == self.dim:
             return self
-        cand = list(self._faces_by_dim[r]) + [f for f in self.facets if len(f) - 1 < r]
+        cand = list(self.faces(r)) + [f for f in self.facets if len(f) - 1 < r]
         return from_facets(self.n_vertices, cand)
 
     def without_facet(self, F: Face) -> "SimplicialComplex":
@@ -172,13 +176,9 @@ class SimplicialComplex:
         """
         if F not in self.facets:
             raise FaceNotInComplex(f"{F} is not a facet")
-        remaining = [g for g in self.facets if g != F]
-        rem_sets = [set(g) for g in remaining]
-        for drop in F:
-            G = tuple(v for v in F if v != drop)
-            if not any(set(G).issubset(s) for s in rem_sets):
-                remaining.append(G)
-        return from_facets(self.n_vertices, remaining)
+        rest = [g for g in self.facets if g != F]  # covered boundary faces drop
+        return from_facets(self.n_vertices, rest + list(combinations(F, len(F) - 1))
+                           if len(F) > 1 else rest)
 
     # -- dunder plumbing ----------------------------------------------------
 
@@ -200,32 +200,61 @@ def from_facets(n: int, facets: Sequence[Iterable[int]],
     """Build a complex from candidate facets.
 
     Non-maximal entries are dropped; with ``require_pure`` the surviving
-    facets must all share one dimension. Candidates are processed largest
-    first, so maximality is one closure-membership lookup per candidate.
+    facets must all share one dimension. The i-faces are the distinct keys of
+    the candidates' (i+1)-column combinations; a candidate is maximal unless
+    its key is among those of the longer candidates.
     """
     if n <= 0:
         raise BadParams(f"n_vertices must be positive, got {n}")
-    normalized = sorted({face(f) for f in facets})
-    if not normalized:
-        raise BadParams("facet list is empty")
-    top_vertex = max(f[-1] for f in normalized)
-    if top_vertex >= n:
+    groups: dict[int, list] = {}
+    for f in map(tuple, facets):
+        groups.setdefault(len(f), []).append(f)
+    if not groups or 0 in groups:
+        raise BadParams("a face needs at least one vertex" if groups
+                        else "facet list is empty")
+    cand = {}
+    for size, group in sorted(groups.items()):
+        a = np.fromiter(chain.from_iterable(group), np.int64, size * len(group))
+        a = cand[size] = np.sort(a.reshape(-1, size), axis=1)
+        if a[:, 0].min() < 0:
+            raise BadVertexId(f"negative vertex id in {group[a[:, 0].argmin()]}")
+        repeated = (a[:, 1:] == a[:, :-1]).any(axis=1)
+        if repeated.any():
+            raise BadParams(f"repeated vertex in face {group[repeated.argmax()]!r}")
+    if (top_vertex := max(int(a[:, -1].max()) for a in cand.values())) >= n:
         raise BadVertexId(f"vertex {top_vertex} outside [0, {n})")
-    top = max(len(f) for f in normalized) - 1
-    by_dim: list[set[Face]] = [set() for _ in range(top + 1)]
-    maximal = []
-    for f in sorted(normalized, key=len, reverse=True):
-        d = len(f) - 1
-        if f in by_dim[d]:
-            continue
-        maximal.append(f)
-        for i in range(d + 1):
-            by_dim[i].update(combinations(f, i + 1))
-    dims = {len(f) - 1 for f in maximal}
+    rows, keys, maximal = [], [], []
+    for i in range(max(cand)):
+        if i and len(keys[-1]) * n >= 2 ** 63:
+            raise TooLarge(f"{len(keys[-1])} faces times n={n} overflow the int64 keys")
+        listed = cand.get(i + 1, np.zeros((0, i + 1), np.int64))
+        sub = [a[:, list(combinations(range(size), i + 1))].reshape(-1, i + 1)
+               for size, a in cand.items() if size > i + 1]
+        k = _prefix_keys(np.concatenate(sub + [listed]), keys, n)
+        u = np.sort(k)  # sort and mask: np.unique costs more on small arrays
+        keys.append(u[np.concatenate(([True], u[1:] != u[:-1]))])
+        q, r = np.divmod(keys[i], n)
+        rows.append(r[:, None] if i == 0 else
+                    np.concatenate((rows[-1][q], r[:, None]), axis=1))
+        if len(listed):
+            covered = k[:len(k) - len(listed)]
+            top = ~np.isin(keys[i], covered) if covered.size else slice(None)
+            maximal.append(rows[i][top].tolist())
+    dims = [len(m[0]) - 1 for m in maximal if m]
     if require_pure and len(dims) > 1:
-        raise NotPure(f"facet dimensions {sorted(dims)} are mixed")
-    return SimplicialComplex(
-        n, tuple(sorted(maximal)), tuple(tuple(sorted(s)) for s in by_dim))
+        raise NotPure(f"facet dimensions {dims} are mixed")
+    facet_list = [f for m in maximal for f in map(tuple, m)]
+    return SimplicialComplex(n, tuple(sorted(facet_list) if len(dims) > 1
+                                      else facet_list), rows, keys)
+
+
+def _prefix_keys(rows: np.ndarray, keys: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """Keys of (m, i+1) vertex rows: the rank of ``row[:-1]`` among the sorted
+    (i-1)-face keys ``keys[i-1]``, times n, plus ``row[-1]``. Below |S_(i-1)|·n."""
+    k = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        k = np.searchsorted(keys[j - 1], k) * n + rows[:, j]
+    return k
 
 
 # -- isomorphism ------------------------------------------------------------
@@ -297,8 +326,7 @@ def read_facets(path) -> SimplicialComplex:
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    content = [ln.strip() for ln in lines
-               if ln.strip() and not ln.lstrip().startswith("#")]
+    content = [ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")]
     if not content or not content[0].startswith("n "):
         raise BadParams(f"{path}: expected leading 'n <integer>' line")
     try:
@@ -308,7 +336,7 @@ def read_facets(path) -> SimplicialComplex:
     raw = []
     for ln in content[1:]:
         try:
-            raw.append(tuple(int(tok) for tok in ln.split()))
+            raw.append(tuple(map(int, ln.split())))
         except ValueError:
             raise BadParams(f"{path}: malformed facet line {ln!r}") from None
     if not raw:
@@ -333,3 +361,6 @@ def write_facets(K: SimplicialComplex, path) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             write_facets(K, fh)
+
+
+from . import chains  # noqa: E402  (chains imports this module)

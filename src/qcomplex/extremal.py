@@ -142,12 +142,10 @@ def _perm_triangle_maps(n: int) -> np.ndarray:
     triangle index."""
     maps = _PERM_MAP_CACHE.get(n)
     if maps is None:
-        space = _triangle_space(n)
-        maps = _PERM_MAP_CACHE[n] = np.array([
-            [space.skeleton.face_index(tuple(sorted(perm[v] for v in t)))
-             for t in space.triangles]
-            for perm in permutations(range(n))
-        ], dtype=np.int64)
+        S = _triangle_space(n).skeleton
+        perms = np.array(list(permutations(range(n))), dtype=np.int64)
+        images = np.sort(perms[:, S.rows(2)], axis=2).reshape(-1, 3)
+        maps = _PERM_MAP_CACHE[n] = S.row_index(images).reshape(len(perms), -1)
     return maps
 
 

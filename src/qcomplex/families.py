@@ -58,11 +58,8 @@ def rhombic(r: int) -> SimplicialComplex:
     """
     if r < 1:
         raise BadParams(f"need r >= 1, got {r}")
-    facets = [
-        tuple(sorted(base + (apex,)))
-        for apex in (r + 1, r + 2)
-        for base in combinations(range(r + 1), r)
-    ]
+    facets = [base + (apex,) for apex in (r + 1, r + 2)
+              for base in combinations(range(r + 1), r)]
     return from_facets(r + 3, facets, require_pure=True)
 
 

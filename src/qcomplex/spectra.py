@@ -61,13 +61,6 @@ def check_tol(tol) -> None:
         raise BadParams(f"tol must be a nonnegative number, got {tol!r}")
 
 
-def _boundary_table(K: SimplicialComplex, i: int) -> np.ndarray:
-    if not 0 <= i < K.dim:
-        raise DimensionOutOfRange(
-            f"q_{i} needs 0 <= i < dim = {K.dim} so that S_(i+1) is nonempty")
-    return chains.boundary_index_table(K, i + 1)
-
-
 def _compensated_rayleigh(tab: np.ndarray, f: np.ndarray) -> float:
     """Rayleigh quotient evaluated with exact (fsum) accumulation."""
     s = f[tab].sum(axis=1)
@@ -132,7 +125,10 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
     if max_iters is not None and max_iters < 1:
         raise BadParams(f"max_iters must be positive, got {max_iters}")
     check_tol(tol)
-    tab = _boundary_table(K, i)
+    if not 0 <= i < K.dim:
+        raise DimensionOutOfRange(
+            f"q_{i} needs 0 <= i < dim = {K.dim} so that S_(i+1) is nonempty")
+    tab = chains.boundary_index_table(K, i + 1)
     n_i = K.n_faces(i)
     use_dense = method == "dense" or (method == "auto" and n_i <= DENSE_CUTOFF)
 

@@ -33,8 +33,8 @@ def pure2_complexes(draw, min_n=4, max_n=6, max_facets=12):
 
 
 @st.composite
-def mixed_complexes(draw, max_n=6):
-    """Random complexes with facets of mixed dimensions (1 to 3)."""
+def mixed_candidates(draw, max_n=6):
+    """Vertex count and candidate faces of mixed dimensions (1 to 3)."""
     n = draw(st.integers(4, max_n))
     faces = []
     for size in (2, 3, 4):
@@ -43,4 +43,9 @@ def mixed_complexes(draw, max_n=6):
         faces.extend(pool[k] for k in picks)
     if not faces:
         faces = [(0, 1)]
-    return from_facets(n, faces)
+    return n, faces
+
+
+def mixed_complexes(max_n=6):
+    """Random complexes with facets of mixed dimensions (1 to 3)."""
+    return mixed_candidates(max_n).map(lambda c: from_facets(*c))

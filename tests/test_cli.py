@@ -43,6 +43,13 @@ class TestGen:
     def test_gen_bad_params_is_usage_error(self):
         assert run_cli("gen", "tented", "--n", "2") == 2
 
+    def test_gen_bad_added_token_is_usage_error(self, capsys):
+        assert run_cli("gen", "tent_plus_faces", "--n", "6",
+                       "--add", "1,2,x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error bad_params: --add '1,2,x': ")
+        assert err.rstrip().endswith("'x'")
+
     def test_gen_random_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_cli("gen", "random_pure2", "--n", "6", "--seed", "9", "-o", str(a))
@@ -237,3 +244,10 @@ class TestInspectAndAsymptotic:
         assert n == "60"
         assert float(q1) == pytest.approx(117.0, abs=1e-3)
         assert 0.7 <= float(g) <= 1.3
+
+    @pytest.mark.parametrize("spec,token", [("60,x", "'x'"), (",", "''")])
+    def test_asymptotic_bad_n_token_is_usage_error(self, spec, token, capsys):
+        assert run_cli("asymptotic", "--t", "1", "--n", spec) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error bad_params: --n {spec!r}: ")
+        assert err.rstrip().endswith(token)

@@ -1,13 +1,18 @@
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcomplex import (
+    SimplicialComplex,
     canonical_form,
+    face,
     from_facets,
     is_isomorphic,
     read_facets,
+    spectral_radius,
     tent_plus_common_edge,
     tent_plus_faces,
     tented,
@@ -22,9 +27,9 @@ from qcomplex.errors import (
     TooLarge,
     VertexInFace,
 )
-from qcomplex.chains import up_connected
+from qcomplex.chains import boundary_index_table, up_connected
 
-from conftest import mixed_complexes, pure2_complexes
+from conftest import mixed_candidates, mixed_complexes, pure2_complexes
 
 
 class TestFromFacets:
@@ -59,9 +64,88 @@ class TestFromFacets:
         with pytest.raises(BadParams):
             from_facets(3, [])
 
+    def test_int64_key_overflow_refused(self):
+        assert from_facets(2 ** 61, [(0, 1, 2)]).facets == ((0, 1, 2),)
+        with pytest.raises(TooLarge):
+            from_facets(2 ** 62, [(0, 1, 2)])
+
     def test_unsorted_input_normalized(self):
         K = from_facets(3, [(2, 0, 1)])
         assert K.facets == ((0, 1, 2),)
+
+
+def oracle_from_facets(n, facets):
+    """Oracle: facets and faces by dimension from Python sets of tuples,
+    candidates taken largest first so maximality is one set lookup."""
+    if n <= 0:
+        raise BadParams(f"n_vertices must be positive, got {n}")
+    normalized = sorted({face(f) for f in facets})
+    if not normalized:
+        raise BadParams("facet list is empty")
+    if max(f[-1] for f in normalized) >= n:
+        raise BadVertexId("vertex outside [0, n)")
+    by_dim = [set() for _ in range(max(map(len, normalized)))]
+    maximal = []
+    for f in sorted(normalized, key=len, reverse=True):
+        if f in by_dim[len(f) - 1]:
+            continue
+        maximal.append(f)
+        for i in range(len(f)):
+            by_dim[i].update(combinations(f, i + 1))
+    return tuple(sorted(maximal)), [tuple(sorted(s)) for s in by_dim]
+
+
+def oracle_table(faces_by_dim, i):
+    """Oracle: one dict lookup per i-face and omitted vertex."""
+    lower = {f: k for k, f in enumerate(faces_by_dim[i - 1])}
+    return np.array([[lower[F[:j] + F[j + 1:]] for j in range(i + 1)]
+                     for F in faces_by_dim[i]], dtype=np.int64).reshape(-1, i + 1)
+
+
+class TestConstructionAgainstSetOracle:
+    @given(mixed_candidates(max_n=7), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_faces_and_tables_match(self, candidates, rnd):
+        # shuffled vertex order, shuffled list order and repeated candidates
+        n, faces = candidates
+        listed = [rnd.sample(f, len(f)) for f in faces + faces[:2]]
+        rnd.shuffle(listed)
+        K = from_facets(n, listed)
+        facets, by_dim = oracle_from_facets(n, listed)
+        assert K.facets == facets
+        assert K.dim == len(by_dim) - 1
+        for i, fs in enumerate(by_dim):
+            assert K.faces(i) == fs
+            assert K.n_faces(i) == len(fs)
+        for i in range(1, K.dim + 1):
+            tab = boundary_index_table(K, i)
+            assert tab.dtype == np.int64
+            assert np.array_equal(tab, oracle_table(by_dim, i))
+
+    @pytest.mark.parametrize("n,facets,error", [
+        (0, [(0, 1)], BadParams),
+        (-3, [(0, 1)], BadParams),
+        (4, [], BadParams),
+        (4, [(0, 1), ()], BadParams),
+        (4, [(0, 1, 2), (2, 1, 2)], BadParams),
+        (4, [(0, 1), (-1, 2)], BadVertexId),
+        (4, [(0, 1, 2), (1, 4)], BadVertexId),
+        (4, [(0, 1, 2), (1, 2, 3, 7)], BadVertexId),
+    ])
+    def test_error_types_match(self, n, facets, error):
+        for build in (from_facets, oracle_from_facets):
+            with pytest.raises(error):
+                build(n, facets)
+
+    def test_lanczos_makes_no_face_tuple(self, monkeypatch):
+        K = tent_plus_common_edge(60, 1)
+
+        def refuse(self, i):
+            raise AssertionError(f"faces({i}) built a tuple list")
+
+        monkeypatch.setattr(SimplicialComplex, "faces", refuse)
+        res = spectral_radius(K, 1, method="lanczos")
+        assert res.value == pytest.approx(117.0, abs=1e-3)
 
 
 class TestFaceDegree:
