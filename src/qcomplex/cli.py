@@ -92,8 +92,9 @@ def _cmd_spectra(opt) -> int:
 
 
 def _cmd_check(opt) -> int:
-    K = read_facets(opt["file"])
     seed = opt.get("seed") or 0
+    spectra.check_seed(seed)
+    K = read_facets(opt["file"])
     failures = 0
     lines = []
 

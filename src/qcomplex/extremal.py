@@ -685,6 +685,7 @@ def asymptotic_check(t: int, n_list, tol_schedule=None,
             raise BadParams("tol_schedule length must match n_list")
     for tol in tols:
         spectra.check_tol(tol)
+    spectra.check_seed(seed)
     rows = []
     eps = np.finfo(np.float64).eps
     for n, tol in zip(ns, tols):

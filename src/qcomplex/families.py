@@ -20,6 +20,7 @@ from .errors import (
     DuplicateFace,
     FaceContainsApex,
 )
+from .spectra import check_seed
 
 FAMILIES = ("simplex_skeleton", "tented", "tent_plus_common_edge",
             "tent_plus_faces", "delta_sphere", "rhombic", "random_pure2")
@@ -108,6 +109,7 @@ def random_pure2(n: int, target_t: int | None = None, seed: int = 0,
     """
     if n < 3 or n > RANDOM_MAX_N:
         raise BadParams(f"need 3 <= n <= {RANDOM_MAX_N}, got {n}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     triangles = list(combinations(range(n), 3))
     for _ in range(max_attempts):

@@ -1,16 +1,21 @@
 """Exact Betti numbers, the Euler identity, and basic-hole predicates.
 
-Betti numbers are computed by collapse, then eliminate. Elementary
-collapses remove a face that has exactly one coface together with that
-coface; this keeps the homotopy type, so the Betti numbers stay exact.
-The ranks of the residual boundary matrices then come from
-fraction-free (Bareiss) integer elimination, so no tolerance enters any
-Betti number. The eigenvalue-based `hodge_betti` exists purely as a
-cross-check.
+Betti numbers are computed by collapse, then coreduce, then eliminate.
+Elementary collapses remove a face that has exactly one coface together
+with that coface; this keeps the homotopy type. Coreduction (Mrozek and
+Batko, Discrete Comput. Geom. 41, 2009) is its dual: after one vertex is
+removed, which lowers beta_0 by exactly one, a face with exactly one
+remaining boundary face is removed together with that face; the
+remaining faces form an S-complex with the same homology. The ranks of
+its boundary matrices then come from fraction-free (Bareiss) integer
+elimination, so no tolerance enters any Betti number. The
+eigenvalue-based `hodge_betti` exists purely as a cross-check.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -19,6 +24,7 @@ import numpy as np
 from . import chains
 from .complex_core import SimplicialComplex
 from .errors import (
+    BadParams,
     DimensionOutOfRange,
     NotBasicHole,
     NotPure,
@@ -31,24 +37,50 @@ from .errors import (
 _INT64_GUARD = np.int64(1) << 31
 
 #: Largest dense int64 residual boundary matrix, in bytes, that
-#: `betti_profile` and `is_basic_hole` allocate after collapsing; larger
-#: ones raise `TooLarge`. `integer_rank` holds about three more working
-#: copies, so the peak is about four times this. Tents with added faces
-#: collapse to a handful of faces at any size; the 2-skeleton of the
-#: 59-simplex has no free face, and its 1770 x 34220 top boundary
-#: (484 MB) is refused.
+#: `betti_profile` and `is_basic_hole` allocate after collapse and
+#: coreduction; larger ones raise `TooLarge`. `integer_rank` holds about
+#: three more working copies, so the peak is about four times this. Tents
+#: with added faces collapse to a handful of faces at any size, and the
+#: 2-skeleton of the 59-simplex, which has no free face, coreduces to its
+#: 32509 top faces with zero boundary. Two disjoint copies of that
+#: skeleton leave the second copy whole: a 1770 x 66729 top boundary
+#: (945 MB), which is refused.
 DENSE_BYTES_LIMIT = 256 * 2**20
+
+
+def _integer_matrix(A) -> np.ndarray:
+    """A as an int64 array, or as an object array of Python ints when
+    some entry lies outside int64; refuses any non-integral entry."""
+    M = np.asarray(A)
+    if M.dtype.kind in "ib":
+        return M.astype(np.int64)
+    if M.dtype.kind == "f":
+        integral = np.isfinite(M).all() and (M == np.round(M)).all()
+        if integral and (M.size == 0 or np.abs(M).max() < 2.0 ** 63):
+            return M.astype(np.int64)
+    else:
+        integral = M.dtype.kind in "uO" and all(
+            isinstance(x, numbers.Integral) for x in M.flat)
+    if not integral:
+        raise BadParams("integer_rank needs integral entries")
+    M = np.frompyfunc(int, 1, 1)(M).astype(object)
+    bound = 1 << 63
+    return M.astype(np.int64) if all(-bound <= x < bound for x in M.flat) else M
 
 
 def integer_rank(A) -> int:
     """Exact rank of an integer matrix via fraction-free elimination.
 
     Runs vectorized in int64 and falls back to Python big integers for
-    the remaining submatrix if entries approach the overflow guard.
+    the remaining submatrix if entries approach the overflow guard, or
+    from the start when an entry lies outside int64. Integral floats are
+    accepted; any other non-integral entry raises `BadParams`.
     """
-    M = np.array(A, dtype=np.int64, copy=True)
+    M = _integer_matrix(A)
     if M.ndim != 2 or 0 in M.shape:
         return 0
+    if M.dtype == object:
+        return _python_bareiss_rank(M.tolist(), 1)
     m, n = M.shape
     rank = 0
     row = 0
@@ -206,30 +238,99 @@ def _collapse(K: SimplicialComplex) -> list[np.ndarray]:
     return alive
 
 
+def _coreduce(K: SimplicialComplex, alive: list[np.ndarray]) -> list[np.ndarray]:
+    """Masks, one per dimension, of the collapse residual left by coreduction.
+
+    The least surviving vertex is removed first, which lowers beta_0 by
+    exactly one; collapse keeps a vertex of every component, so there is
+    one. Then, while some face b has exactly one remaining boundary face
+    a, the pair (a, b) is removed. Each face keeps the count and the index
+    sum of its remaining boundary faces, so the sum names a once the count
+    is 1. A removed face has count 0 (b reaches it by losing a), so it is
+    never picked again. The collapse residual is a subcomplex, so the work
+    runs in local indices over it alone.
+    """
+    top = K.dim
+    idx = [np.flatnonzero(mask) for mask in alive]
+    count, bsum, co_ptr, co_idx = [None], [None], [], []
+    for d in range(1, top + 1):
+        local = np.cumsum(alive[d - 1]) - 1
+        tab = local[chains.boundary_index_table(K, d)[idx[d]]]
+        count.append([d + 1] * len(idx[d]))
+        bsum.append(tab.sum(axis=1).tolist())
+        order = np.argsort(tab.reshape(-1), kind="stable")
+        co_idx.append((order // (d + 1)).tolist())
+        co_ptr.append(np.concatenate(
+            ([0], np.cumsum(np.bincount(tab.reshape(-1),
+                                        minlength=len(idx[d - 1]))))).tolist())
+    removed = [[0]] + [[] for _ in range(top)]
+    stack = []
+
+    def drop(e: int, x: int) -> None:
+        # face x of dimension e - 1 is gone: its cofaces lose a boundary face
+        if e > top:
+            return
+        cnt, total = count[e], bsum[e]
+        for c in co_idx[e - 1][co_ptr[e - 1][x]:co_ptr[e - 1][x + 1]]:
+            cnt[c] -= 1
+            total[c] -= x
+            if cnt[c] == 1:
+                stack.append((e, c))
+
+    drop(1, 0)
+    while stack:
+        d, b = stack.pop()
+        if count[d][b] != 1:
+            continue
+        a = bsum[d][b]
+        removed[d - 1].append(a)
+        removed[d].append(b)
+        if d > 1:
+            count[d - 1][a] = 0
+        drop(d, a)
+        drop(d + 1, b)
+    left = []
+    for d in range(top + 1):
+        mask = alive[d].copy()
+        mask[idx[d][removed[d]]] = False
+        left.append(mask)
+    return left
+
+
 def _residual_boundary(K: SimplicialComplex, alive: list[np.ndarray],
                        i: int) -> np.ndarray:
-    """Dense signed i-th boundary between the faces that survive collapse."""
+    """Dense signed i-th boundary restricted to the surviving faces.
+
+    Columns are the surviving i-faces and rows the surviving (i-1)-faces;
+    entries on removed rows are dropped.
+    """
     tab = chains.boundary_index_table(K, i)[alive[i]]
     n_rows = int(alive[i - 1].sum())
     _require_dense_fits(n_rows, tab.shape[0])
     rows = np.cumsum(alive[i - 1]) - 1
+    cols, js = np.nonzero(alive[i - 1][tab])
     A = np.zeros((n_rows, tab.shape[0]), dtype=np.int64)
-    signs = np.array([(-1) ** j for j in range(tab.shape[1])], dtype=np.int64)
-    cols = np.repeat(np.arange(tab.shape[0]), tab.shape[1])
-    A[rows[tab].reshape(-1), cols] = np.tile(signs, tab.shape[0])
+    A[rows[tab[cols, js]], cols] = 1 - 2 * (js & 1)
     return A
 
 
 def betti_profile(K: SimplicialComplex) -> BettiProfile:
-    """Exact Betti numbers over the rationals: collapse, then eliminate."""
-    alive = _collapse(K)
+    """Exact Betti numbers over the rationals: collapse, coreduce, then
+    eliminate. Cached on the complex."""
+    profile = K._cache.get("betti")
+    if profile is not None:
+        return profile
+    alive = _coreduce(K, _collapse(K))
     sizes = [int(mask.sum()) for mask in alive]
     for i in range(1, K.dim + 1):  # refuse before any allocation or elimination
         _require_dense_fits(sizes[i - 1], sizes[i])
-    residual = [0] + [integer_rank(_residual_boundary(K, alive, i))
-                      for i in range(1, K.dim + 1)] + [0]
-    betti = tuple(sizes[i] - residual[i] - residual[i + 1]
-                  for i in range(K.dim + 1))
+    residual = [0]
+    for i in range(1, K.dim + 1):
+        A = _residual_boundary(K, alive, i)
+        residual.append(integer_rank(A) if A.any() else 0)
+    residual.append(0)
+    betti = [sizes[i] - residual[i] - residual[i + 1] for i in range(K.dim + 1)]
+    betti[0] += 1  # the vertex that started the coreduction
     # ranks of the boundary maps of K itself, top-down from its face counts
     ranks = [0] * (K.dim + 2)
     for i in range(K.dim, 0, -1):
@@ -239,7 +340,9 @@ def betti_profile(K: SimplicialComplex) -> BettiProfile:
     if chi != chi_betti:
         raise AssertionError(
             f"Euler identity violated: {chi} != {chi_betti} on {K!r}")
-    return BettiProfile(betti, chi, tuple(ranks[:-1]))
+    profile = K._cache["betti"] = BettiProfile(tuple(betti), chi,
+                                               tuple(ranks[:-1]))
+    return profile
 
 
 def euler_characteristic(K: SimplicialComplex) -> int:
@@ -256,6 +359,9 @@ def hodge_betti(K: SimplicialComplex, i: int, zero_tol: float = 1e-8) -> int:
     """
     if not 0 <= i <= K.dim:
         raise DimensionOutOfRange(f"i={i} outside [0, {K.dim}]")
+    if not (isinstance(zero_tol, numbers.Real) and 0 < zero_tol < math.inf):
+        raise BadParams(
+            f"zero_tol must be a positive finite number, got {zero_tol!r}")
     L = chains.laplacian(K, i, "L_full").toarray()
     eigs = np.linalg.eigvalsh(L)
     band = eigs[(eigs >= zero_tol) & (eigs < 100 * zero_tol)]
@@ -281,20 +387,18 @@ def is_basic_hole(K: SimplicialComplex) -> bool:
     Every top cycle vanishes on a facet removed by collapse (by induction
     over the collapse order, its free face meets no other remaining
     facet), so K is not a basic hole once any facet collapses. Otherwise
-    the residual top boundary is the full one.
+    the top Betti number comes from the cached `betti_profile`, and only
+    when it is 1 is the kernel of the top boundary computed; the collapse
+    residual then keeps every facet, so its top boundary is the full one.
     """
     _require_pure(K)
     r = K.dim
     if r < 1:
         raise DimensionOutOfRange("basic holes need dimension >= 1")
     alive = _collapse(K)
-    if not alive[r].all():
+    if not alive[r].all() or betti_profile(K).betti[r] != 1:
         return False
-    A = _residual_boundary(K, alive, r)
-    nullity = K.n_faces(r) - integer_rank(A)
-    if nullity != 1:
-        return False
-    (z,) = rational_kernel_basis(A)
+    (z,) = rational_kernel_basis(_residual_boundary(K, alive, r))
     return all(x != 0 for x in z)
 
 

@@ -61,6 +61,12 @@ def check_tol(tol) -> None:
         raise BadParams(f"tol must be a nonnegative number, got {tol!r}")
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not a nonnegative integer."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise BadParams(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def _compensated_rayleigh(tab: np.ndarray, f: np.ndarray) -> float:
     """Rayleigh quotient evaluated with exact (fsum) accumulation."""
     s = f[tab].sum(axis=1)
@@ -125,6 +131,7 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
     if max_iters is not None and max_iters < 1:
         raise BadParams(f"max_iters must be positive, got {max_iters}")
     check_tol(tol)
+    check_seed(seed)
     if not 0 <= i < K.dim:
         raise DimensionOutOfRange(
             f"q_{i} needs 0 <= i < dim = {K.dim} so that S_(i+1) is nonempty")
@@ -166,6 +173,7 @@ def perron_vector(K: SimplicialComplex, i: int,
     if normalization not in NORMALIZATIONS:
         raise BadParams(f"normalization must be one of {NORMALIZATIONS}")
     check_tol(tol)
+    check_seed(seed)
     if not K.is_path_connected(i):
         raise NotPathConnected(f"complex is not {i}-path connected")
     res = spectral_radius(K, i, tol=tol, seed=seed, max_iters=max_iters)

@@ -245,6 +245,22 @@ class TestInspectAndAsymptotic:
         assert float(q1) == pytest.approx(117.0, abs=1e-3)
         assert 0.7 <= float(g) <= 1.3
 
+    @pytest.mark.parametrize("command", [
+        ["spectra", "{file}", "--dim", "1", "--seed", "-1"],
+        ["check", "{file}", "--seed", "-1"],
+        ["asymptotic", "--t", "1", "--n", "60", "--seed", "-3"],
+        ["gen", "random_pure2", "--n", "5", "--seed", "-1"],
+    ], ids=["spectra", "check", "asymptotic", "gen"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        f = tmp_path / "t40.facets"
+        run_cli("gen", "tent_plus_common_edge", "--n", "40", "--t", "1",
+                "-o", str(f))
+        argv = [str(f) if tok == "{file}" else tok for tok in command]
+        assert run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error bad_params: seed ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("spec,token", [("60,x", "'x'"), (",", "''")])
     def test_asymptotic_bad_n_token_is_usage_error(self, spec, token, capsys):
         assert run_cli("asymptotic", "--t", "1", "--n", spec) == 2

@@ -541,6 +541,14 @@ class TestAsymptoticCheck:
         with pytest.raises(BadParams):
             asymptotic_check(1, n_list, tol_schedule=tols)
 
+    @pytest.mark.parametrize("seed", [-3, 1.5])
+    def test_bad_seed_refused(self, seed, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the seed was checked")
+        monkeypatch.setattr(spectra, "spectral_radius", solve)
+        with pytest.raises(BadParams):
+            asymptotic_check(1, [60], seed=seed)
+
     def test_degenerate_top_refused(self, monkeypatch):
         # a numerically multiple top eigenvalue leaves q1 unidentified
         solve = spectra.spectral_radius

@@ -1,8 +1,9 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 
 from qcomplex import (
     betti_profile,
@@ -20,7 +21,13 @@ from qcomplex import (
     tented,
 )
 from qcomplex import homology
-from qcomplex.errors import NotBasicHole, NotPure, SpectrumAmbiguous, TooLarge
+from qcomplex.errors import (
+    BadParams,
+    NotBasicHole,
+    NotPure,
+    SpectrumAmbiguous,
+    TooLarge,
+)
 
 from conftest import mixed_complexes, pure2_complexes
 from test_chains import fraction_rank
@@ -61,6 +68,25 @@ class TestIntegerRank:
     def test_zero_matrix(self):
         assert integer_rank(np.zeros((3, 4), dtype=np.int64)) == 0
 
+    def test_integral_floats_accepted(self):
+        assert integer_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
+        assert integer_rank([[2.0 ** 70, 1.0], [1.0, 1.0]]) == 2
+
+    @pytest.mark.parametrize("A", [[[0.5, 0], [0, 1]], [[np.nan, 0], [0, 1]],
+                                   [[np.inf, 1]], [["1", "0"]]],
+                             ids=["half", "nan", "inf", "strings"])
+    def test_non_integral_entries_refused(self, A):
+        # truncating 0.5 to 0 would answer 1 against the rational rank 2
+        with pytest.raises(BadParams):
+            integer_rank(A)
+
+    def test_entries_beyond_int64_are_exact(self):
+        assert integer_rank([[2 ** 70, 1], [1, 1]]) == 2
+        assert integer_rank([[2 ** 70, 2 ** 71], [1, 2]]) == 1
+        assert integer_rank([[-(2 ** 63), 1], [1, 1]]) == 2
+        assert integer_rank(np.array([[2 ** 63, 1], [1, 1]],
+                                     dtype=np.uint64)) == 2
+
 
 class TestBettiProfile:
     def test_delta_sphere(self):
@@ -78,15 +104,26 @@ class TestBettiProfile:
         assert betti_profile(tent_plus_common_edge(n, t)).betti == (1, 0, t)
 
     def test_dense_matrix_above_limit_refused(self, monkeypatch):
-        # no face of the 2-skeleton of the 59-simplex is free, so its whole
-        # 1770 x 34220 top boundary (484 MB) is the residual: refused
-        # before any elimination runs
-        K = simplex_skeleton(60, 2)
+        # no face of the 2-skeleton of the 59-simplex is free, but
+        # coreduction from vertex 0 removes every vertex and edge: its
+        # 32509 top faces are left with a zero boundary, so no elimination
+        # runs
         monkeypatch.setattr(homology, "integer_rank", None)
-        with pytest.raises(TooLarge):
-            betti_profile(K)
-        with pytest.raises(TooLarge):
-            is_basic_hole(K)
+        K = simplex_skeleton(60, 2)
+        profile = betti_profile(K)
+        assert profile.betti == (1, 0, 32509)
+        assert profile.ranks == (0, 59, 1711)
+        assert not is_basic_hole(K)
+        # two disjoint copies: coreduction starts in the first, so the
+        # second keeps every face and the 1770 x 66729 top boundary
+        # (945 MB) is refused before any elimination runs
+        triangles = list(combinations(range(60), 3))
+        twice = from_facets(120, triangles + [tuple(v + 60 for v in f)
+                                              for f in triangles])
+        with pytest.raises(TooLarge, match="1770 x 66729"):
+            betti_profile(twice)
+        with pytest.raises(TooLarge, match="1770 x 66729"):
+            is_basic_hole(twice)
         monkeypatch.undo()
         # the 240-vertex tent's 28680 x 28442 top boundary (6.5 GB)
         # collapses to a few faces
@@ -151,6 +188,54 @@ class TestCollapseAgainstOracle:
         elif K.dim >= 1:
             assert is_basic_hole(K) == naive_deletion_check(K)
 
+    @pytest.mark.parametrize("n,facets", [
+        (1, [(0,)]),
+        (4, [(0,), (1,), (3,)]),
+        (5, [(0, 1), (2,), (3, 4)]),
+        (9, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6), (7,)]),
+        (10, list(combinations(range(5), 4)) + [(5, 6), (6, 7), (5, 7), (8, 9)]),
+    ], ids=["one_vertex", "three_vertices", "edges_and_a_vertex",
+            "sphere_triangle_vertex", "three_sphere_circle_edge"])
+    def test_disconnected_and_vertex_only(self, n, facets):
+        K = from_facets(n, facets)
+        profile = betti_profile(K)
+        assert (profile.betti, profile.ranks) == oracle_profile(K)
+
+    @given(mixed_complexes(max_n=5), mixed_complexes(max_n=5))
+    @settings(max_examples=40, deadline=None)
+    def test_disjoint_union_matches_full_elimination(self, K, L):
+        shift = K.n_vertices
+        union = from_facets(shift + L.n_vertices,
+                            list(K.facets) + [tuple(v + shift for v in f)
+                                              for f in L.facets])
+        profile = betti_profile(union)
+        assert (profile.betti, profile.ranks) == oracle_profile(union)
+        assert profile.betti[0] == (betti_profile(K).betti[0]
+                                    + betti_profile(L).betti[0])
+
+    @seed(20260)
+    @given(mixed_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_basic_hole_reads_the_cached_top_betti(self, K):
+        # beta_top != 1 answers False from the cached profile: no rank and
+        # no kernel of the top boundary is computed
+        top = betti_profile(K).betti[K.dim]
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("integer_rank", "rational_kernel_basis"):
+                real = getattr(homology, name)
+                mp.setattr(homology, name,
+                           lambda A, real=real, name=name:
+                           calls.append(name) or real(A))
+            if not K.is_pure():
+                with pytest.raises(NotPure):
+                    is_basic_hole(K)
+            elif K.dim >= 1:
+                assert is_basic_hole(K) == naive_deletion_check(K)
+        assert "integer_rank" not in calls
+        if top != 1:
+            assert not calls
+
     @pytest.mark.parametrize("K", [delta_sphere(2), rhombic(2), delta_sphere(3)],
                              ids=["delta_sphere2", "rhombic2", "delta_sphere3"])
     def test_spheres_keep_every_facet(self, K):
@@ -189,6 +274,14 @@ class TestHodgeBetti:
     def test_guard_band(self, triangle):
         with pytest.raises(SpectrumAmbiguous):
             hodge_betti(triangle, 1, zero_tol=1.0)
+
+    @pytest.mark.parametrize("zero_tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_bad_zero_tol_refused(self, zero_tol):
+        # a NaN or negative threshold would count no zero eigenvalue at all
+        K = tent_plus_common_edge(8, 1)
+        assert hodge_betti(K, 0) == 1
+        with pytest.raises(BadParams):
+            hodge_betti(K, 0, zero_tol=zero_tol)
 
     @given(mixed_complexes(max_n=5))
     @settings(max_examples=25, deadline=None)

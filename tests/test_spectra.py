@@ -25,6 +25,7 @@ from qcomplex.errors import (
     NotPathConnected,
     ResidualTooLarge,
 )
+from qcomplex import spectra
 from qcomplex.spectra import DEGENERACY_GAP, DENSE_CUTOFF, SpectralResult
 
 from conftest import pure2_complexes
@@ -88,6 +89,16 @@ class TestSpectralRadius:
         # before any solve: -1 used to run 21 operator applications
         with pytest.raises(BadParams):
             spectral_radius(tented(8, 2), 1, tol=tol)
+
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
+    def test_bad_seed_refused(self, seed, method, monkeypatch):
+        # numpy used to raise a bare ValueError or TypeError mid-solve
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(spectra, "_lanczos_top2", None)
+        with pytest.raises(BadParams):
+            spectral_radius(tent_plus_common_edge(8, 1), 1, seed=seed,
+                            method=method)
 
     def test_dense_polish_reports_unreachable_tol(self):
         # no eigensolve reaches a zero residual: the dense pair is polished
@@ -181,6 +192,12 @@ class TestPerronVector:
         # refused before the connectivity check
         with pytest.raises(BadParams):
             perron_vector(two_triangles, 1, tol=tol)
+
+    @pytest.mark.parametrize("seed", [-1, 2.0])
+    def test_bad_seed_refused(self, seed, two_triangles):
+        # refused before the connectivity check
+        with pytest.raises(BadParams):
+            perron_vector(two_triangles, 1, seed=seed)
 
     def test_bad_normalization(self, delta4):
         with pytest.raises(BadParams):
