@@ -13,8 +13,6 @@ from .complex_core import (
     write_facets,
 )
 from .chains import (
-    BoundaryMatrix,
-    LaplacianOperator,
     apply_q_down,
     apply_q_up,
     boundary_sums,
@@ -74,9 +72,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Face", "SimplicialComplex", "canonical_form", "face", "from_facets",
     "is_isomorphic", "read_facets", "write_facets",
-    "BoundaryMatrix", "LaplacianOperator", "apply_q_down", "apply_q_up",
-    "boundary_sums", "laplacian", "quadratic_form", "signed_boundary",
-    "signless_boundary",
+    "apply_q_down", "apply_q_up", "boundary_sums", "laplacian",
+    "quadratic_form", "signed_boundary", "signless_boundary",
     "BasicHoleReport", "BettiProfile", "betti_profile",
     "check_basic_hole_properties", "euler_characteristic", "hodge_betti",
     "integer_rank", "is_basic_hole",

@@ -11,10 +11,9 @@ built from it (signless, and signed on request); no face tuple is made.
 The neighbour queries of `SimplicialComplex`, `homology`, `spectra` and
 `extremal` all read this incidence. On top of it sit
 
-* explicit operators (`signed_boundary`, `signless_boundary`,
-  `laplacian`) for desk-scale instances. A Laplacian's dense form is
-  one scatter of the index tables; its sparse product is built on the
-  first `apply`. And
+* explicit matrices for desk-scale instances: `signed_boundary` and
+  `signless_boundary` (copies of the cached CSR boundaries) and the dense
+  `laplacian`, one scatter of the index tables. And
 * operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
   that never form a Laplacian. The large-n eigensolver runs on
   `apply_q_up`.
@@ -22,64 +21,16 @@ The neighbour queries of `SimplicialComplex`, `homology`, `spectra` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 import scipy.sparse as sp
 
-from .complex_core import Face, SimplicialComplex
+from .complex_core import SimplicialComplex
 from .errors import DimensionOutOfRange, LengthMismatch, TooLarge, BadParams
 
 #: Explicit dense matrices are only materialized up to this side length.
 DENSE_LIMIT = 4096
 
 LAPLACIAN_KINDS = ("L_up", "L_down", "L_full", "Q_up", "Q_down")
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Sparse boundary map from i-chains to (i-1)-chains.
-
-    Triplets are ordered by (row, col); values are +-1 when signed and 1
-    when signless. Every column holds exactly i+1 nonzeros.
-    """
-
-    rows: tuple[Face, ...]
-    cols: tuple[Face, ...]
-    row_indices: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-    signed: bool
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.cols))
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
-
-    def tocsr(self, dtype=np.float64) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values.astype(dtype), (self.row_indices, self.col_indices)),
-            shape=self.shape)
-
-    def toarray(self) -> np.ndarray:
-        if max(self.shape) > DENSE_LIMIT:
-            raise TooLarge(f"dense form refused for shape {self.shape}")
-        out = np.zeros(self.shape, dtype=np.int64)
-        out[self.row_indices, self.col_indices] = self.values
-        return out
-
-    def write_triplets(self, path) -> None:
-        """Dump as text: header ``rows cols nnz`` then ``i j value`` lines."""
-        order = np.lexsort((self.col_indices, self.row_indices))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{self.shape[0]} {self.shape[1]} {self.nnz}\n")
-            for k in order:
-                fh.write(f"{self.row_indices[k]} {self.col_indices[k]} "
-                         f"{self.values[k]}\n")
 
 
 def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
@@ -99,14 +50,15 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     return tab
 
 
-def signed_boundary(K: SimplicialComplex, i: int) -> BoundaryMatrix:
-    """Matrix of the i-th boundary map in the lexicographic face bases."""
-    return _boundary(K, i, signed=True)
+def signed_boundary(K: SimplicialComplex, i: int) -> sp.csr_matrix:
+    """Matrix of the i-th boundary map in the lexicographic face bases: a
+    float64 CSR copy of the cached `boundary_csr`."""
+    return boundary_csr(K, i, signed=True).copy()
 
 
-def signless_boundary(K: SimplicialComplex, i: int) -> BoundaryMatrix:
+def signless_boundary(K: SimplicialComplex, i: int) -> sp.csr_matrix:
     """Same support as the signed boundary with every entry equal to 1."""
-    return _boundary(K, i, signed=False)
+    return boundary_csr(K, i).copy()
 
 
 def boundary_csr(K: SimplicialComplex, i: int,
@@ -116,23 +68,13 @@ def boundary_csr(K: SimplicialComplex, i: int,
     key = ("csr", i, signed)
     B = K._cache.get(key)
     if B is None:
-        rows, cols, values = _triplets(K, i, signed)
-        B = K._cache[key] = sp.csr_matrix((values.astype(np.float64), (rows, cols)),
-                                          shape=(K.n_faces(i - 1), K.n_faces(i)))
+        tab = boundary_index_table(K, i)
+        n_cols, width = tab.shape
+        cols = np.repeat(np.arange(n_cols, dtype=np.int64), width)
+        values = np.tile(_signs(width, signed), n_cols).astype(np.float64)
+        B = K._cache[key] = sp.csr_matrix((values, (tab.reshape(-1), cols)),
+                                          shape=(K.n_faces(i - 1), n_cols))
     return B
-
-
-def _boundary(K: SimplicialComplex, i: int, signed: bool) -> BoundaryMatrix:
-    return BoundaryMatrix(K.faces(i - 1), K.faces(i),
-                          *_triplets(K, i, signed), signed)
-
-
-def _triplets(K: SimplicialComplex, i: int, signed: bool):
-    """Row indices, column indices and values, column face by column face."""
-    tab = boundary_index_table(K, i)
-    n_cols, width = tab.shape
-    return (tab.reshape(-1), np.repeat(np.arange(n_cols, dtype=np.int64), width),
-            np.tile(_signs(width, signed), n_cols))
 
 
 def _signs(width: int, signed: bool) -> np.ndarray:
@@ -140,92 +82,15 @@ def _signs(width: int, signed: bool) -> np.ndarray:
     return (-1) ** np.arange(width) if signed else np.ones(width, np.int64)
 
 
-@dataclass(frozen=True)
-class LaplacianOperator:
-    """Symmetric PSD operator of the given kind on the i-faces of
-    ``complex`` (i = ``dim_index``). `toarray` scatters the dense form
-    from the boundary index tables; `matrix`, the sparse product that
-    `apply` multiplies by, is built on first use and cached.
-    """
-
-    kind: str
-    dim_index: int
-    complex: SimplicialComplex = field(repr=False)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n_i = self.complex.n_faces(self.dim_index)
-        return (n_i, n_i)
-
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        K, i, kind = self.complex, self.dim_index, self.kind
-        signed = kind.startswith("L")
-
-        def up() -> sp.csr_matrix:
-            B = boundary_csr(K, i + 1, signed)
-            return (B @ B.T).tocsr()
-
-        def down() -> sp.csr_matrix:
-            B = boundary_csr(K, i, signed)
-            return (B.T @ B).tocsr()
-
-        if kind.endswith("up"):
-            return up()
-        if kind.endswith("down"):
-            return down()
-        M = sp.csr_matrix(self.shape, dtype=np.float64)  # L_full
-        if i < K.dim:
-            M = M + up()
-        if i >= 1:
-            M = M + down()
-        return M.tocsr()
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != (self.shape[1],):
-            raise LengthMismatch(f"vector length {f.shape} vs {self.shape}")
-        return self.matrix @ f
-
-    def toarray(self) -> np.ndarray:
-        """Dense form, equal entry for entry to ``matrix.toarray()``: each
-        pair of i-faces in one (i+1)-face, or on one (i-1)-face, adds its
-        sign product in one `np.bincount` (exact: small integer sums).
-        """
-        K, i, n_i = self.complex, self.dim_index, self.shape[0]
-        if n_i > DENSE_LIMIT:
-            raise TooLarge(f"dense form refused for shape {self.shape}")
-        signed = self.kind.startswith("L")
-        flat, weights = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        if not self.kind.endswith("down") and i < K.dim:
-            tab = boundary_index_table(K, i + 1)
-            s = _signs(i + 2, signed)
-            flat.append((tab[:, :, None] * n_i + tab[:, None, :]).ravel())
-            weights.append(np.tile(np.outer(s, s).ravel(), len(tab)))
-        if not self.kind.endswith("up") and i >= 1:
-            # group the (i-face, (i-1)-face) incidences by (i-1)-face
-            lower = boundary_index_table(K, i).ravel()
-            order = np.argsort(lower)
-            key = lower[order]
-            size = np.bincount(key)[key]
-            shift = np.searchsorted(key, key) - np.cumsum(size) + size
-            face, j = np.divmod(order, i + 1)
-            s = _signs(i + 1, signed)[j]
-            other = np.repeat(shift, size) + np.arange(size.sum())
-            flat.append(np.repeat(face * n_i, size) + face[other])
-            weights.append(np.repeat(s, size) * s[other])
-        dense = np.bincount(np.concatenate(flat), np.concatenate(weights),
-                            minlength=n_i * n_i)
-        return dense.astype(np.float64, copy=False).reshape(n_i, n_i)
-
-
-def laplacian(K: SimplicialComplex, i: int, kind: str) -> LaplacianOperator:
-    """Operator of the requested kind on the i-faces.
+def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
+    """Dense float64 operator of the requested kind on the i-faces.
 
     ``L_*`` kinds use the signed boundary, ``Q_*`` the signless one;
     ``L_full`` is the sum of the up and down parts (terms that do not
-    exist at the boundary dimensions are zero). Nothing is built here:
-    see `LaplacianOperator` for the dense and the sparse form.
+    exist at the boundary dimensions are zero). Each pair of i-faces in
+    one (i+1)-face, or on one (i-1)-face, adds its sign product in one
+    `np.bincount` of the boundary index tables (exact: small integer
+    sums). More than `DENSE_LIMIT` i-faces raise `TooLarge`.
     """
     if kind not in LAPLACIAN_KINDS:
         raise BadParams(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
@@ -235,7 +100,31 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> LaplacianOperator:
         raise DimensionOutOfRange(f"{kind} needs i < dim = {K.dim}")
     if kind in ("L_down", "Q_down") and i < 1:
         raise DimensionOutOfRange(f"{kind} needs i >= 1")
-    return LaplacianOperator(kind, i, K)
+    n_i = K.n_faces(i)
+    if n_i > DENSE_LIMIT:
+        raise TooLarge(f"dense form refused for shape {(n_i, n_i)}")
+    signed = kind.startswith("L")
+    flat, weights = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    if not kind.endswith("down") and i < K.dim:
+        tab = boundary_index_table(K, i + 1)
+        s = _signs(i + 2, signed)
+        flat.append((tab[:, :, None] * n_i + tab[:, None, :]).ravel())
+        weights.append(np.tile(np.outer(s, s).ravel(), len(tab)))
+    if not kind.endswith("up") and i >= 1:
+        # group the (i-face, (i-1)-face) incidences by (i-1)-face
+        lower = boundary_index_table(K, i).ravel()
+        order = np.argsort(lower)
+        key = lower[order]
+        size = np.bincount(key)[key]
+        shift = np.searchsorted(key, key) - np.cumsum(size) + size
+        face, j = np.divmod(order, i + 1)
+        s = _signs(i + 1, signed)[j]
+        other = np.repeat(shift, size) + np.arange(size.sum())
+        flat.append(np.repeat(face * n_i, size) + face[other])
+        weights.append(np.repeat(s, size) * s[other])
+    dense = np.bincount(np.concatenate(flat), np.concatenate(weights),
+                        minlength=n_i * n_i)
+    return dense.astype(np.float64, copy=False).reshape(n_i, n_i)
 
 
 def up_connected(K: SimplicialComplex, i: int, skip: int | None = None) -> bool:

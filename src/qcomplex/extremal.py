@@ -106,7 +106,6 @@ def _check_bound_params(n: int, r: int, t: int) -> None:
 class _TriangleSpace(NamedTuple):
     skeleton: SimplicialComplex   # 2-skeleton of the (n-1)-simplex
     triangles: tuple[Face, ...]
-    edge_masks: tuple[int, ...]   # bitmask over edges per triangle
     signed: np.ndarray            # dense (edges, triangles) int64 boundary
     signless: np.ndarray          # dense (edges, triangles) signless boundary
 
@@ -128,11 +127,9 @@ def _triangle_space(n: int) -> _TriangleSpace:
     space = _SPACE_CACHE.get(n)
     if space is None:
         S = simplex_skeleton(n, 2)
-        emasks = tuple(sum(1 << e for e in row)
-                       for row in chains.boundary_index_table(S, 2).tolist())
         space = _SPACE_CACHE[n] = _TriangleSpace(
-            S, S.faces(2), emasks,
-            chains.signed_boundary(S, 2).toarray().astype(np.int64),
+            S, S.faces(2),
+            chains.boundary_csr(S, 2, signed=True).toarray().astype(np.int64),
             chains.boundary_csr(S, 2).toarray())
     return space
 

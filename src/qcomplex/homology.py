@@ -3,13 +3,14 @@
 Betti numbers are computed by collapse, then coreduce, then eliminate.
 Elementary collapses remove a face that has exactly one coface together
 with that coface; this keeps the homotopy type. Coreduction (Mrozek and
-Batko, Discrete Comput. Geom. 41, 2009) is its dual: after one vertex is
-removed, which lowers beta_0 by exactly one, a face with exactly one
-remaining boundary face is removed together with that face; the
-remaining faces form an S-complex with the same homology. The ranks of
-its boundary matrices then come from fraction-free (Bareiss) integer
-elimination, so no tolerance enters any Betti number. The
-eigenvalue-based `hodge_betti` exists purely as a cross-check.
+Batko, Discrete Comput. Geom. 41, 2009) is its dual: after one vertex of
+each connected component is removed, which lowers beta_0 by the number of
+components, a face with exactly one remaining boundary face is removed
+together with that face; the remaining faces form an S-complex with the
+same homology. The ranks of its boundary matrices then come from
+fraction-free (Bareiss) integer elimination, so no tolerance enters any
+Betti number. The eigenvalue-based `hodge_betti` exists purely as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ _INT64_GUARD = np.int64(1) << 31
 #: three more working copies, so the peak is about four times this. Tents
 #: with added faces collapse to a handful of faces at any size, and the
 #: 2-skeleton of the 59-simplex, which has no free face, coreduces to its
-#: 32509 top faces with zero boundary. Two disjoint copies of that
-#: skeleton leave the second copy whole: a 1770 x 66729 top boundary
-#: (945 MB), which is refused.
+#: 32509 top faces with zero boundary. Coreduction starts in every
+#: connected component, so two disjoint copies of it leave twice that.
 DENSE_BYTES_LIMIT = 256 * 2**20
 
 
@@ -238,17 +238,19 @@ def _collapse(K: SimplicialComplex) -> list[np.ndarray]:
     return alive
 
 
-def _coreduce(K: SimplicialComplex, alive: list[np.ndarray]) -> list[np.ndarray]:
-    """Masks, one per dimension, of the collapse residual left by coreduction.
+def _coreduce(K: SimplicialComplex,
+              alive: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Masks, one per dimension, of the collapse residual left by
+    coreduction, and the number of connected components of that residual.
 
-    The least surviving vertex is removed first, which lowers beta_0 by
-    exactly one; collapse keeps a vertex of every component, so there is
-    one. Then, while some face b has exactly one remaining boundary face
-    a, the pair (a, b) is removed. Each face keeps the count and the index
-    sum of its remaining boundary faces, so the sum names a once the count
-    is 1. A removed face has count 0 (b reaches it by losing a), so it is
-    never picked again. The collapse residual is a subcomplex, so the work
-    runs in local indices over it alone.
+    The least vertex of every component is removed first, which lowers
+    beta_0 by the number of components. Then, while some face b has
+    exactly one remaining boundary face a, the pair (a, b) is removed.
+    Each face keeps the count and the index sum of its remaining boundary
+    faces, so the sum names a once the count is 1. A removed face has
+    count 0 (b reaches it by losing a), so it is never picked again. The
+    collapse residual is a subcomplex, so the work runs in local indices
+    over it alone.
     """
     top = K.dim
     idx = [np.flatnonzero(mask) for mask in alive]
@@ -263,7 +265,22 @@ def _coreduce(K: SimplicialComplex, alive: list[np.ndarray]) -> list[np.ndarray]
         co_ptr.append(np.concatenate(
             ([0], np.cumsum(np.bincount(tab.reshape(-1),
                                         minlength=len(idx[d - 1]))))).tolist())
-    removed = [[0]] + [[] for _ in range(top)]
+    # depth-first search for the least vertex of each component; an
+    # edge's other end is its boundary index sum less the known end
+    starts, seen = [], [False] * len(idx[0])
+    for s in range(len(seen)):
+        if seen[s]:
+            continue
+        starts.append(s)
+        seen[s], todo = True, [s]
+        while top and todo:
+            x = todo.pop()
+            for e in co_idx[0][co_ptr[0][x]:co_ptr[0][x + 1]]:
+                y = bsum[1][e] - x
+                if not seen[y]:
+                    seen[y] = True
+                    todo.append(y)
+    removed = [list(starts)] + [[] for _ in range(top)]
     stack = []
 
     def drop(e: int, x: int) -> None:
@@ -277,7 +294,8 @@ def _coreduce(K: SimplicialComplex, alive: list[np.ndarray]) -> list[np.ndarray]
             if cnt[c] == 1:
                 stack.append((e, c))
 
-    drop(1, 0)
+    for v in starts:
+        drop(1, v)
     while stack:
         d, b = stack.pop()
         if count[d][b] != 1:
@@ -294,7 +312,7 @@ def _coreduce(K: SimplicialComplex, alive: list[np.ndarray]) -> list[np.ndarray]
         mask = alive[d].copy()
         mask[idx[d][removed[d]]] = False
         left.append(mask)
-    return left
+    return left, len(starts)
 
 
 def _residual_boundary(K: SimplicialComplex, alive: list[np.ndarray],
@@ -320,7 +338,7 @@ def betti_profile(K: SimplicialComplex) -> BettiProfile:
     profile = K._cache.get("betti")
     if profile is not None:
         return profile
-    alive = _coreduce(K, _collapse(K))
+    alive, components = _coreduce(K, _collapse(K))
     sizes = [int(mask.sum()) for mask in alive]
     for i in range(1, K.dim + 1):  # refuse before any allocation or elimination
         _require_dense_fits(sizes[i - 1], sizes[i])
@@ -330,7 +348,7 @@ def betti_profile(K: SimplicialComplex) -> BettiProfile:
         residual.append(integer_rank(A) if A.any() else 0)
     residual.append(0)
     betti = [sizes[i] - residual[i] - residual[i + 1] for i in range(K.dim + 1)]
-    betti[0] += 1  # the vertex that started the coreduction
+    betti[0] += components  # the vertices that started the coreduction
     # ranks of the boundary maps of K itself, top-down from its face counts
     ranks = [0] * (K.dim + 2)
     for i in range(K.dim, 0, -1):
@@ -362,7 +380,7 @@ def hodge_betti(K: SimplicialComplex, i: int, zero_tol: float = 1e-8) -> int:
     if not (isinstance(zero_tol, numbers.Real) and 0 < zero_tol < math.inf):
         raise BadParams(
             f"zero_tol must be a positive finite number, got {zero_tol!r}")
-    L = chains.laplacian(K, i, "L_full").toarray()
+    L = chains.laplacian(K, i, "L_full")
     eigs = np.linalg.eigvalsh(L)
     band = eigs[(eigs >= zero_tol) & (eigs < 100 * zero_tol)]
     if band.size:

@@ -67,12 +67,6 @@ def check_seed(seed) -> None:
         raise BadParams(f"seed must be a nonnegative integer, got {seed!r}")
 
 
-def _compensated_rayleigh(tab: np.ndarray, f: np.ndarray) -> float:
-    """Rayleigh quotient evaluated with exact (fsum) accumulation."""
-    s = f[tab].sum(axis=1)
-    return math.fsum((s * s).tolist()) / math.fsum((f * f).tolist())
-
-
 def _residual(K: SimplicialComplex, i: int, f: np.ndarray, value: float) -> float:
     return float(np.linalg.norm(chains.apply_q_up(K, i, f) - value * f))
 
@@ -135,12 +129,11 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
     if not 0 <= i < K.dim:
         raise DimensionOutOfRange(
             f"q_{i} needs 0 <= i < dim = {K.dim} so that S_(i+1) is nonempty")
-    tab = chains.boundary_index_table(K, i + 1)
     n_i = K.n_faces(i)
     use_dense = method == "dense" or (method == "auto" and n_i <= DENSE_CUTOFF)
 
     if use_dense:
-        Q = chains.laplacian(K, i, "Q_up").toarray()
+        Q = chains.laplacian(K, i, "Q_up")
         eigs, vecs = np.linalg.eigh(Q)
         f = vecs[:, -1]
         if f.sum() < 0:
@@ -154,7 +147,7 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
         f0 = np.random.default_rng(seed).uniform(0.5, 1.5, n_i)
         f, gap, iterations = _lanczos_top2(K, i, f0, seed, max_iters)
 
-    value = _compensated_rayleigh(tab, f)
+    value = rayleigh_quotient(K, i, f)
     if iterations:
         residual = _residual(K, i, f, value)
         if residual > tol:
@@ -194,9 +187,11 @@ def perron_vector(K: SimplicialComplex, i: int,
 
 
 def rayleigh_quotient(K: SimplicialComplex, i: int, f) -> float:
-    """Quadratic form of the boundary sums over the squared norm of f."""
+    """Sum of the squared boundary sums of f over the squared norm of f,
+    both accumulated exactly (`math.fsum`) before the one division."""
+    s = chains.boundary_sums(K, i, f)
     v = np.asarray(f, dtype=np.float64)
-    return chains.quadratic_form(K, i, v, v) / float(v @ v)
+    return math.fsum((s * s).tolist()) / math.fsum((v * v).tolist())
 
 
 def _require_residual(result: SpectralResult, bound: float = 1e-8) -> None:
@@ -241,5 +236,5 @@ def second_order_identity_check(K: SimplicialComplex, i: int,
 
 def dense_q_up_spectrum(K: SimplicialComplex, i: int) -> np.ndarray:
     """All eigenvalues of the i-up signless Laplacian, ascending (oracle)."""
-    Q = chains.laplacian(K, i, "Q_up").toarray()
+    Q = chains.laplacian(K, i, "Q_up")
     return np.linalg.eigvalsh(Q)

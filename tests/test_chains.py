@@ -14,6 +14,7 @@ from qcomplex import (
     quadratic_form,
     signed_boundary,
     signless_boundary,
+    spectral_radius,
     tent_plus_common_edge,
     tented,
 )
@@ -85,24 +86,39 @@ class TestSignlessBoundary:
         assert B.sum(axis=1).tolist() == degrees
         assert degrees == [2] * 6
 
-    def test_triplet_dump(self, triangle, tmp_path):
-        p = tmp_path / "b.txt"
-        signless_boundary(triangle, 2).write_triplets(p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "3 1 3"
-        assert lines[1:] == ["0 0 1", "1 0 1", "2 0 1"]
+
+class TestBoundaryCopies:
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_writing_a_returned_matrix_leaves_the_cache_alone(self, method):
+        def results(K):
+            res = spectral_radius(K, 1, method=method)
+            return (apply_q_up(K, 1, f).tobytes(), res.value,
+                    res.vector.tobytes())
+
+        def scribble(K):
+            for i in (1, 2):
+                for B in (signed_boundary(K, i), signless_boundary(K, i)):
+                    B.data[:] = 7.0
+
+        f = np.random.default_rng(3).standard_normal(tented(8, 2).n_faces(1))
+        want = results(tented(8, 2))
+        K = tented(8, 2)
+        scribble(K)  # before the operator ever ran on K
+        assert results(K) == want
+        scribble(K)  # after
+        assert results(K) == want
 
 
 class TestLaplacian:
     def test_triangle_q_up_all_ones(self, triangle):
-        Q = laplacian(triangle, 1, "Q_up").toarray()
+        Q = laplacian(triangle, 1, "Q_up")
         assert np.array_equal(Q, np.ones((3, 3)))
 
     def test_delta4_q_up_structure(self, delta4):
         # oracle: explicit product of the signless boundary with itself
         B = signless_boundary(delta4, 2).toarray().astype(float)
         expected = B @ B.T
-        Q = laplacian(delta4, 1, "Q_up").toarray()
+        Q = laplacian(delta4, 1, "Q_up")
         assert np.allclose(Q, expected)
         edges = delta4.faces(1)
         for a, ea in enumerate(edges):
@@ -115,7 +131,7 @@ class TestLaplacian:
 
     def test_connected_graph_laplacian_kernel(self):
         K = tented(5, 2).skeleton(1)
-        L0 = laplacian(K, 0, "L_up").toarray()
+        L0 = laplacian(K, 0, "L_up")
         eigs = np.linalg.eigvalsh(L0)
         assert (np.abs(eigs) < 1e-9).sum() == 1
         constant = np.ones(K.n_faces(0))
@@ -130,15 +146,15 @@ class TestLaplacian:
             laplacian(triangle, 0, "Q_down")
 
     def test_q_up_diagonal_is_degree(self, delta4):
-        Q = laplacian(delta4, 1, "Q_up").toarray()
+        Q = laplacian(delta4, 1, "Q_up")
         degrees = [delta4.face_degree(e) for e in delta4.faces(1)]
         assert np.array_equal(np.diag(Q), degrees)
 
     @given(pure2_complexes())
     @settings(max_examples=20, deadline=None)
     def test_nonzero_spectra_up_down_agree(self, K):
-        up = np.linalg.eigvalsh(laplacian(K, 1, "Q_up").toarray())
-        down = np.linalg.eigvalsh(laplacian(K, 2, "Q_down").toarray())
+        up = np.linalg.eigvalsh(laplacian(K, 1, "Q_up"))
+        down = np.linalg.eigvalsh(laplacian(K, 2, "Q_down"))
         nz_up = sorted(x for x in up if x > 1e-8)
         nz_down = sorted(x for x in down if x > 1e-8)
         assert len(nz_up) == len(nz_down)
@@ -148,22 +164,22 @@ class TestLaplacian:
     @settings(max_examples=20, deadline=None)
     def test_symmetry_and_psd(self, K):
         for kind in ("Q_up", "L_full"):
-            M = laplacian(K, 1, kind).toarray()
+            M = laplacian(K, 1, kind)
             assert np.allclose(M, M.T)
             assert np.linalg.eigvalsh(M)[0] > -1e-9
 
 
 def sparse_laplacian(K, i, kind):
-    """The sparse product of the boundaries, built from the triplets
-    (test oracle for both forms of `LaplacianOperator`)."""
+    """The sparse product of the boundaries (test oracle for the dense
+    `laplacian` scatter)."""
     boundary = signed_boundary if kind.startswith("L") else signless_boundary
 
     def up():
-        B = boundary(K, i + 1).tocsr()
+        B = boundary(K, i + 1)
         return (B @ B.T).tocsr()
 
     def down():
-        B = boundary(K, i).tocsr()
+        B = boundary(K, i)
         return (B.T @ B).tocsr()
 
     if kind.endswith("up"):
@@ -191,31 +207,15 @@ class TestLaplacianForms:
     @settings(max_examples=40, deadline=None)
     def test_scatter_equals_sparse_product_bitwise(self, K):
         for kind, i in valid_operators(K):
-            op = laplacian(K, i, kind)
-            dense = op.toarray()
-            # the dense path never builds the sparse product
-            assert "matrix" not in op.__dict__
-            want = op.matrix.toarray()
-            assert dense.dtype == want.dtype == np.float64
-            assert dense.tobytes() == want.tobytes()
+            dense = laplacian(K, i, kind)
             oracle = sparse_laplacian(K, i, kind).toarray()
-            assert want.tobytes() == oracle.tobytes()
-
-    @given(mixed_complexes())
-    @settings(max_examples=30, deadline=None)
-    def test_apply_bits_equal_sparse_product(self, K):
-        rng = np.random.default_rng(K.n_faces(0))
-        for kind, i in valid_operators(K):
-            op = laplacian(K, i, kind)
-            f = rng.standard_normal(K.n_faces(i))
-            got = op.apply(f)
-            assert got.tobytes() == (op.matrix @ f).tobytes()
-            oracle = sparse_laplacian(K, i, kind) @ f
-            assert got.tobytes() == oracle.tobytes()
+            assert dense.dtype == oracle.dtype == np.float64
+            assert dense.shape == oracle.shape
+            assert dense.tobytes() == oracle.tobytes()
 
     def test_vertex_only_complex(self):
         K = from_facets(2, [(0,), (1,)])
-        L = laplacian(K, 0, "L_full").toarray()
+        L = laplacian(K, 0, "L_full")
         assert L.dtype == np.float64 and not L.any() and L.shape == (2, 2)
 
     def test_too_large_refused_before_scatter(self, monkeypatch):
@@ -226,7 +226,7 @@ class TestLaplacianForms:
 
         monkeypatch.setattr(np, "bincount", no_scatter)
         with pytest.raises(TooLarge):
-            laplacian(K, 1, "Q_up").toarray()
+            laplacian(K, 1, "Q_up")
 
 
 class TestApplyQUp:
@@ -240,7 +240,7 @@ class TestApplyQUp:
 
     def test_matches_explicit_matrix_on_tent(self):
         K = tented(8, 2)
-        Q = laplacian(K, 1, "Q_up").toarray()
+        Q = laplacian(K, 1, "Q_up")
         rng = np.random.default_rng(7)
         for _ in range(5):
             f = rng.standard_normal(K.n_faces(1))
@@ -253,7 +253,7 @@ class TestApplyQUp:
     @given(pure2_complexes())
     @settings(max_examples=20, deadline=None)
     def test_q_down_matches_explicit(self, K):
-        Qd = laplacian(K, 2, "Q_down").toarray()
+        Qd = laplacian(K, 2, "Q_down")
         rng = np.random.default_rng(0)
         g = rng.standard_normal(K.n_faces(2))
         assert np.abs(apply_q_down(K, 2, g) - Qd @ g).max() <= 1e-12

@@ -168,11 +168,8 @@ class TestTriangleSpace:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_matches_combinations(self, n):
         triangles, signed = oracle_boundary(n)
-        masks = tuple(sum(1 << int(e) for e in np.flatnonzero(col))
-                      for col in signed.T)
         space = _triangle_space(n)
         assert space.triangles == tuple(triangles)
-        assert space.edge_masks == masks
         assert space.signless.dtype == np.float64
         assert np.array_equal(space.signless, np.abs(signed))
         assert space.signed.dtype == np.int64

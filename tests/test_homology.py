@@ -33,6 +33,21 @@ from conftest import mixed_complexes, pure2_complexes
 from test_chains import fraction_rank
 
 
+def disjoint_union(K, L):
+    """K beside a copy of L on the vertices after K's."""
+    shift = K.n_vertices
+    return from_facets(shift + L.n_vertices,
+                       list(K.facets) + [tuple(v + shift for v in f)
+                                         for f in L.facets])
+
+
+def projective_plane():
+    """The 6-vertex triangulation of the real projective plane."""
+    return from_facets(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5),
+                           (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4),
+                           (2, 4, 5), (1, 3, 5)])
+
+
 class TestIntegerRank:
     def test_against_fraction_oracle(self):
         rng = random.Random(11)
@@ -114,17 +129,23 @@ class TestBettiProfile:
         assert profile.betti == (1, 0, 32509)
         assert profile.ranks == (0, 59, 1711)
         assert not is_basic_hole(K)
-        # two disjoint copies: coreduction starts in the first, so the
-        # second keeps every face and the 1770 x 66729 top boundary
-        # (945 MB) is refused before any elimination runs
-        triangles = list(combinations(range(60), 3))
-        twice = from_facets(120, triangles + [tuple(v + 60 for v in f)
-                                              for f in triangles])
-        with pytest.raises(TooLarge, match="1770 x 66729"):
-            betti_profile(twice)
-        with pytest.raises(TooLarge, match="1770 x 66729"):
-            is_basic_hole(twice)
+        # two disjoint copies: coreduction starts in each of them, so no
+        # elimination runs either
+        twice = disjoint_union(K, K)
+        profile = betti_profile(twice)
+        assert profile.betti == (2, 0, 65018)
+        assert profile.ranks == (0, 118, 3422)
+        assert not is_basic_hole(twice)
+        # the 6-vertex real projective plane has no free face and
+        # coreduces to a nonzero 5 x 5 top boundary (200 bytes), which a
+        # limit one byte lower refuses before any elimination runs
+        monkeypatch.setattr(homology, "DENSE_BYTES_LIMIT", 8 * 5 * 5 - 1)
+        with pytest.raises(TooLarge, match="5 x 5"):
+            betti_profile(projective_plane())
+        with pytest.raises(TooLarge, match="5 x 5"):
+            is_basic_hole(projective_plane())
         monkeypatch.undo()
+        assert betti_profile(projective_plane()).betti == (1, 0, 0)
         # the 240-vertex tent's 28680 x 28442 top boundary (6.5 GB)
         # collapses to a few faces
         K = tent_plus_common_edge(240, 1)
@@ -204,14 +225,19 @@ class TestCollapseAgainstOracle:
     @given(mixed_complexes(max_n=5), mixed_complexes(max_n=5))
     @settings(max_examples=40, deadline=None)
     def test_disjoint_union_matches_full_elimination(self, K, L):
-        shift = K.n_vertices
-        union = from_facets(shift + L.n_vertices,
-                            list(K.facets) + [tuple(v + shift for v in f)
-                                              for f in L.facets])
+        union = disjoint_union(K, L)
         profile = betti_profile(union)
         assert (profile.betti, profile.ranks) == oracle_profile(union)
         assert profile.betti[0] == (betti_profile(K).betti[0]
                                     + betti_profile(L).betti[0])
+
+    @given(mixed_complexes(), mixed_complexes(), mixed_complexes())
+    @settings(max_examples=40, deadline=None)
+    def test_disjoint_union_adds_betti_numbers(self, K, L, M):
+        parts = [betti_profile(X).betti for X in (K, L, M)]
+        want = tuple(sum(b[i] for b in parts if i < len(b))
+                     for i in range(max(map(len, parts))))
+        assert betti_profile(disjoint_union(disjoint_union(K, L), M)).betti == want
 
     @seed(20260)
     @given(mixed_complexes())

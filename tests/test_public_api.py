@@ -1,0 +1,24 @@
+import qcomplex
+
+
+def test_public_names_are_pinned():
+    # any change to the public API must show up here, deliberately
+    assert sorted(qcomplex.__all__) == [
+        "ApexResult", "AsymptoticRow", "BasicHoleReport", "BettiProfile",
+        "Face", "InspectorReport", "PerronProfile", "SearchReport",
+        "SimplicialComplex", "SpectralResult", "__version__",
+        "apply_q_down", "apply_q_up", "asymptotic_check", "betti_profile",
+        "boundary_sums", "canonical_form", "check_basic_hole_properties",
+        "delta_sphere", "dense_q_up_spectrum", "detect_apex",
+        "enumerate_pure2", "errors", "euler_characteristic", "face",
+        "facet_bound", "from_facets", "hodge_betti", "integer_rank",
+        "is_basic_hole", "is_isomorphic", "laplacian", "max_facets_search",
+        "max_spectral_search", "perron_profile", "perron_vector",
+        "proof_inspector", "quadratic_form", "random_pure2",
+        "rayleigh_quotient", "read_facets", "rhombic",
+        "second_order_identity_check", "signed_boundary",
+        "signless_boundary", "simplex_skeleton", "spectral_bound",
+        "spectral_radius", "tent_plus_common_edge", "tent_plus_faces",
+        "tented", "transfer_to_down", "write_facets",
+    ]
+

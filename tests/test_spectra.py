@@ -219,7 +219,7 @@ class TestTransferToDown:
         g = transfer_to_down(delta4, 1, res)
         # oracle: explicit 4x4 down operator via the dense boundary
         from qcomplex import laplacian
-        Qd = laplacian(delta4, 2, "Q_down").toarray()
+        Qd = laplacian(delta4, 2, "Q_down")
         assert np.abs(Qd @ g - 6.0 * g).max() <= 1e-9
         assert np.allclose(g, g[0])
 
