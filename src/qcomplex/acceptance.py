@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chains, extremal, families, homology, spectra
-from .complex_core import canonical_form
 from .errors import QComplexError
 
 
@@ -80,7 +79,7 @@ def criterion_4_beta0_extremal() -> CriterionResult:
     ok = True
     for n in (5, 6):
         rep = extremal.max_spectral_search(n, 0)
-        tent_form = canonical_form(families.tented(n, 2))
+        tent_form = extremal._tent_canonical(n, 0)
         unique = rep.spectral_witnesses == (tent_form,)
         details[f"n={n}"] = {"witness_classes": len(rep.spectral_witnesses),
                              "is_tent": unique, "max_q1": rep.max_q1}

@@ -114,7 +114,7 @@ def _cmd_check(opt) -> int:
                 @ chains.boundary_csr(K, i, signed=True))
         record(f"chain_identity_d{i - 1}d{i}", not prod.count_nonzero())
 
-    if max(K.n_faces(i) for i in range(K.dim + 1)) <= 512:
+    if max(K.n_faces(i) for i in range(K.dim + 1)) <= spectra.DENSE_CUTOFF:
         hodge_ok = all(homology.hodge_betti(K, i) == profile.betti[i]
                        for i in range(K.dim + 1))
         record("hodge_vs_betti", hodge_ok,

@@ -43,12 +43,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import chains, homology, spectra
-from .complex_core import (
-    Face,
-    SimplicialComplex,
-    canonical_form,
-    from_facets,
-)
+from .complex_core import Face, SimplicialComplex, from_facets
 from .errors import (
     BadParams,
     NoApex,
@@ -305,7 +300,8 @@ class SearchReport:
 
 def _tent_canonical(n: int, t: int) -> tuple[Face, ...]:
     K = tented(n, 2) if t == 0 else tent_plus_common_edge(n, t)
-    return canonical_form(K)
+    bits = _triangle_space(n).skeleton.row_index(K.rows(2)).tolist()
+    return _dedup_canonical(n, [sum(1 << k for k in bits)])[0]
 
 
 def _check_search_params(n: int, t: int) -> None:
@@ -331,7 +327,8 @@ def _dedup_canonical(n: int, masks) -> tuple[tuple[Face, ...], ...]:
     the least facet list in the orbit is the image with the largest
     reversed mask. It uses only vertex ids below the number of used
     vertices (moving a used id onto a lower unused one lowers every facet
-    it touches), so it equals `canonical_form` of the mask's complex.
+    it touches), so it is the least facet list over all relabellings of
+    the mask's complex.
     """
     tables = _tables(n)
     space = _triangle_space(n)

@@ -7,10 +7,10 @@ Batko, Discrete Comput. Geom. 41, 2009) is its dual: after one vertex of
 each connected component is removed, which lowers beta_0 by the number of
 components, a face with exactly one remaining boundary face is removed
 together with that face; the remaining faces form an S-complex with the
-same homology. The ranks of its boundary matrices then come from
-fraction-free (Bareiss) integer elimination, so no tolerance enters any
-Betti number. The eigenvalue-based `hodge_betti` exists purely as a
-cross-check.
+same homology. The ranks of its boundary matrices, and the residual
+kernel vector from which `is_basic_hole` builds the top cycle, come from
+one fraction-free (Bareiss) integer elimination: no tolerance and no
+rational arithmetic. The eigenvalue-based `hodge_betti` is a cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,10 +40,10 @@ _INT64_GUARD = np.int64(1) << 31
 #: `betti_profile` and `is_basic_hole` allocate after collapse and
 #: coreduction; larger ones raise `TooLarge`. `integer_rank` holds about
 #: three more working copies, so the peak is about four times this. Tents
-#: with added faces collapse to a handful of faces at any size, and the
-#: 2-skeleton of the 59-simplex, which has no free face, coreduces to its
-#: 32509 top faces with zero boundary. Coreduction starts in every
-#: connected component, so two disjoint copies of it leave twice that.
+#: collapse to a handful of faces at any size, the 59-simplex's 2-skeleton
+#: (no free face) coreduces to 32509 top faces with zero boundary in each
+#: component, and a sphere coreduces to one top face, whose kernel vector
+#: `is_basic_hole` extends to the cycle without any other matrix.
 DENSE_BYTES_LIMIT = 256 * 2**20
 
 
@@ -80,7 +79,7 @@ def integer_rank(A) -> int:
     if M.ndim != 2 or 0 in M.shape:
         return 0
     if M.dtype == object:
-        return _python_bareiss_rank(M.tolist(), 1)
+        return len(_python_bareiss(M.tolist(), 1)[1])
     m, n = M.shape
     rank = 0
     row = 0
@@ -96,7 +95,8 @@ def integer_rank(A) -> int:
         if p != row:
             M[[row, p]] = M[[p, row]]
         if np.abs(M[row:]).max() >= _INT64_GUARD:
-            return rank + _python_bareiss_rank(M[row:, col:].tolist(), int(prev))
+            return rank + len(_python_bareiss(M[row:, col:].tolist(),
+                                              int(prev))[1])
         piv = M[row, col]
         below = M[row + 1:]
         if below.size:
@@ -108,14 +108,15 @@ def integer_rank(A) -> int:
     return rank
 
 
-def _python_bareiss_rank(rows: list[list[int]], prev: int) -> int:
-    """Arbitrary-precision Bareiss on the remaining submatrix."""
+def _python_bareiss(rows: list[list[int]], prev: int) -> tuple[list, list]:
+    """Arbitrary-precision Bareiss on the remaining submatrix: its nonzero
+    echelon rows (the same row space) and their pivot columns."""
     rows = [list(map(int, r)) for r in rows]
     m = len(rows)
     n = len(rows[0]) if m else 0
-    rank = 0
-    row = 0
+    pivots: list[int] = []
     for col in range(n):
+        row = len(pivots)
         if row >= m:
             break
         p, best = None, None
@@ -133,42 +134,24 @@ def _python_bareiss_rank(rows: list[list[int]], prev: int) -> int:
             rows[r] = [(a * piv - f * b) // prev
                        for a, b in zip(rows[r], pivot_row)]
         prev = piv
-        rank += 1
-        row += 1
-    return rank
-
-
-def rational_kernel_basis(A) -> list[list[Fraction]]:
-    """Exact basis of the kernel of an integer matrix (column vectors)."""
-    M = [[Fraction(int(x)) for x in row] for row in np.asarray(A)]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    pivots: list[int] = []
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        p = next((r for r in range(row, m) if M[r][col]), None)
-        if p is None:
-            continue
-        M[row], M[p] = M[p], M[row]
-        inv = 1 / M[row][col]
-        M[row] = [x * inv for x in M[row]]
-        for r in range(m):
-            if r != row and M[r][col]:
-                c = M[r][col]
-                M[r] = [a - c * b for a, b in zip(M[r], M[row])]
         pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -M[r][fc]
-        basis.append(v)
-    return basis
+    return rows[:len(pivots)], pivots
+
+
+def _kernel_vector(A) -> list[int]:
+    """Primitive integer y != 0 with A y = 0: 1 at the first non-pivot
+    column of the Bareiss echelon form, then back-substituted over the
+    pivot rows, last first, scaling y by pivot / gcd instead of dividing."""
+    rows, pivots = _python_bareiss(np.asarray(A).tolist(), 1)
+    y = [0] * np.shape(A)[1]
+    y[min(set(range(len(y))) - set(pivots))] = 1
+    for row, p in zip(reversed(rows), reversed(pivots)):
+        s = sum(a * x for a, x in zip(row, y))  # y[p] is still 0
+        g = math.gcd(s, row[p])
+        y = [x * (row[p] // g) for x in y]
+        y[p] = -s // g
+    g = math.gcd(*y)
+    return [x // g for x in y]
 
 
 @dataclass(frozen=True)
@@ -238,10 +221,12 @@ def _collapse(K: SimplicialComplex) -> list[np.ndarray]:
     return alive
 
 
-def _coreduce(K: SimplicialComplex,
-              alive: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+def _coreduce(K: SimplicialComplex, alive: list[np.ndarray]
+              ) -> tuple[list[np.ndarray], int, list[tuple[int, int]]]:
     """Masks, one per dimension, of the collapse residual left by
-    coreduction, and the number of connected components of that residual.
+    coreduction, the number of connected components of that residual,
+    and the removed (ridge, facet) pairs of the top dimension, as indices
+    in K, in removal order.
 
     The least vertex of every component is removed first, which lowers
     beta_0 by the number of components. Then, while some face b has
@@ -281,7 +266,7 @@ def _coreduce(K: SimplicialComplex,
                     seen[y] = True
                     todo.append(y)
     removed = [list(starts)] + [[] for _ in range(top)]
-    stack = []
+    stack, pairs = [], []
 
     def drop(e: int, x: int) -> None:
         # face x of dimension e - 1 is gone: its cofaces lose a boundary face
@@ -303,6 +288,8 @@ def _coreduce(K: SimplicialComplex,
         a = bsum[d][b]
         removed[d - 1].append(a)
         removed[d].append(b)
+        if d == top:
+            pairs.append((int(idx[d - 1][a]), int(idx[d][b])))
         if d > 1:
             count[d - 1][a] = 0
         drop(d, a)
@@ -312,7 +299,7 @@ def _coreduce(K: SimplicialComplex,
         mask = alive[d].copy()
         mask[idx[d][removed[d]]] = False
         left.append(mask)
-    return left, len(starts)
+    return left, len(starts), pairs
 
 
 def _residual_boundary(K: SimplicialComplex, alive: list[np.ndarray],
@@ -338,7 +325,7 @@ def betti_profile(K: SimplicialComplex) -> BettiProfile:
     profile = K._cache.get("betti")
     if profile is not None:
         return profile
-    alive, components = _coreduce(K, _collapse(K))
+    alive, components, _ = _coreduce(K, _collapse(K))
     sizes = [int(mask.sum()) for mask in alive]
     for i in range(1, K.dim + 1):  # refuse before any allocation or elimination
         _require_dense_fits(sizes[i - 1], sizes[i])
@@ -398,16 +385,17 @@ def is_basic_hole(K: SimplicialComplex) -> bool:
     """Whether K carries exactly one top hole that every facet supports.
 
     True iff the top Betti number is 1 and deleting any single facet kills
-    it. Since the top kernel is one-dimensional, deleting facet j drops
-    the Betti number exactly when the kernel generator is nonzero at j,
-    so a single exact kernel computation answers all deletions at once.
-
-    Every top cycle vanishes on a facet removed by collapse (by induction
-    over the collapse order, its free face meets no other remaining
-    facet), so K is not a basic hole once any facet collapses. Otherwise
-    the top Betti number comes from the cached `betti_profile`, and only
-    when it is 1 is the kernel of the top boundary computed; the collapse
-    residual then keeps every facet, so its top boundary is the full one.
+    it, that is, iff the generator z of the top cycles is nonzero on every
+    facet. A top cycle vanishes on a facet removed by collapse (its free
+    face meets no other remaining facet), so then the answer is False, as
+    it is when the cached `betti_profile` has beta_top != 1. Otherwise z
+    comes from coreduction. A facet b removed with ridge a meets no
+    surviving ridge, and every other facet F on a is removed later or
+    survives. So every cycle is a kernel vector of the residual top
+    boundary extended by the equations of the paired ridges,
+    z[b] = -s(a, b) * sum over F != b of s(a, F) z[F], solved in reverse
+    removal order. These solutions form a space of dimension
+    dim ker(residual) = beta_top = 1, so they are the cycles.
     """
     _require_pure(K)
     r = K.dim
@@ -416,8 +404,17 @@ def is_basic_hole(K: SimplicialComplex) -> bool:
     alive = _collapse(K)
     if not alive[r].all() or betti_profile(K).betti[r] != 1:
         return False
-    (z,) = rational_kernel_basis(_residual_boundary(K, alive, r))
-    return all(x != 0 for x in z)
+    left, _, pairs = _coreduce(K, alive)
+    z = np.zeros(K.n_faces(r), dtype=object)
+    z[left[r]] = _kernel_vector(_residual_boundary(K, left, r))
+    B = chains.boundary_csr(K, r, signed=True)
+    ptr, cols = B.indptr.tolist(), B.indices.tolist()
+    signs = B.data.astype(np.int64).tolist()
+    for a, b in reversed(pairs):
+        span = range(ptr[a], ptr[a + 1])
+        s_ab = next(signs[k] for k in span if cols[k] == b)
+        z[b] = -s_ab * sum(signs[k] * z[cols[k]] for k in span)  # z[b] is 0
+    return all(z)
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,12 @@ class TestDedup:
             masks = rng.choice(pool, 30, replace=False)
             assert _dedup_canonical(6, masks) == canonical_oracle(6, masks)
 
+    @pytest.mark.parametrize("n,t", [(4, 0), (4, 1), (5, 0), (5, 1), (5, 2),
+                                     (6, 0), (6, 1), (6, 2), (6, 3)])
+    def test_tent_form_from_the_orbit_tables(self, n, t):
+        tent = tented(n, 2) if t == 0 else tent_plus_common_edge(n, t)
+        assert extremal._tent_canonical(n, t) == canonical_form(tent)
+
 
 class TestSearchBetti2Guards:
     def test_mask_out_of_range(self):

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from qcomplex import (
     betti_profile,
@@ -48,6 +49,18 @@ def projective_plane():
                            (2, 4, 5), (1, 3, 5)])
 
 
+def suspension(m):
+    """The suspension of an m-gon: 2m triangles forming a 2-sphere."""
+    ring = [tuple(sorted((i, (i + 1) % m))) for i in range(m)]
+    return from_facets(m + 2, [e + (apex,) for e in ring
+                               for apex in (m, m + 1)])
+
+
+def rp2_plus(*facets):
+    """The 6-vertex real projective plane with extra facets."""
+    return from_facets(7, list(projective_plane().facets) + list(facets))
+
+
 class TestIntegerRank:
     def test_against_fraction_oracle(self):
         rng = random.Random(11)
@@ -73,8 +86,8 @@ class TestIntegerRank:
         M = L @ R
         assert np.abs(M).max() < 2 ** 31
         calls = []
-        fallback = homology._python_bareiss_rank
-        monkeypatch.setattr(homology, "_python_bareiss_rank",
+        fallback = homology._python_bareiss
+        monkeypatch.setattr(homology, "_python_bareiss",
                             lambda rows, prev: calls.append(prev)
                             or fallback(rows, prev))
         assert integer_rank(M) == fraction_rank(M.tolist()) == 7
@@ -82,6 +95,24 @@ class TestIntegerRank:
 
     def test_zero_matrix(self):
         assert integer_rank(np.zeros((3, 4), dtype=np.int64)) == 0
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                 min_size=n - 1, max_size=n - 1),
+        st.lists(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1),
+                 max_size=3))))
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_vector_of_a_one_dimensional_kernel(self, drawn):
+        # n - 1 rows of full rank plus integer combinations of them
+        base, mixes = drawn
+        n = len(base[0]) if base else 1
+        A = base + [[sum(c * row[j] for c, row in zip(mix, base))
+                     for j in range(n)] for mix in mixes]
+        assume(fraction_rank(A) == n - 1 if A else n == 1)
+        y = homology._kernel_vector(np.array(A, dtype=np.int64).reshape(-1, n))
+        assert len(y) == n and any(y)
+        assert all(type(x) is int for x in y)
+        assert all(sum(a * x for a, x in zip(row, y)) == 0 for row in A)
 
     def test_integral_floats_accepted(self):
         assert integer_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
@@ -243,16 +274,17 @@ class TestCollapseAgainstOracle:
     @given(mixed_complexes())
     @settings(max_examples=60, deadline=None)
     def test_basic_hole_reads_the_cached_top_betti(self, K):
-        # beta_top != 1 answers False from the cached profile: no rank and
-        # no kernel of the top boundary is computed
+        # beta_top != 1 answers False from the cached profile: no
+        # coreduction, no rank and no kernel of the top boundary is computed
         top = betti_profile(K).betti[K.dim]
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("integer_rank", "rational_kernel_basis"):
+            for name in ("integer_rank", "_kernel_vector", "_python_bareiss",
+                         "_coreduce"):
                 real = getattr(homology, name)
                 mp.setattr(homology, name,
-                           lambda A, real=real, name=name:
-                           calls.append(name) or real(A))
+                           lambda *args, real=real, name=name:
+                           calls.append(name) or real(*args))
             if not K.is_pure():
                 with pytest.raises(NotPure):
                     is_basic_hole(K)
@@ -353,6 +385,48 @@ class TestBasicHoles:
     @settings(max_examples=25, deadline=None)
     def test_matches_naive_deletion_oracle(self, K):
         assert is_basic_hole(K) == naive_deletion_check(K)
+
+    @pytest.mark.parametrize("K,want,residual", [
+        (rp2_plus((0, 1, 6), (0, 4, 6), (1, 4, 6)), True, (0, 1)),
+        (from_facets(7, [(0, 1, 2), (0, 1, 3), (0, 1, 5), (0, 2, 4), (0, 3, 4),
+                         (0, 4, 6), (0, 5, 6), (1, 2, 4), (1, 3, 6), (1, 4, 5),
+                         (1, 4, 6), (3, 4, 5), (3, 5, 6)]), True, (8, 9)),
+        (disjoint_union(projective_plane(), delta_sphere(2)), False, (5, 6)),
+    ], ids=["rp2_cone_on_doubled_loop", "relabelled_with_residual",
+            "rp2_beside_sphere"])
+    def test_cycle_read_off_coreduction(self, K, want, residual):
+        # no facet collapses and beta_2 = 1; the cycle comes from the
+        # kernel of the residual top boundary and the removed pairs
+        assert homology._collapse(K)[2].all()
+        assert betti_profile(K).betti[2] == 1
+        left, _, _ = homology._coreduce(K, homology._collapse(K))
+        A = homology._residual_boundary(K, left, 2)
+        assert A.shape == residual and A.any() == (residual != (0, 1))
+        assert is_basic_hole(K) == naive_deletion_check(K) == want
+
+    def test_cycle_on_rp2_cone_has_coefficient_two(self):
+        # the RP^2 triangles bound twice the loop 0-1-4, so the cone over
+        # it carries coefficient 2 and every RP^2 triangle 1
+        K = rp2_plus((0, 1, 6), (0, 4, 6), (1, 4, 6))
+        z = homology._kernel_vector(signed_boundary(K, 2).toarray())
+        assert [abs(x) for f, x in zip(K.faces(2), z) if 6 in f] == [2, 2, 2]
+        assert all(abs(x) == 1 for f, x in zip(K.faces(2), z) if 6 not in f)
+
+    def test_suspension_takes_no_elimination_wider_than_a_column(
+            self, monkeypatch):
+        # the 300-gon suspension coreduces to one triangle: the cycle is
+        # read off the removed pairs, and no matrix with more than one
+        # column is eliminated
+        widths = []
+        for name in ("_kernel_vector", "integer_rank"):
+            real = getattr(homology, name)
+            monkeypatch.setattr(homology, name,
+                                lambda A, real=real: widths.append(
+                                    np.shape(A)[1]) or real(A))
+        K = suspension(300)
+        assert K.n_faces(2) == 600
+        assert is_basic_hole(K)
+        assert widths and max(widths) <= 1
 
     def test_bigger_sphere_with_redundant_face_is_not_basic(self):
         # delta_sphere(2) plus nothing is basic; gluing one extra facet
