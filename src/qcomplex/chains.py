@@ -6,17 +6,17 @@ its j-th vertex. The signless variants replace every sign with +1.
 
 Each complex holds one incidence per dimension, cached on it: the
 face-index table `boundary_index_table`, one `SimplicialComplex.row_index`
-search of the vertex-omitted face rows, and the CSR matrices `boundary_csr`
-built from it (signless, and signed on request); no face tuple is made.
-The neighbour queries of `SimplicialComplex`, `homology`, `spectra` and
-`extremal` all read this incidence. On top of it sit
+search of the vertex-omitted face rows; no face tuple is made. On top of it
+sit
 
-* explicit matrices for desk-scale instances: `signed_boundary` and
-  `signless_boundary` (copies of the cached CSR boundaries) and the dense
-  `laplacian`, one scatter of the index tables. And
 * operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
-  that never form a Laplacian. The large-n eigensolver runs on
-  `apply_q_up`.
+  that never form a matrix: gathers and one `np.bincount` scatter of the
+  index table. The eigensolvers and the check battery run on these;
+* explicit matrices for desk-scale instances: the dense `laplacian`, one
+  scatter of the index tables, and the CSR boundaries `boundary_csr`
+  (cached; `signed_boundary` and `signless_boundary` return copies), whose
+  rows are also the coface lists behind the neighbour queries of
+  `SimplicialComplex`, the connectivity tests and `homology`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     """Array of shape (|S_i|, i+1): row k lists the indices (in S_{i-1})
     of the boundary faces of the k-th i-face, in vertex-omission order.
 
-    Cached on the complex; the CSR boundaries and `boundary_sums` read it.
+    Cached on the complex; the operator applications, the dense
+    `laplacian` and the CSR boundaries read it.
     """
     if not 1 <= i <= K.dim:
         raise DimensionOutOfRange(f"boundary map needs 1 <= i <= {K.dim}, got {i}")
@@ -127,20 +128,58 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
     return dense.astype(np.float64, copy=False).reshape(n_i, n_i)
 
 
-def up_connected(K: SimplicialComplex, i: int, skip: int | None = None) -> bool:
-    """Whether the i-faces are connected through shared (i+1)-faces, with
-    the (i+1)-face of index ``skip`` left out when given.
+def up_connected(K: SimplicialComplex, i: int) -> bool:
+    """Whether the i-faces are connected through shared (i+1)-faces.
 
     Components of the bipartite incidence graph of i- and (i+1)-faces.
     """
     from scipy.sparse.csgraph import connected_components
 
     B = boundary_csr(K, i + 1)
-    if skip is not None:
-        B = B[:, np.arange(B.shape[1]) != skip]
     _, labels = connected_components(sp.bmat([[None, B], [B.T, None]]),
                                      directed=False)
     return bool((labels[:B.shape[0]] == labels[0]).all())
+
+
+def up_connected_after_deletion(K: SimplicialComplex, i: int) -> np.ndarray:
+    """Boolean vector over S_{i+1}: whether the i-faces stay connected
+    through shared (i+1)-faces once that (i+1)-face is left out.
+
+    All False when the i-faces are not connected to begin with. Otherwise
+    every component of the bipartite incidence graph with an (i+1)-face
+    left out holds an i-face (each (i+1)-face has i+2 of them), so leaving
+    it out disconnects the i-faces exactly when it is an articulation
+    point. One iterative depth-first search from the first i-face finds
+    them all by low points (Hopcroft and Tarjan).
+    """
+    B = boundary_csr(K, i + 1)
+    n_low = B.shape[0]
+    ptr, up = B.indptr.tolist(), (B.indices + n_low).tolist()
+    adj = ([up[ptr[k]:ptr[k + 1]] for k in range(n_low)]
+           + boundary_index_table(K, i + 1).tolist())
+    disc, low = [0] * len(adj), [0] * len(adj)
+    cut = [False] * (len(adj) - n_low)
+    disc[0] = low[0] = clock = 1
+    stack = [(0, iter(adj[0]))]
+    while stack:
+        u, todo = stack[-1]
+        for w in todo:
+            if not disc[w]:
+                clock += 1
+                disc[w] = low[w] = clock
+                stack.append((w, iter(adj[w])))
+                break
+            low[u] = min(low[u], disc[w])
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[u])
+                if parent >= n_low and low[u] >= disc[parent]:
+                    cut[parent - n_low] = True
+    if not all(disc[:n_low]):
+        return np.zeros(len(cut), dtype=bool)
+    return ~np.array(cut, dtype=bool)
 
 
 # -- operator applications ----------------------------------------------------
@@ -162,21 +201,46 @@ def boundary_sums(K: SimplicialComplex, i: int, f) -> np.ndarray:
     return v[tab].sum(axis=1)
 
 
+def _apply_bt(tab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """B^T v for the boundary with index table ``tab``: entry k sums v over
+    row k of ``tab``. Column j omits vertex j, so the columns run in
+    descending face order; they are added from the last, so that each sum
+    runs in ascending face order as in the CSC product ``B.T @ v``, bit
+    for bit. (`boundary_sums` keeps the order of ``v[tab].sum(axis=1)``.)
+    """
+    s = v[tab[:, -1]]
+    for j in range(tab.shape[1] - 2, -1, -1):
+        s += v[tab[:, j]]
+    return s
+
+
+def _apply_b(tab: np.ndarray, s: np.ndarray, n_rows: int) -> np.ndarray:
+    """B s for the boundary with index table ``tab`` and ``n_rows`` rows:
+    one `np.bincount` of the row-major table, which adds the cofaces of
+    each face in ascending order from 0.0, as the CSR product ``B @ s``
+    does, bit for bit."""
+    return np.bincount(tab.ravel(), np.repeat(s, tab.shape[1]),
+                       minlength=n_rows)
+
+
 def apply_q_up(K: SimplicialComplex, i: int, f) -> np.ndarray:
-    """Application of the i-up signless Laplace operator as B (B^T f).
+    """Application of the i-up signless Laplace operator as B (B^T f),
+    straight from the boundary index table.
 
     Entry F of the result is the sum, over the (i+1)-faces containing F,
-    of the boundary sum of ``f`` on that coface. Agrees with the explicit
-    operator to machine precision.
+    of the boundary sum of ``f`` on that coface. Bit-identical to the CSR
+    products with the signless boundary.
     """
-    B = boundary_csr(K, i + 1)
-    return B @ (B.T @ _as_vector(K, i, f))
+    tab = boundary_index_table(K, i + 1)
+    return _apply_b(tab, _apply_bt(tab, _as_vector(K, i, f)), K.n_faces(i))
 
 
 def apply_q_down(K: SimplicialComplex, i: int, g) -> np.ndarray:
-    """Application of the i-down signless Laplace operator as B^T (B g)."""
-    B = boundary_csr(K, i)
-    return B.T @ (B @ _as_vector(K, i, g))
+    """Application of the i-down signless Laplace operator as B^T (B g),
+    straight from the boundary index table; bit-identical to the CSR
+    products."""
+    tab = boundary_index_table(K, i)
+    return _apply_bt(tab, _apply_b(tab, _as_vector(K, i, g), K.n_faces(i - 1)))
 
 
 def quadratic_form(K: SimplicialComplex, i: int, f, g) -> float:

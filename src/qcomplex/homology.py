@@ -441,6 +441,5 @@ def check_basic_hole_properties(K: SimplicialComplex) -> BasicHoleReport:
     r = K.dim
     connected = K.is_path_connected(r - 1)
     degrees_ok = all(K.face_degree(F) >= 2 for F in K.faces(r - 1))
-    deletion_ok = all(chains.up_connected(K, r - 1, skip)
-                      for skip in range(K.n_faces(r)))
+    deletion_ok = bool(chains.up_connected_after_deletion(K, r - 1).all())
     return BasicHoleReport(connected, degrees_ok, deletion_ok)

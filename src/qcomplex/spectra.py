@@ -4,8 +4,9 @@ Instances with at most `DENSE_CUTOFF` faces take a full symmetric
 eigensolve (and that dense path is the ground-truth oracle in the tests).
 Larger ones take implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) for the top two Ritz pairs, applying
-``B @ (B.T @ f)`` with the cached CSR signless boundary ``B``; the gap
-between the two Ritz values is the measured gap behind ``degenerate``.
+Q_up = B B^T by `chains.apply_q_up`: gathers and one scatter over the
+cached boundary index table, with no matrix formed. The gap between the
+two Ritz values is the measured gap behind ``degenerate``.
 The final eigenvalue is always re-evaluated with compensated summation
 so that the asymptotic runs at n = 240 keep absolute accuracy near 1e-12.
 """
@@ -75,7 +76,8 @@ def _lanczos_top2(K: SimplicialComplex, i: int, v0: np.ndarray, seed: int,
                   max_iters: int | None):
     """Top Ritz vector (unit norm, entries summing to at least zero), the
     gap between the top two Ritz values, and the number of applications
-    of `chains.apply_q_up`. More than ``max_iters`` applications (default
+    of `chains.apply_q_up`, which reads the boundary index table and forms
+    no matrix. More than ``max_iters`` applications (default
     ``10 * |S_i|``, at least 100) raise `NoConvergence`."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 

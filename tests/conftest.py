@@ -22,6 +22,13 @@ def two_triangles():
     return from_facets(6, [(0, 1, 2), (3, 4, 5)])
 
 
+def suspension(m):
+    """The suspension of an m-gon: 2m triangles forming a 2-sphere."""
+    ring = [tuple(sorted((i, (i + 1) % m))) for i in range(m)]
+    return from_facets(m + 2, [e + (apex,) for e in ring
+                               for apex in (m, m + 1)])
+
+
 @st.composite
 def pure2_complexes(draw, min_n=4, max_n=6, max_facets=12):
     """Random nonempty triangle subsets on a small labeled vertex set."""

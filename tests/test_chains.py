@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcomplex import (
     apply_q_down,
     apply_q_up,
+    betti_profile,
     boundary_sums,
     from_facets,
+    hodge_betti,
+    is_basic_hole,
     laplacian,
     quadratic_form,
+    second_order_identity_check,
     signed_boundary,
     signless_boundary,
     spectral_radius,
     tent_plus_common_edge,
     tented,
+    transfer_to_down,
 )
+from qcomplex import chains
 from qcomplex.chains import LAPLACIAN_KINDS
 from qcomplex.errors import (BadParams, DimensionOutOfRange, LengthMismatch,
                              TooLarge)
@@ -257,6 +264,67 @@ class TestApplyQUp:
         rng = np.random.default_rng(0)
         g = rng.standard_normal(K.n_faces(2))
         assert np.abs(apply_q_down(K, 2, g) - Qd @ g).max() <= 1e-12
+
+
+def spread_vector(rng, n):
+    """Random signs and magnitudes over ten decades, so that every change
+    in the order of a floating-point sum shows in the last bits."""
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+
+
+class TestOperatorsAgainstCsrProducts:
+    """The index-table operators reproduce the scipy CSR products with the
+    cached signless boundary bit for bit."""
+
+    @staticmethod
+    def _check(K, rng):
+        for i in range(K.dim + 1):
+            f = spread_vector(rng, K.n_faces(i))
+            if i < K.dim:
+                B = chains.boundary_csr(K, i + 1)
+                tab = chains.boundary_index_table(K, i + 1)
+                assert np.array_equal(chains._apply_bt(tab, f), B.T @ f)
+                assert np.array_equal(apply_q_up(K, i, f), B @ (B.T @ f))
+            if i >= 1:
+                B = chains.boundary_csr(K, i)
+                assert np.array_equal(apply_q_down(K, i, f), B.T @ (B @ f))
+
+    @given(mixed_complexes(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_on_mixed_complexes(self, K, seed):
+        self._check(K, np.random.default_rng(seed))
+
+    def test_bitwise_on_the_largest_tent(self):
+        self._check(tent_plus_common_edge(240, 2), np.random.default_rng(5))
+
+
+class TestNoCsrOnTheOperatorPath:
+    @pytest.fixture
+    def no_csr(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a CSR boundary was built")
+
+        monkeypatch.setattr(chains, "boundary_csr", refuse)
+
+    @pytest.mark.parametrize("make", [lambda: tent_plus_common_edge(7, 2),
+                                      lambda: tented(6, 3)])
+    def test_check_battery_on_a_non_hole(self, no_csr, make):
+        K = make()
+        profile = betti_profile(K)
+        hodge = [hodge_betti(K, i) for i in range(K.dim + 1)]
+        assert hodge == list(profile.betti)
+        i = K.dim - 1
+        res = spectral_radius(K, i, method="dense")
+        g = transfer_to_down(K, i, res)
+        assert np.linalg.norm(apply_q_down(K, i + 1, g) - res.value * g) \
+            <= 1e-9 * np.linalg.norm(g)
+        assert second_order_identity_check(K, i, res) <= 1e-9 * res.value ** 2
+        assert is_basic_hole(K) is False
+
+    def test_lanczos_on_a_tent(self, no_csr):
+        res = spectral_radius(tent_plus_common_edge(60, 1), 1,
+                              method="lanczos")
+        assert res.iterations > 0 and res.residual <= 1e-10
 
 
 class TestQuadraticForm:

@@ -27,9 +27,10 @@ from qcomplex.errors import (
     TooLarge,
     VertexInFace,
 )
-from qcomplex.chains import boundary_index_table, up_connected
+from qcomplex.chains import boundary_index_table, up_connected_after_deletion
 
-from conftest import mixed_candidates, mixed_complexes, pure2_complexes
+from conftest import (mixed_candidates, mixed_complexes, pure2_complexes,
+                      suspension)
 
 
 class TestFromFacets:
@@ -320,12 +321,37 @@ class TestPathConnected:
         with pytest.raises(DimensionOutOfRange):
             triangle.is_path_connected(2)
 
+    def _check_deletions(self, K, i):
+        # the articulation pass against one BFS per left-out (i+1)-face
+        kept = up_connected_after_deletion(K, i)
+        assert kept.dtype == bool and kept.shape == (K.n_faces(i + 1),)
+        assert kept.tolist() == [self._bfs_connected(K, i, skip)
+                                 for skip in range(K.n_faces(i + 1))]
+
     @given(pure2_complexes())
     @settings(max_examples=40, deadline=None)
     def test_matches_bfs_oracle_with_and_without_a_facet(self, K):
-        assert K.is_path_connected(1) is self._bfs_connected(K, 1)
-        for skip in range(K.n_faces(2)):
-            assert up_connected(K, 1, skip) is self._bfs_connected(K, 1, skip)
+        for i in (0, 1):
+            assert K.is_path_connected(i) is self._bfs_connected(K, i)
+            self._check_deletions(K, i)
+
+    @given(mixed_complexes())
+    @settings(max_examples=40, deadline=None)
+    def test_deletions_match_bfs_oracle_in_every_dimension(self, K):
+        for i in range(K.dim):
+            self._check_deletions(K, i)
+
+    @pytest.mark.parametrize("m", [3, 4, 7, 12])
+    def test_deletions_on_suspensions(self, m):
+        K = suspension(m)
+        assert up_connected_after_deletion(K, 1).all()
+        self._check_deletions(K, 1)
+        # a triangle hung on the ring edge (0, 1) is the one cut facet
+        hung = from_facets(m + 3, list(K.facets) + [(0, 1, m + 2)])
+        kept = up_connected_after_deletion(hung, 1)
+        assert [k for k, ok in enumerate(kept) if not ok] == [
+            hung.face_index((0, 1, m + 2))]
+        self._check_deletions(hung, 1)
 
 
 class TestSkeleton:

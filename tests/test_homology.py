@@ -30,7 +30,7 @@ from qcomplex.errors import (
     TooLarge,
 )
 
-from conftest import mixed_complexes, pure2_complexes
+from conftest import mixed_complexes, pure2_complexes, suspension
 from test_chains import fraction_rank
 
 
@@ -47,13 +47,6 @@ def projective_plane():
     return from_facets(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5),
                            (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4),
                            (2, 4, 5), (1, 3, 5)])
-
-
-def suspension(m):
-    """The suspension of an m-gon: 2m triangles forming a 2-sphere."""
-    ring = [tuple(sorted((i, (i + 1) % m))) for i in range(m)]
-    return from_facets(m + 2, [e + (apex,) for e in ring
-                               for apex in (m, m + 1)])
 
 
 def rp2_plus(*facets):
