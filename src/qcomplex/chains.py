@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .complex_core import SimplicialComplex
+from .complex_core import SimplicialComplex, is_integer
 from .errors import DimensionOutOfRange, LengthMismatch, TooLarge, BadParams
 
 #: Explicit dense matrices are only materialized up to this side length.
@@ -40,7 +40,7 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     Cached on the complex; the operator applications, the dense
     `laplacian` and the CSR boundaries read it.
     """
-    if not 1 <= i <= K.dim:
+    if not (is_integer(i) and 1 <= i <= K.dim):
         raise DimensionOutOfRange(f"boundary map needs 1 <= i <= {K.dim}, got {i}")
     key = ("btab", i)
     tab = K._cache.get(key)
@@ -95,7 +95,7 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
     """
     if kind not in LAPLACIAN_KINDS:
         raise BadParams(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
-    if not 0 <= i <= K.dim:
+    if not (is_integer(i) and 0 <= i <= K.dim):
         raise DimensionOutOfRange(f"i={i} outside [0, {K.dim}]")
     if kind in ("L_up", "Q_up") and i >= K.dim:
         raise DimensionOutOfRange(f"{kind} needs i < dim = {K.dim}")

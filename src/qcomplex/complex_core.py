@@ -9,6 +9,7 @@ index in every matrix. Face tuples and face-index dicts are built on demand.
 
 from __future__ import annotations
 
+import numbers
 from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
@@ -28,6 +29,13 @@ Face = tuple[int, ...]
 
 #: Brute-force isomorphism limit; permutation search only.
 ISO_MAX_VERTICES = 10
+
+
+def is_integer(x) -> bool:
+    """Whether ``x`` is an integer (`numbers.Integral`: Python and numpy
+    integers). A Python int is tested first: the ABC check costs about a
+    microsecond, and `SimplicialComplex.rows` makes it on every face count."""
+    return type(x) is int or isinstance(x, numbers.Integral)
 
 
 def face(vertices: Iterable[int]) -> Face:
@@ -66,7 +74,7 @@ class SimplicialComplex:
 
     def rows(self, i: int) -> np.ndarray:
         """All i-faces as a sorted (|S_i|, i+1) int64 array."""
-        if not 0 <= i <= self.dim:
+        if not (is_integer(i) and 0 <= i <= self.dim):
             raise DimensionOutOfRange(f"no faces of dimension {i} (dim={self.dim})")
         return self._rows[i]
 
@@ -153,7 +161,7 @@ class SimplicialComplex:
 
     def is_path_connected(self, i: int) -> bool:
         """Connectivity of the up-neighbor graph on the i-faces."""
-        if not 0 <= i < self.dim:
+        if not (is_integer(i) and 0 <= i < self.dim):
             raise DimensionOutOfRange(f"path connectivity needs 0 <= i < dim, got {i}")
         return chains.up_connected(self, i)
 
@@ -161,7 +169,7 @@ class SimplicialComplex:
 
     def skeleton(self, r: int) -> "SimplicialComplex":
         """Subcomplex of all faces of dimension at most ``r``."""
-        if not 0 <= r <= self.dim:
+        if not (is_integer(r) and 0 <= r <= self.dim):
             raise DimensionOutOfRange(f"skeleton order {r} outside [0, {self.dim}]")
         if r == self.dim:
             return self

@@ -10,7 +10,15 @@ together with that face; the remaining faces form an S-complex with the
 same homology. The ranks of its boundary matrices, and the residual
 kernel vector from which `is_basic_hole` builds the top cycle, come from
 one fraction-free (Bareiss) integer elimination: no tolerance and no
-rational arithmetic. The eigenvalue-based `hodge_betti` is a cross-check.
+rational arithmetic.
+
+The floating-point `hodge_betti` is the independent cross-check: beta_i
+is the kernel dimension of the full Laplacian d_i^T d_i + d_{i+1} d_{i+1}^T.
+As d_i d_{i+1} = 0, its nonzero spectrum is the union of those of the two
+terms, and A A^T and A^T A share theirs (Eckmann 1944; Horak and Jost,
+Adv. Math. 244, 2013). So each boundary d_j needs one eigensolve, of its
+smaller Gram matrix, cached on the complex, and beta_i is |S_i| less the
+nonzero eigenvalues of d_i and d_{i+1}.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chains
-from .complex_core import SimplicialComplex
+from .complex_core import SimplicialComplex, is_integer
 from .errors import (
     BadParams,
     DimensionOutOfRange,
@@ -355,25 +363,53 @@ def euler_characteristic(K: SimplicialComplex) -> int:
     return sum((-1) ** i * K.n_faces(i) for i in range(K.dim + 1))
 
 
-def hodge_betti(K: SimplicialComplex, i: int, zero_tol: float = 1e-8) -> int:
-    """Betti number as the kernel dimension of the full signed Laplacian.
+def _gram_spectrum(K: SimplicialComplex, j: int) -> np.ndarray:
+    """Eigenvalues, ascending, of the smaller Gram matrix of the j-th
+    signed boundary: ``L_up`` on S_{j-1} when |S_{j-1}| <= |S_j|, else
+    ``L_down`` on S_j. Both have the nonzero spectrum of the boundary's
+    squared singular values. Cached on the complex."""
+    key = ("gram_eigs", j)
+    eigs = K._cache.get(key)
+    if eigs is None:
+        if K.n_faces(j - 1) <= K.n_faces(j):
+            gram = chains.laplacian(K, j - 1, "L_up")
+        else:
+            gram = chains.laplacian(K, j, "L_down")
+        eigs = K._cache[key] = np.linalg.eigvalsh(gram)
+    return eigs
 
-    Counts eigenvalues below ``zero_tol``; raises if any eigenvalue falls
-    inside the guard band [zero_tol, 100*zero_tol). Cross-check only;
-    `betti_profile` is the source of truth.
+
+def hodge_betti(K: SimplicialComplex, i: int, zero_tol: float = 1e-8) -> int:
+    """Betti number as the kernel dimension of the full signed Laplacian
+    L_i = d_i^T d_i + d_{i+1} d_{i+1}^T, in floating point.
+
+    Since d_i d_{i+1} = 0, the spectrum of L_i is the nonzero spectrum of
+    d_i^T d_i, that of d_{i+1} d_{i+1}^T, and beta_i zeros; and A A^T has
+    the nonzero spectrum of A^T A. So the answer is |S_i| less the number
+    of eigenvalues at least ``zero_tol`` in the cached spectra of the
+    smaller Gram matrices of d_i and d_{i+1} (those that exist): a battery
+    over every i solves one matrix per boundary, of side
+    min(|S_{j-1}|, |S_j|). Raises `SpectrumAmbiguous` if an eigenvalue of
+    either spectrum falls inside the guard band [zero_tol, 100*zero_tol),
+    and `TooLarge` when |S_i| exceeds `chains.DENSE_LIMIT`. Cross-check
+    only; `betti_profile` is the source of truth.
     """
-    if not 0 <= i <= K.dim:
+    if not (is_integer(i) and 0 <= i <= K.dim):
         raise DimensionOutOfRange(f"i={i} outside [0, {K.dim}]")
     if not (isinstance(zero_tol, numbers.Real) and 0 < zero_tol < math.inf):
         raise BadParams(
             f"zero_tol must be a positive finite number, got {zero_tol!r}")
-    L = chains.laplacian(K, i, "L_full")
-    eigs = np.linalg.eigvalsh(L)
+    n_i = K.n_faces(i)
+    if n_i > chains.DENSE_LIMIT:
+        raise TooLarge(f"dense Hodge spectrum refused for {n_i} faces of "
+                       f"dimension {i}")
+    spectra = [_gram_spectrum(K, j) for j in (i, i + 1) if 1 <= j <= K.dim]
+    eigs = np.concatenate(spectra) if spectra else np.zeros(0)
     band = eigs[(eigs >= zero_tol) & (eigs < 100 * zero_tol)]
     if band.size:
         raise SpectrumAmbiguous(
-            f"eigenvalue {band[0]:.3e} inside [{zero_tol:.1e}, {100 * zero_tol:.1e})")
-    return int((eigs < zero_tol).sum())
+            f"eigenvalue {band.min():.3e} inside [{zero_tol:.1e}, {100 * zero_tol:.1e})")
+    return n_i - int((eigs >= zero_tol).sum())
 
 
 def _require_pure(K: SimplicialComplex) -> None:
@@ -440,6 +476,7 @@ def check_basic_hole_properties(K: SimplicialComplex) -> BasicHoleReport:
         raise NotBasicHole("input is not a basic hole")
     r = K.dim
     connected = K.is_path_connected(r - 1)
-    degrees_ok = all(K.face_degree(F) >= 2 for F in K.faces(r - 1))
+    degrees_ok = bool(np.bincount(chains.boundary_index_table(K, r).ravel(),
+                                  minlength=K.n_faces(r - 1)).min() >= 2)
     deletion_ok = bool(chains.up_connected_after_deletion(K, r - 1).all())
     return BasicHoleReport(connected, degrees_ok, deletion_ok)

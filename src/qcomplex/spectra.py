@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import chains
-from .complex_core import SimplicialComplex
+from .complex_core import SimplicialComplex, is_integer
 from .errors import (
     BadParams,
     DimensionOutOfRange,
@@ -128,7 +128,7 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
         raise BadParams(f"max_iters must be positive, got {max_iters}")
     check_tol(tol)
     check_seed(seed)
-    if not 0 <= i < K.dim:
+    if not (is_integer(i) and 0 <= i < K.dim):
         raise DimensionOutOfRange(
             f"q_{i} needs 0 <= i < dim = {K.dim} so that S_(i+1) is nonempty")
     n_i = K.n_faces(i)

@@ -10,6 +10,7 @@ from qcomplex import (
     canonical_form,
     face,
     from_facets,
+    hodge_betti,
     is_isomorphic,
     read_facets,
     spectral_radius,
@@ -27,7 +28,8 @@ from qcomplex.errors import (
     TooLarge,
     VertexInFace,
 )
-from qcomplex.chains import boundary_index_table, up_connected_after_deletion
+from qcomplex.chains import (boundary_index_table, laplacian,
+                             up_connected_after_deletion)
 
 from conftest import (mixed_candidates, mixed_complexes, pure2_complexes,
                       suspension)
@@ -371,6 +373,40 @@ class TestSkeleton:
     def test_out_of_range(self, delta4):
         with pytest.raises(DimensionOutOfRange):
             delta4.skeleton(3)
+
+
+class TestDimensionIndex:
+    ENTRY_POINTS = {
+        "rows": lambda K, i: K.rows(i),
+        "n_faces": lambda K, i: K.n_faces(i),
+        "faces": lambda K, i: K.faces(i),
+        "skeleton": lambda K, i: K.skeleton(i),
+        "is_path_connected": lambda K, i: K.is_path_connected(i),
+        "boundary_index_table": boundary_index_table,
+        "laplacian": lambda K, i: laplacian(K, i, "L_full"),
+        "hodge_betti": hodge_betti,
+        "spectral_radius": spectral_radius,
+    }
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    @pytest.mark.parametrize("i", [0.5, 1.0, 1.5, np.float64(1.0), "1"])
+    def test_non_integral_index_refused(self, name, i):
+        K = tented(5, 2)
+        self.ENTRY_POINTS[name](K, 1)  # with the caches warm
+        with pytest.raises(DimensionOutOfRange):
+            self.ENTRY_POINTS[name](K, i)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_numpy_integer_accepted(self, name):
+        K = tented(5, 2)
+        got = self.ENTRY_POINTS[name](K, np.int64(1))
+        want = self.ENTRY_POINTS[name](K, 1)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        elif name == "spectral_radius":
+            assert got.value == want.value
+        else:
+            assert got == want
 
 
 class TestWithoutFacet:

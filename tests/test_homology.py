@@ -21,7 +21,7 @@ from qcomplex import (
     tent_plus_common_edge,
     tented,
 )
-from qcomplex import homology
+from qcomplex import chains, homology
 from qcomplex.errors import (
     BadParams,
     NotBasicHole,
@@ -341,6 +341,74 @@ class TestHodgeBetti:
         for i in range(K.dim + 1):
             assert hodge_betti(K, i) == profile.betti[i]
 
+    @given(mixed_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_full_laplacian_oracle(self, K):
+        for i in range(K.dim + 1):
+            assert hodge_betti(K, i) == dense_hodge_betti(K, i)
+            # thresholds whose guard band edges sit away from every
+            # eigenvalue refuse in both paths or in neither, else agree
+            eigs = np.linalg.eigvalsh(chains.laplacian(K, i, "L_full"))
+            for zero_tol in (1e-3, 0.0173, 0.31, 1.37):
+                edges = np.array([zero_tol, 100 * zero_tol])
+                if np.abs(eigs[:, None] - edges).min() < 1e-6:
+                    continue
+                assert (_outcome(hodge_betti, K, i, zero_tol)
+                        == _outcome(dense_hodge_betti, K, i, zero_tol))
+
+    @pytest.mark.parametrize("make", [lambda: simplex_skeleton(6, 1),
+                                      lambda: projective_plane(),
+                                      lambda: tented(6, 3),
+                                      lambda: from_facets(3, [(0,), (1, 2)]),
+                                      lambda: from_facets(2, [(0,), (1,)])],
+                             ids=["K6", "rp2", "tented6_3", "dim1_mixed",
+                                  "points"])
+    def test_one_eigensolve_per_boundary(self, make, monkeypatch):
+        K = make()
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        hodge = [hodge_betti(K, i) for i in range(K.dim + 1)]
+        assert hodge == list(betti_profile(K).betti)
+        assert len(calls) == K.dim
+        assert calls == [min(K.n_faces(j - 1), K.n_faces(j))
+                         for j in range(1, K.dim + 1)]
+        hodge_betti(K, K.dim, zero_tol=1e-6)
+        assert len(calls) == K.dim  # the spectra are cached on the complex
+
+    def test_refused_above_the_dense_limit(self):
+        K = simplex_skeleton(92, 1)  # the 1-skeleton of the 91-simplex
+        assert (K.n_faces(0), K.n_faces(1)) == (92, 4186)
+        assert K.n_faces(1) > chains.DENSE_LIMIT
+        with pytest.raises(TooLarge):
+            hodge_betti(K, 1)
+        assert hodge_betti(K, 0) == 1
+        with pytest.raises(TooLarge):
+            hodge_betti(K, 1)  # also with the one spectrum it needs cached
+
+
+def dense_hodge_betti(K, i, zero_tol=1e-8):
+    """Oracle for hodge_betti: the eigenvalues of the full Laplacian
+    L_down + L_up on the i-faces, below the threshold, with the same
+    guard band."""
+    eigs = np.linalg.eigvalsh(chains.laplacian(K, i, "L_full"))
+    band = eigs[(eigs >= zero_tol) & (eigs < 100 * zero_tol)]
+    if band.size:
+        raise SpectrumAmbiguous(f"eigenvalue {band[0]:.3e} in the guard band")
+    return int((eigs < zero_tol).sum())
+
+
+def _outcome(count, K, i, zero_tol):
+    try:
+        return count(K, i, zero_tol)
+    except SpectrumAmbiguous:
+        return "ambiguous"
+
 
 def naive_deletion_check(K):
     """Oracle for is_basic_hole without collapse: the full top boundary has
@@ -446,3 +514,13 @@ class TestBasicHoleProperties:
     def test_non_hole_rejected(self):
         with pytest.raises(NotBasicHole):
             check_basic_hole_properties(tented(5, 2))
+
+    @given(pure2_complexes(max_n=7))
+    @settings(max_examples=40, deadline=None)
+    def test_min_degree_matches_a_per_ridge_scan(self, K):
+        # the degree count runs on non-holes too once the gate is lifted
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "is_basic_hole", lambda K: True)
+            rep = check_basic_hole_properties(K)
+        assert rep.min_degree_two is all(K.face_degree(F) >= 2
+                                         for F in K.faces(1))
