@@ -8,7 +8,6 @@ from .complex_core import (
     canonical_form,
     face,
     from_facets,
-    is_isomorphic,
     read_facets,
     write_facets,
 )
@@ -33,7 +32,6 @@ from .homology import (
 )
 from .spectra import (
     SpectralResult,
-    dense_q_up_spectrum,
     perron_vector,
     rayleigh_quotient,
     second_order_identity_check,
@@ -71,13 +69,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Face", "SimplicialComplex", "canonical_form", "face", "from_facets",
-    "is_isomorphic", "read_facets", "write_facets",
+    "read_facets", "write_facets",
     "apply_q_down", "apply_q_up", "boundary_sums", "laplacian",
     "quadratic_form", "signed_boundary", "signless_boundary",
     "BasicHoleReport", "BettiProfile", "betti_profile",
     "check_basic_hole_properties", "euler_characteristic", "hodge_betti",
     "integer_rank", "is_basic_hole",
-    "SpectralResult", "dense_q_up_spectrum", "perron_vector",
+    "SpectralResult", "perron_vector",
     "rayleigh_quotient", "second_order_identity_check", "spectral_radius",
     "transfer_to_down",
     "delta_sphere", "random_pure2", "rhombic", "simplex_skeleton",

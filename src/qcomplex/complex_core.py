@@ -10,6 +10,7 @@ index in every matrix. Face tuples and face-index dicts are built on demand.
 from __future__ import annotations
 
 import numbers
+import operator
 from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
@@ -27,7 +28,7 @@ from .errors import (
 
 Face = tuple[int, ...]
 
-#: Brute-force isomorphism limit; permutation search only.
+#: Brute-force canonical form limit; permutation search only.
 ISO_MAX_VERTICES = 10
 
 
@@ -36,6 +37,13 @@ def is_integer(x) -> bool:
     integers). A Python int is tested first: the ABC check costs about a
     microsecond, and `SimplicialComplex.rows` makes it on every face count."""
     return type(x) is int or isinstance(x, numbers.Integral)
+
+
+def require_int(**values) -> None:
+    """Refuse with `BadParams` each named value that is not an integer."""
+    for name, value in values.items():
+        if not is_integer(value):
+            raise BadParams(f"{name} must be an integer, got {value!r}")
 
 
 def face(vertices: Iterable[int]) -> Face:
@@ -212,8 +220,8 @@ def from_facets(n: int, facets: Sequence[Iterable[int]],
     the candidates' (i+1)-column combinations; a candidate is maximal unless
     its key is among those of the longer candidates.
     """
-    if n <= 0:
-        raise BadParams(f"n_vertices must be positive, got {n}")
+    if not (is_integer(n) and n > 0):
+        raise BadParams(f"n_vertices must be a positive integer, got {n!r}")
     groups: dict[int, list] = {}
     for f in map(tuple, facets):
         groups.setdefault(len(f), []).append(f)
@@ -222,7 +230,14 @@ def from_facets(n: int, facets: Sequence[Iterable[int]],
                         else "facet list is empty")
     cand = {}
     for size, group in sorted(groups.items()):
-        a = np.fromiter(chain.from_iterable(group), np.int64, size * len(group))
+        try:  # operator.index refuses what int64 conversion would truncate
+            a = np.fromiter(map(operator.index, chain.from_iterable(group)),
+                            np.int64, size * len(group))
+        except (TypeError, OverflowError):
+            bad = next(f for f in group
+                       if not all(is_integer(v) and -2 ** 63 <= v < 2 ** 63
+                                  for v in f))
+            raise BadVertexId(f"vertex ids in {bad!r} are not int64 integers") from None
         a = cand[size] = np.sort(a.reshape(-1, size), axis=1)
         if a[:, 0].min() < 0:
             raise BadVertexId(f"negative vertex id in {group[a[:, 0].argmin()]}")
@@ -265,26 +280,18 @@ def _prefix_keys(rows: np.ndarray, keys: Sequence[np.ndarray], n: int) -> np.nda
     return k
 
 
-# -- isomorphism ------------------------------------------------------------
+# -- canonical form -----------------------------------------------------------
 
 def _support(K: SimplicialComplex) -> list[int]:
     return sorted({v for f in K.facets for v in f})
-
-
-def _facet_fingerprint(K: SimplicialComplex) -> tuple:
-    # active vertex -> multiset of facet sizes through it; label-invariant
-    profile = sorted(
-        tuple(sorted(len(f) for f in K.facets if v in f))
-        for v in _support(K)
-    )
-    return (tuple(sorted(len(f) for f in K.facets)), tuple(profile))
 
 
 def canonical_form(K: SimplicialComplex) -> tuple[Face, ...]:
     """Lexicographically least facet list over all vertex permutations.
 
     Unused vertex ids cannot appear in the minimum, so two complexes have
-    equal canonical forms exactly when `is_isomorphic` accepts them.
+    equal canonical forms exactly when some bijection of their used
+    vertices maps facets onto facets.
     """
     n = K.n_vertices
     if n > ISO_MAX_VERTICES:
@@ -299,26 +306,6 @@ def canonical_form(K: SimplicialComplex) -> tuple[Face, ...]:
             best = cand
     assert best is not None
     return best
-
-
-def is_isomorphic(K1: SimplicialComplex, K2: SimplicialComplex) -> bool:
-    """Whether some bijection of active vertices maps facets onto facets."""
-    for K in (K1, K2):
-        if K.n_vertices > ISO_MAX_VERTICES:
-            raise TooLarge(
-                f"isomorphism is brute force; n={K.n_vertices} > {ISO_MAX_VERTICES}")
-    if _facet_fingerprint(K1) != _facet_fingerprint(K2):
-        return False
-    s1, s2 = _support(K1), _support(K2)
-    if len(s1) != len(s2) or len(K1.facets) != len(K2.facets):
-        return False
-    target = set(K2.facets)
-    for perm in permutations(s2):
-        relabel = dict(zip(s1, perm))
-        if all(tuple(sorted(relabel[v] for v in f)) in target
-               for f in K1.facets):
-            return True
-    return False
 
 
 # -- .facets text format ------------------------------------------------------

@@ -35,7 +35,6 @@ The large-n asymptotics go through the Lanczos top-two solve in `spectra`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterator, NamedTuple
@@ -43,7 +42,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import chains, homology, spectra
-from .complex_core import Face, SimplicialComplex, from_facets
+from .complex_core import Face, SimplicialComplex, from_facets, require_int
 from .errors import (
     BadParams,
     NoApex,
@@ -91,6 +90,7 @@ def spectral_bound(n: int, r: int, t: int) -> float:
 
 
 def _check_bound_params(n: int, r: int, t: int) -> None:
+    require_int(n=n, r=r, t=t)
     if r < 1 or n < r + 1 or t < 0:
         raise BadParams(f"need r >= 1, n >= r+1, t >= 0; got n={n}, r={r}, t={t}")
 
@@ -212,14 +212,8 @@ def _q_values(n: int, masks: np.ndarray) -> np.ndarray:
 # -- enumeration and searches -------------------------------------------------
 
 
-def _require_int(**values) -> None:
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise BadParams(f"{name} must be an integer, got {value!r}")
-
-
 def _check_domain(n: int, full_skeleton: bool) -> None:
-    _require_int(n=n)
+    require_int(n=n)
     if n < 3:
         raise BadParams(f"need n >= 3, got {n}")
     limit = FULL_SKELETON_MAX_N if full_skeleton else UNRESTRICTED_MAX_N
@@ -259,7 +253,7 @@ def enumerate_pure2(n: int, full_skeleton: bool = True) -> Iterator[SimplicialCo
 def search_betti2(n: int, mask: int) -> int:
     """Exact top Betti number of a triangle-subset mask (search fast path)."""
     _check_domain(n, full_skeleton=True)  # the tables hold every mask
-    _require_int(mask=mask)
+    require_int(mask=mask)
     m = math.comb(n, 3)
     if not 0 <= mask < 1 << m:
         raise BadParams(f"mask must lie in [0, 2^{m}), got {mask}")
@@ -305,7 +299,7 @@ def _tent_canonical(n: int, t: int) -> tuple[Face, ...]:
 
 
 def _check_search_params(n: int, t: int) -> None:
-    _require_int(n=n, t=t)
+    require_int(n=n, t=t)
     if not 0 <= t <= n - 3:
         raise BadParams(f"need 0 <= t <= n-3, got n={n}, t={t}")
 
@@ -660,9 +654,12 @@ def asymptotic_check(t: int, n_list, tol_schedule=None,
     second eigenvalue is below `spectra.DEGENERACY_GAP` or the eigenvalue
     error bound is not comfortably below the signal 9t/n^3.
     """
+    require_int(t=t)
     if t not in (1, 2):
         raise BadParams(f"asymptotic check is defined for t in {{1, 2}}, got {t}")
     ns = list(n_list)
+    for n in ns:
+        require_int(n=n)
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise BadParams("n_list must be strictly ascending")
     if ns and ns[-1] > 240:

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from . import homology
-from .complex_core import Face, SimplicialComplex, face, from_facets
+from .complex_core import Face, SimplicialComplex, face, from_facets, require_int
 from .errors import (
     BadParams,
     BettiMismatch,
@@ -31,6 +31,7 @@ RANDOM_MAX_N = 12
 
 def simplex_skeleton(n: int, r: int) -> SimplicialComplex:
     """Pure r-complex on n vertices with every (r+1)-subset as a facet."""
+    require_int(n=n, r=r)
     if r < 0 or n < r + 1:
         raise BadParams(f"need 0 <= r <= n-1, got n={n}, r={r}")
     return from_facets(n, list(combinations(range(n), r + 1)), require_pure=True)
@@ -38,6 +39,7 @@ def simplex_skeleton(n: int, r: int) -> SimplicialComplex:
 
 def tented(n: int, r: int = 2) -> SimplicialComplex:
     """All (r+1)-subsets of [n] through the apex vertex 0."""
+    require_int(n=n, r=r)
     if r < 1 or n < r + 1:
         raise BadParams(f"need r >= 1 and n >= r+1, got n={n}, r={r}")
     facets = [(0,) + rest for rest in combinations(range(1, n), r)]
@@ -46,6 +48,7 @@ def tented(n: int, r: int = 2) -> SimplicialComplex:
 
 def delta_sphere(r: int) -> SimplicialComplex:
     """Boundary of the (r+1)-simplex: the minimal r-sphere."""
+    require_int(r=r)
     if r < 1:
         raise BadParams(f"need r >= 1, got {r}")
     return simplex_skeleton(r + 2, r)
@@ -57,6 +60,7 @@ def rhombic(r: int) -> SimplicialComplex:
     Vertices 0..r span the base; r+1 and r+2 are the apexes; the 2(r+1)
     facets are each apex joined with an r-subset of the base.
     """
+    require_int(r=r)
     if r < 1:
         raise BadParams(f"need r >= 1, got {r}")
     facets = [base + (apex,) for apex in (r + 1, r + 2)
@@ -66,6 +70,7 @@ def rhombic(r: int) -> SimplicialComplex:
 
 def tent_plus_common_edge(n: int, t: int) -> SimplicialComplex:
     """The 2-dimensional tent plus t facets through the common edge {1, 2}."""
+    require_int(n=n, t=t)
     if not 1 <= t <= n - 3:
         raise BadParams(f"need 1 <= t <= n-3, got n={n}, t={t}")
     facets = [(0,) + rest for rest in combinations(range(1, n), 2)]
@@ -79,6 +84,7 @@ def tent_plus_faces(n: int, added) -> SimplicialComplex:
     The top Betti number of the result must equal the number of added
     faces; that is recomputed and enforced, so a mismatch means a bug.
     """
+    require_int(n=n)
     if n < 4:
         raise BadParams(f"need n >= 4, got {n}")
     added_faces = [face(f) for f in added]
@@ -107,6 +113,7 @@ def random_pure2(n: int, target_t: int | None = None, seed: int = 0,
     With ``target_t`` set, rejection-samples until the top Betti number
     matches or the attempt budget runs out.
     """
+    require_int(n=n, max_attempts=max_attempts)
     if n < 3 or n > RANDOM_MAX_N:
         raise BadParams(f"need 3 <= n <= {RANDOM_MAX_N}, got {n}")
     check_seed(seed)

@@ -1,16 +1,17 @@
 """Exact Betti numbers, the Euler identity, and basic-hole predicates.
 
-Betti numbers are computed by collapse, then coreduce, then eliminate.
-Elementary collapses remove a face that has exactly one coface together
-with that coface; this keeps the homotopy type. Coreduction (Mrozek and
-Batko, Discrete Comput. Geom. 41, 2009) is its dual: after one vertex of
-each connected component is removed, which lowers beta_0 by the number of
-components, a face with exactly one remaining boundary face is removed
-together with that face; the remaining faces form an S-complex with the
-same homology. The ranks of its boundary matrices, and the residual
-kernel vector from which `is_basic_hole` builds the top cycle, come from
-one fraction-free (Bareiss) integer elimination: no tolerance and no
-rational arithmetic.
+Betti numbers are computed by reduction, then elimination. The reduction
+(Mrozek and Batko, Discrete Comput. Geom. 41, 2009) removes pairs of a
+face and a coface that leave the homology unchanged: a coreduction pair,
+where the coface has no other boundary face left, and a collapse pair,
+where the face has no other coface left. When none is left it removes the
+least vertex, which lowers beta_0 by one, and goes on. The remaining faces
+form an S-complex with the homology of the complex, except that beta_0 is
+lower by the number of vertices so removed. The ranks of its boundary
+matrices, and the residual kernel vector from which `is_basic_hole` builds
+the top cycle, come from one fraction-free (Bareiss) integer elimination:
+no tolerance and no rational arithmetic. The reduction is cached on the
+complex, so `betti_profile` and `is_basic_hole` share one.
 
 The floating-point `hodge_betti` is the independent cross-check: beta_i
 is the kernel dimension of the full Laplacian d_i^T d_i + d_{i+1} d_{i+1}^T.
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -45,13 +47,15 @@ from .errors import (
 _INT64_GUARD = np.int64(1) << 31
 
 #: Largest dense int64 residual boundary matrix, in bytes, that
-#: `betti_profile` and `is_basic_hole` allocate after collapse and
-#: coreduction; larger ones raise `TooLarge`. `integer_rank` holds about
-#: three more working copies, so the peak is about four times this. Tents
-#: collapse to a handful of faces at any size, the 59-simplex's 2-skeleton
-#: (no free face) coreduces to 32509 top faces with zero boundary in each
-#: component, and a sphere coreduces to one top face, whose kernel vector
-#: `is_basic_hole` extends to the cycle without any other matrix.
+#: `betti_profile` and `is_basic_hole` allocate after the reduction; larger
+#: ones raise `TooLarge`. `integer_rank` holds about three more working
+#: copies, so the peak is about four times this. A tent with t added
+#: faces reduces to t triangles with zero boundary at any size, also with
+#: its apex relabelled; a surface with boundary to beta_1 edges with zero
+#: boundary; the 59-simplex's 2-skeleton to 32509 such triangles per
+#: component; and a sphere to one top face, whose kernel vector
+#: `is_basic_hole` extends to the cycle without any other matrix. A closed
+#: surface keeps every triangle.
 DENSE_BYTES_LIMIT = 256 * 2**20
 
 
@@ -180,134 +184,90 @@ def _require_dense_fits(n_rows: int, n_cols: int) -> None:
             f"MiB limit")
 
 
-def _collapse(K: SimplicialComplex) -> list[np.ndarray]:
-    """Masks, one per dimension, of the faces left by elementary collapses.
+def _coreduce(K: SimplicialComplex
+              ) -> tuple[list[np.ndarray], int, np.ndarray]:
+    """Masks, one per dimension, of the faces left by the reduction, the
+    number of vertices it started from, and the removed (ridge, facet)
+    pairs of the top dimension, in removal order. Cached on the complex.
 
-    While some face has exactly one remaining coface, the pair is removed.
-    That coface has no coface of its own, since one would hold a second
-    coface of the face, so the residual stays a complex. Each face keeps
-    the count and the index sum of its remaining cofaces, so the sum names
-    the coface once the count is 1. Cached on the complex.
-    """
-    alive = K._cache.get("collapse")
-    if alive is not None:
-        return alive
-    top = K.dim
-    faces, count, cosum, stack = [None], [], [], []
-    for d in range(top):
-        tab = chains.boundary_index_table(K, d + 1)
-        faces.append(tab.tolist())
-        flat = tab.reshape(-1)
-        owners = np.repeat(np.arange(tab.shape[0]), tab.shape[1])
-        c = np.bincount(flat, minlength=K.n_faces(d))
-        count.append(c.tolist())
-        cosum.append(np.bincount(flat, weights=owners, minlength=K.n_faces(d))
-                     .astype(np.int64).tolist())
-        stack.extend((d, s) for s in np.flatnonzero(c == 1).tolist())
-    removed = [[] for _ in range(top + 1)]
-    while stack:
-        d, s = stack.pop()
-        if count[d][s] != 1:  # removed faces have no cofaces left
-            continue
-        t = cosum[d][s]
-        removed[d].append(s)
-        removed[d + 1].append(t)
-        for e, x in ((d + 1, t), (d, s)):
-            if e == 0:
-                continue
-            for f in faces[e][x]:
-                count[e - 1][f] -= 1
-                cosum[e - 1][f] -= x
-                if count[e - 1][f] == 1:
-                    stack.append((e - 1, f))
-    alive = []
-    for d in range(top + 1):
-        mask = np.ones(K.n_faces(d), dtype=bool)
-        mask[removed[d]] = False
-        alive.append(mask)
-    K._cache["collapse"] = alive
-    return alive
-
-
-def _coreduce(K: SimplicialComplex, alive: list[np.ndarray]
-              ) -> tuple[list[np.ndarray], int, list[tuple[int, int]]]:
-    """Masks, one per dimension, of the collapse residual left by
-    coreduction, the number of connected components of that residual,
-    and the removed (ridge, facet) pairs of the top dimension, as indices
-    in K, in removal order.
-
-    The least vertex of every component is removed first, which lowers
-    beta_0 by the number of components. Then, while some face b has
-    exactly one remaining boundary face a, the pair (a, b) is removed.
+    Two kinds of pair (a, b), a a boundary face of b, are removed: a
+    coreduction pair, where b has no remaining boundary face but a, and
+    a collapse pair, where a has no remaining coface but b. Neither
+    changes the homology of the remaining faces (Mrozek and Batko, 2009).
     Each face keeps the count and the index sum of its remaining boundary
-    faces, so the sum names a once the count is 1. A removed face has
-    count 0 (b reaches it by losing a), so it is never picked again. The
-    collapse residual is a subcomplex, so the work runs in local indices
-    over it alone.
+    faces and of its remaining cofaces, so a sum names the partner once
+    its count is 1. When no pair is left, every remaining edge keeps both
+    or neither of its vertices, so each remaining vertex is a nonzero
+    class of beta_0: the least one is removed, which lowers beta_0 by one,
+    and the reduction restarts.
     """
+    cached = K._cache.get("coreduction")
+    if cached is not None:
+        return cached
     top = K.dim
-    idx = [np.flatnonzero(mask) for mask in alive]
-    count, bsum, co_ptr, co_idx = [None], [None], [], []
+    left = [bytearray(b"\x01") * K.n_faces(d) for d in range(top + 1)]
+    # per dimension d: boundary faces (faces[d][x]) and cofaces
+    # (co_idx[d][co_ptr[d][x]:co_ptr[d][x + 1]]) of the d-face x, with the
+    # count and index sum of those remaining
+    faces, n_down, sum_down = [None], [None], [None]
+    co_ptr, co_idx, n_up, sum_up = [], [], [], []
+    stack = []  # (d, x, up): x has one remaining coface (up) or face
     for d in range(1, top + 1):
-        local = np.cumsum(alive[d - 1]) - 1
-        tab = local[chains.boundary_index_table(K, d)[idx[d]]]
-        count.append([d + 1] * len(idx[d]))
-        bsum.append(tab.sum(axis=1).tolist())
-        order = np.argsort(tab.reshape(-1), kind="stable")
-        co_idx.append((order // (d + 1)).tolist())
-        co_ptr.append(np.concatenate(
-            ([0], np.cumsum(np.bincount(tab.reshape(-1),
-                                        minlength=len(idx[d - 1]))))).tolist())
-    # depth-first search for the least vertex of each component; an
-    # edge's other end is its boundary index sum less the known end
-    starts, seen = [], [False] * len(idx[0])
-    for s in range(len(seen)):
-        if seen[s]:
-            continue
-        starts.append(s)
-        seen[s], todo = True, [s]
-        while top and todo:
-            x = todo.pop()
-            for e in co_idx[0][co_ptr[0][x]:co_ptr[0][x + 1]]:
-                y = bsum[1][e] - x
-                if not seen[y]:
-                    seen[y] = True
-                    todo.append(y)
-    removed = [list(starts)] + [[] for _ in range(top)]
-    stack, pairs = [], []
+        tab = chains.boundary_index_table(K, d)
+        flat, n_lower = tab.reshape(-1), K.n_faces(d - 1)
+        faces.append(tab.tolist())
+        n_down.append([d + 1] * len(tab))
+        sum_down.append(tab.sum(axis=1).tolist())
+        co = np.bincount(flat, minlength=n_lower)
+        co_ptr.append([0] + np.cumsum(co).tolist())
+        co_idx.append((np.argsort(flat, kind="stable") // (d + 1)).tolist())
+        n_up.append(co.tolist())
+        sum_up.append(np.bincount(flat, np.repeat(np.arange(len(tab)), d + 1),
+                                  minlength=n_lower).astype(np.int64).tolist())
+        stack.extend(zip(repeat(d - 1), np.flatnonzero(co == 1).tolist(),
+                         repeat(True)))
+    pairs, starts = [], 0
 
-    def drop(e: int, x: int) -> None:
-        # face x of dimension e - 1 is gone: its cofaces lose a boundary face
-        if e > top:
-            return
-        cnt, total = count[e], bsum[e]
-        for c in co_idx[e - 1][co_ptr[e - 1][x]:co_ptr[e - 1][x + 1]]:
-            cnt[c] -= 1
-            total[c] -= x
-            if cnt[c] == 1:
-                stack.append((e, c))
+    def remove(d: int, x: int) -> None:
+        left[d][x] = 0
+        if d:  # its boundary faces lose a coface
+            count, total, alive = n_up[d - 1], sum_up[d - 1], left[d - 1]
+            for y in faces[d][x]:
+                count[y] -= 1
+                total[y] -= x
+                if count[y] == 1 and alive[y]:
+                    stack.append((d - 1, y, True))
+        if d < top and n_up[d][x]:  # its cofaces lose a boundary face
+            count, total, alive = n_down[d + 1], sum_down[d + 1], left[d + 1]
+            ptr = co_ptr[d]
+            for y in (co_idx[d][ptr[x]:ptr[x + 1]] if n_up[d][x] > 1
+                      else (sum_up[d][x],)):  # one left: the sum names it
+                count[y] -= 1
+                total[y] -= x
+                if count[y] == 1 and alive[y]:
+                    stack.append((d + 1, y, False))
 
-    for v in starts:
-        drop(1, v)
-    while stack:
-        d, b = stack.pop()
-        if count[d][b] != 1:
-            continue
-        a = bsum[d][b]
-        removed[d - 1].append(a)
-        removed[d].append(b)
-        if d == top:
-            pairs.append((int(idx[d - 1][a]), int(idx[d][b])))
-        if d > 1:
-            count[d - 1][a] = 0
-        drop(d, a)
-        drop(d + 1, b)
-    left = []
-    for d in range(top + 1):
-        mask = alive[d].copy()
-        mask[idx[d][removed[d]]] = False
-        left.append(mask)
-    return left, len(starts), pairs
+    def reduce() -> None:
+        while stack:
+            d, x, up = stack.pop()
+            if not left[d][x] or (n_up if up else n_down)[d][x] != 1:
+                continue
+            a, b, d = (x, sum_up[d][x], d + 1) if up else (sum_down[d][x], x, d)
+            if d == top:
+                pairs.extend((a, b))
+            remove(d - 1, a)
+            remove(d, b)
+
+    reduce()
+    for v in range(len(left[0])):
+        if left[0][v]:
+            starts += 1
+            remove(0, v)
+            reduce()
+    cached = K._cache["coreduction"] = (
+        [np.frombuffer(mask, dtype=bool) for mask in left], starts,
+        np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    return cached
 
 
 def _residual_boundary(K: SimplicialComplex, alive: list[np.ndarray],
@@ -328,12 +288,12 @@ def _residual_boundary(K: SimplicialComplex, alive: list[np.ndarray],
 
 
 def betti_profile(K: SimplicialComplex) -> BettiProfile:
-    """Exact Betti numbers over the rationals: collapse, coreduce, then
-    eliminate. Cached on the complex."""
+    """Exact Betti numbers over the rationals: reduce, then eliminate.
+    Cached on the complex."""
     profile = K._cache.get("betti")
     if profile is not None:
         return profile
-    alive, components, _ = _coreduce(K, _collapse(K))
+    alive, starts, _ = _coreduce(K)
     sizes = [int(mask.sum()) for mask in alive]
     for i in range(1, K.dim + 1):  # refuse before any allocation or elimination
         _require_dense_fits(sizes[i - 1], sizes[i])
@@ -343,7 +303,7 @@ def betti_profile(K: SimplicialComplex) -> BettiProfile:
         residual.append(integer_rank(A) if A.any() else 0)
     residual.append(0)
     betti = [sizes[i] - residual[i] - residual[i + 1] for i in range(K.dim + 1)]
-    betti[0] += components  # the vertices that started the coreduction
+    betti[0] += starts  # the vertices the reduction started from
     # ranks of the boundary maps of K itself, top-down from its face counts
     ranks = [0] * (K.dim + 2)
     for i in range(K.dim, 0, -1):
@@ -422,34 +382,37 @@ def is_basic_hole(K: SimplicialComplex) -> bool:
 
     True iff the top Betti number is 1 and deleting any single facet kills
     it, that is, iff the generator z of the top cycles is nonzero on every
-    facet. A top cycle vanishes on a facet removed by collapse (its free
-    face meets no other remaining facet), so then the answer is False, as
-    it is when the cached `betti_profile` has beta_top != 1. Otherwise z
-    comes from coreduction. A facet b removed with ridge a meets no
-    surviving ridge, and every other facet F on a is removed later or
-    survives. So every cycle is a kernel vector of the residual top
-    boundary extended by the equations of the paired ridges,
-    z[b] = -s(a, b) * sum over F != b of s(a, F) z[F], solved in reverse
-    removal order. These solutions form a space of dimension
-    dim ker(residual) = beta_top = 1, so they are the cycles.
+    facet. The answer is False when the cached `betti_profile` has
+    beta_top != 1. Otherwise z comes from the reduction that profile
+    cached. For a removed top pair (a, b) of ridge and facet: in a
+    coreduction pair b meets no other remaining ridge, and every other
+    facet on a is removed later or remains; in a collapse pair every other
+    facet on a was removed before, and z[b] = 0. So every cycle is a
+    kernel vector of the residual top boundary extended by the equations
+    of the paired ridges, z[b] = -s(a, b) * sum over F != b of s(a, F) z[F],
+    solved in reverse removal order with the facets not yet solved at
+    zero. These solutions form a space of dimension
+    dim ker(residual) = beta_top = 1, so they are the cycles. Each z[b] is
+    final once solved, so the first facet with z[b] = 0 answers False.
     """
     _require_pure(K)
     r = K.dim
     if r < 1:
         raise DimensionOutOfRange("basic holes need dimension >= 1")
-    alive = _collapse(K)
-    if not alive[r].all() or betti_profile(K).betti[r] != 1:
+    if betti_profile(K).betti[r] != 1:
         return False
-    left, _, pairs = _coreduce(K, alive)
+    left, _, pairs = _coreduce(K)
     z = np.zeros(K.n_faces(r), dtype=object)
     z[left[r]] = _kernel_vector(_residual_boundary(K, left, r))
     B = chains.boundary_csr(K, r, signed=True)
-    ptr, cols = B.indptr.tolist(), B.indices.tolist()
-    signs = B.data.astype(np.int64).tolist()
-    for a, b in reversed(pairs):
-        span = range(ptr[a], ptr[a + 1])
-        s_ab = next(signs[k] for k in span if cols[k] == b)
-        z[b] = -s_ab * sum(signs[k] * z[cols[k]] for k in span)  # z[b] is 0
+    signs = B.data.astype(np.int64)
+    for a, b in zip(*pairs[::-1].T.tolist()):
+        row = slice(B.indptr[a], B.indptr[a + 1])  # the facets on ridge a
+        cols, s = B.indices[row].tolist(), signs[row].tolist()
+        # z[b] is still 0 in the sum
+        z[b] = -s[cols.index(b)] * sum(x * z[c] for x, c in zip(s, cols))
+        if not z[b]:
+            return False
     return all(z)
 
 

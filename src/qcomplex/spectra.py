@@ -124,8 +124,8 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
     """
     if method not in ("auto", "dense", "lanczos"):
         raise BadParams(f"unknown method {method!r}")
-    if max_iters is not None and max_iters < 1:
-        raise BadParams(f"max_iters must be positive, got {max_iters}")
+    if max_iters is not None and not (is_integer(max_iters) and max_iters >= 1):
+        raise BadParams(f"max_iters must be a positive integer, got {max_iters!r}")
     check_tol(tol)
     check_seed(seed)
     if not (is_integer(i) and 0 <= i < K.dim):
@@ -235,8 +235,3 @@ def second_order_identity_check(K: SimplicialComplex, i: int,
     rhs = (k * k) * g + 2 * k * ng + nng
     return float(np.abs(lhs - rhs).max())
 
-
-def dense_q_up_spectrum(K: SimplicialComplex, i: int) -> np.ndarray:
-    """All eigenvalues of the i-up signless Laplacian, ascending (oracle)."""
-    Q = chains.laplacian(K, i, "Q_up")
-    return np.linalg.eigvalsh(Q)

@@ -1,9 +1,10 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from qcomplex import from_facets
+from qcomplex import from_facets, laplacian
 
 
 @pytest.fixture
@@ -56,3 +57,38 @@ def mixed_candidates(draw, max_n=6):
 def mixed_complexes(max_n=6):
     """Random complexes with facets of mixed dimensions (1 to 3)."""
     return mixed_candidates(max_n).map(lambda c: from_facets(*c))
+
+
+def dense_q_up_spectrum(K, i):
+    """Oracle: all eigenvalues of the i-up signless Laplacian, ascending,
+    from one dense solve."""
+    return np.linalg.eigvalsh(laplacian(K, i, "Q_up"))
+
+
+def _support(K):
+    return sorted({v for f in K.facets for v in f})
+
+
+def facet_fingerprint(K):
+    """Label-invariant: the facet sizes, and for each used vertex the
+    sizes of the facets through it."""
+    profile = sorted(tuple(sorted(len(f) for f in K.facets if v in f))
+                     for v in _support(K))
+    return tuple(sorted(len(f) for f in K.facets)), tuple(profile)
+
+
+def is_isomorphic(K1, K2):
+    """Oracle: whether some bijection of the used vertices maps facets onto
+    facets, by brute force over the permutations."""
+    if facet_fingerprint(K1) != facet_fingerprint(K2):
+        return False
+    s1, s2 = _support(K1), _support(K2)
+    if len(s1) != len(s2) or len(K1.facets) != len(K2.facets):
+        return False
+    target = set(K2.facets)
+    for perm in permutations(s2):
+        relabel = dict(zip(s1, perm))
+        if all(tuple(sorted(relabel[v] for v in f)) in target
+               for f in K1.facets):
+            return True
+    return False

@@ -1,3 +1,4 @@
+import numbers
 from itertools import combinations, permutations
 
 import numpy as np
@@ -7,12 +8,18 @@ from hypothesis import strategies as st
 
 from qcomplex import (
     SimplicialComplex,
+    asymptotic_check,
     canonical_form,
+    delta_sphere,
     face,
+    facet_bound,
     from_facets,
     hodge_betti,
-    is_isomorphic,
+    random_pure2,
     read_facets,
+    rhombic,
+    simplex_skeleton,
+    spectral_bound,
     spectral_radius,
     tent_plus_common_edge,
     tent_plus_faces,
@@ -31,8 +38,8 @@ from qcomplex.errors import (
 from qcomplex.chains import (boundary_index_table, laplacian,
                              up_connected_after_deletion)
 
-from conftest import (mixed_candidates, mixed_complexes, pure2_complexes,
-                      suspension)
+from conftest import (is_isomorphic, mixed_candidates, mixed_complexes,
+                      pure2_complexes, suspension)
 
 
 class TestFromFacets:
@@ -63,6 +70,11 @@ class TestFromFacets:
         with pytest.raises(BadVertexId):
             from_facets(3, [(0, 1, 3)])
 
+    def test_numpy_integer_ids_accepted(self):
+        K = from_facets(np.int64(5), [(np.int64(0), 1, np.int32(2)),
+                                      (np.uint8(2), 3, 4)])
+        assert K == from_facets(5, [(0, 1, 2), (2, 3, 4)])
+
     def test_empty_facets(self):
         with pytest.raises(BadParams):
             from_facets(3, [])
@@ -80,8 +92,10 @@ class TestFromFacets:
 def oracle_from_facets(n, facets):
     """Oracle: facets and faces by dimension from Python sets of tuples,
     candidates taken largest first so maximality is one set lookup."""
-    if n <= 0:
-        raise BadParams(f"n_vertices must be positive, got {n}")
+    if not (isinstance(n, numbers.Integral) and n > 0):
+        raise BadParams(f"n_vertices must be a positive integer, got {n!r}")
+    if not all(isinstance(v, numbers.Integral) for f in facets for v in f):
+        raise BadVertexId("non-integral vertex id")
     normalized = sorted({face(f) for f in facets})
     if not normalized:
         raise BadParams("facet list is empty")
@@ -134,6 +148,13 @@ class TestConstructionAgainstSetOracle:
         (4, [(0, 1), (-1, 2)], BadVertexId),
         (4, [(0, 1, 2), (1, 4)], BadVertexId),
         (4, [(0, 1, 2), (1, 2, 3, 7)], BadVertexId),
+        (5, [(0, 1, 2.5)], BadVertexId),
+        (5, [(0, 1), (0, 1, np.float64(2.0))], BadVertexId),
+        (5, [(0, "1", 2)], BadVertexId),
+        (5, [(0, 1, 2 ** 63)], BadVertexId),
+        (5.5, [(0, 1, 2)], BadParams),
+        (5.0, [(0, 1, 2)], BadParams),
+        ("5", [(0, 1, 2)], BadParams),
     ])
     def test_error_types_match(self, n, facets, error):
         for build in (from_facets, oracle_from_facets):
@@ -407,6 +428,35 @@ class TestDimensionIndex:
             assert got.value == want.value
         else:
             assert got == want
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("call", [
+        lambda: simplex_skeleton(5.0, 2),
+        lambda: simplex_skeleton(5, 2.0),
+        lambda: tented(6, 2.0),
+        lambda: tent_plus_common_edge(6.0, 1),
+        lambda: tent_plus_faces(6.0, [(1, 2, 3)]),
+        lambda: delta_sphere(2.0),
+        lambda: rhombic(np.float64(2.0)),
+        lambda: random_pure2(6.0),
+        lambda: asymptotic_check(1, [60.5]),
+        lambda: asymptotic_check(1.0, [60]),
+        lambda: facet_bound(6, 2, 1.5),
+        lambda: spectral_bound(6.0, 2, 1),
+        lambda: spectral_radius(tented(5, 2), 1, max_iters=2.5),
+        lambda: spectral_radius(tented(5, 2), 1, max_iters="a"),
+    ], ids=["skeleton_n", "skeleton_r", "tented_r", "common_edge_n",
+            "plus_faces_n", "delta_sphere_r", "rhombic_r", "random_n",
+            "asymptotic_n", "asymptotic_t", "facet_bound_t",
+            "spectral_bound_n", "max_iters_half", "max_iters_str"])
+    def test_non_integral_refused(self, call):
+        with pytest.raises(BadParams):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert facet_bound(np.int64(6), 2, np.int32(1)) == facet_bound(6, 2, 1)
+        assert tented(np.int64(6), np.int64(2)) == tented(6, 2)
 
 
 class TestWithoutFacet:

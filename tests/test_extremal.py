@@ -87,7 +87,7 @@ class TestEnumeration:
             next(enumerate_pure2(10))
 
     def test_search_betti_matches_exact_profile(self):
-        # dual route: the orbit rank table against collapsed Betti numbers
+        # dual route: the orbit rank table against coreduced Betti numbers
         space = _triangle_space(5)
         _tables(5)
         rng = np.random.default_rng(5)

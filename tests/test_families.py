@@ -5,7 +5,6 @@ import pytest
 from qcomplex import (
     betti_profile,
     delta_sphere,
-    is_isomorphic,
     random_pure2,
     read_facets,
     rhombic,
@@ -23,6 +22,8 @@ from qcomplex.errors import (
     FaceContainsApex,
 )
 from qcomplex.families import make
+
+from conftest import is_isomorphic
 
 
 class TestTented:

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import combinations
 
@@ -47,6 +48,17 @@ def projective_plane():
     return from_facets(6, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5),
                            (0, 1, 5), (1, 2, 4), (2, 3, 5), (1, 3, 4),
                            (2, 4, 5), (1, 3, 5)])
+
+
+def grid_surface(m, wrap_rows=True, drop=0):
+    """The m x m grid torus, each square cut by a diagonal; without
+    ``wrap_rows`` the annulus, and the first ``drop`` triangles left out."""
+    def v(i, j):
+        return (i % m) * m + j % m
+    facets = [f for i in range(m if wrap_rows else m - 1) for j in range(m)
+              for f in ((v(i, j), v(i + 1, j), v(i + 1, j + 1)),
+                        (v(i, j), v(i, j + 1), v(i + 1, j + 1)))]
+    return from_facets(m * m, facets[drop:])
 
 
 def rp2_plus(*facets):
@@ -171,17 +183,62 @@ class TestBettiProfile:
         monkeypatch.undo()
         assert betti_profile(projective_plane()).betti == (1, 0, 0)
         # the 240-vertex tent's 28680 x 28442 top boundary (6.5 GB)
-        # collapses to a few faces
+        # reduces to one triangle with no boundary left
         K = tent_plus_common_edge(240, 1)
         profile = betti_profile(K)
         assert profile.betti == (1, 0, 1)
         assert profile.ranks == (0, 239, K.n_faces(2) - 1)
         assert not is_basic_hole(K)
 
-    def test_tent_collapses_to_a_few_faces(self):
+    def test_tent_coreduces_to_two_triangles(self):
+        # the reduction removes every vertex and edge and all but one
+        # triangle per added triangle
         K = tent_plus_common_edge(50, 2)
         assert betti_profile(K).betti == (1, 0, 2)
-        assert all(mask.sum() <= 10 for mask in homology._collapse(K))
+        left, components, pairs = homology._coreduce(K)
+        assert [int(mask.sum()) for mask in left] == [0, 0, 2]
+        assert components == 1
+        assert len(pairs) == K.n_faces(2) - 2
+
+    def test_relabelled_apex_needs_no_elimination(self, monkeypatch):
+        # the apex of the 240-vertex tent moved to vertex 239, so vertex 0
+        # is not the apex: the reduction still leaves only triangles with
+        # no boundary
+        monkeypatch.setattr(homology, "integer_rank", None)
+        swap = {0: 239, 239: 0}
+        K = from_facets(240, [tuple(swap.get(v, v) for v in f)
+                              for f in tent_plus_common_edge(240, 2).facets])
+        assert sum(239 in f for f in K.facets) == math.comb(239, 2)
+        profile = betti_profile(K)
+        assert profile.betti == (1, 0, 2)
+        assert profile.ranks == (0, 239, K.n_faces(2) - 2)
+
+    @pytest.mark.parametrize("K, betti", [
+        (grid_surface(60, drop=1), (1, 2, 0)),
+        (grid_surface(60, wrap_rows=False), (1, 1, 0)),
+    ], ids=["punctured_torus", "annulus"])
+    def test_surface_with_boundary_needs_no_elimination(self, K, betti,
+                                                        monkeypatch):
+        # the free edges collapse every triangle, and the graph left
+        # reduces to beta_1 edges with no boundary. Coreduction pairs
+        # alone remove no triangle here: the punctured torus would stall
+        # at a 7201 x 7199 residual, above DENSE_BYTES_LIMIT
+        monkeypatch.setattr(homology, "integer_rank", None)
+        profile = betti_profile(K)
+        assert profile.betti == betti
+        left, starts, pairs = homology._coreduce(K)
+        assert [int(mask.sum()) for mask in left] == [0, betti[1], 0]
+        assert starts == 1 and len(pairs) == K.n_faces(2)
+        assert not is_basic_hole(K)
+
+    def test_closed_torus_residual(self):
+        # no free face and no triangle with one edge left: of the 36
+        # vertices, 108 edges and 72 triangles the reduction keeps every
+        # triangle and the 73 edges off a spanning tree
+        K = grid_surface(6)
+        left, _, _ = homology._coreduce(K)
+        assert [int(mask.sum()) for mask in left] == [0, 73, 72]
+        assert betti_profile(K).betti == (1, 2, 1)
 
     def test_two_components(self, two_triangles):
         assert betti_profile(two_triangles).betti == (2, 0, 0)
@@ -208,7 +265,7 @@ class TestBettiProfile:
 
 
 def oracle_profile(K):
-    """Betti numbers and boundary ranks from the full, uncollapsed signed
+    """Betti numbers and boundary ranks from the full, unreduced signed
     boundaries by rational elimination."""
     ranks = [0] + [fraction_rank(signed_boundary(K, i).toarray())
                    for i in range(1, K.dim + 1)] + [0]
@@ -218,6 +275,8 @@ def oracle_profile(K):
 
 
 class TestCollapseAgainstOracle:
+    """The reduced profile and basic-hole answer against full elimination."""
+
     @given(mixed_complexes())
     @settings(max_examples=60, deadline=None)
     def test_betti_and_ranks_match_full_elimination(self, K):
@@ -290,8 +349,11 @@ class TestCollapseAgainstOracle:
     @pytest.mark.parametrize("K", [delta_sphere(2), rhombic(2), delta_sphere(3)],
                              ids=["delta_sphere2", "rhombic2", "delta_sphere3"])
     def test_spheres_keep_every_facet(self, K):
-        # no free face: the kernel path runs on the full top boundary
-        assert homology._collapse(K)[K.dim].all()
+        # every facet carries the cycle, which is read off the removed
+        # pairs: coreduction leaves one top face and nothing below it
+        left, _, pairs = homology._coreduce(K)
+        assert [int(mask.sum()) for mask in left] == [0] * K.dim + [1]
+        assert len(pairs) == K.n_faces(K.dim) - 1
         assert is_basic_hole(K) and naive_deletion_check(K)
         profile = betti_profile(K)
         assert (profile.betti, profile.ranks) == oracle_profile(K)
@@ -411,7 +473,7 @@ def _outcome(count, K, i, zero_tol):
 
 
 def naive_deletion_check(K):
-    """Oracle for is_basic_hole without collapse: the full top boundary has
+    """Oracle for is_basic_hole without the reduction: the full top boundary has
     a one-dimensional kernel and deleting any single facet kills it."""
     A = signed_boundary(K, K.dim).toarray()
     if A.shape[1] - fraction_rank(A) != 1:
@@ -456,14 +518,28 @@ class TestBasicHoles:
     ], ids=["rp2_cone_on_doubled_loop", "relabelled_with_residual",
             "rp2_beside_sphere"])
     def test_cycle_read_off_coreduction(self, K, want, residual):
-        # no facet collapses and beta_2 = 1; the cycle comes from the
-        # kernel of the residual top boundary and the removed pairs
-        assert homology._collapse(K)[2].all()
+        # beta_2 = 1; the cycle comes from the kernel of the residual top
+        # boundary and the removed pairs
         assert betti_profile(K).betti[2] == 1
-        left, _, _ = homology._coreduce(K, homology._collapse(K))
+        left, _, _ = homology._coreduce(K)
         A = homology._residual_boundary(K, left, 2)
         assert A.shape == residual and A.any() == (residual != (0, 1))
         assert is_basic_hole(K) == naive_deletion_check(K) == want
+
+    @pytest.mark.parametrize("K", [delta_sphere(2), rhombic(2),
+                                   rp2_plus((0, 1, 6), (0, 4, 6), (1, 4, 6))],
+                             ids=["delta_sphere2", "rhombic2", "rp2_cone"])
+    def test_reads_the_coreduction_of_the_profile(self, K, monkeypatch):
+        # after betti_profile, is_basic_hole reads no incidence below the
+        # top boundary: it builds no second coreduction
+        profile = betti_profile(K)
+        dims = []
+        table = chains.boundary_index_table
+        monkeypatch.setattr(chains, "boundary_index_table",
+                            lambda K, i: dims.append(i) or table(K, i))
+        assert is_basic_hole(K) == naive_deletion_check(K)
+        assert set(dims) <= {K.dim}
+        assert betti_profile(K) is profile
 
     def test_cycle_on_rp2_cone_has_coefficient_two(self):
         # the RP^2 triangles bound twice the loop 0-1-4, so the cone over

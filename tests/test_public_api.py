@@ -9,10 +9,10 @@ def test_public_names_are_pinned():
         "SimplicialComplex", "SpectralResult", "__version__",
         "apply_q_down", "apply_q_up", "asymptotic_check", "betti_profile",
         "boundary_sums", "canonical_form", "check_basic_hole_properties",
-        "delta_sphere", "dense_q_up_spectrum", "detect_apex",
+        "delta_sphere", "detect_apex",
         "enumerate_pure2", "errors", "euler_characteristic", "face",
         "facet_bound", "from_facets", "hodge_betti", "integer_rank",
-        "is_basic_hole", "is_isomorphic", "laplacian", "max_facets_search",
+        "is_basic_hole", "laplacian", "max_facets_search",
         "max_spectral_search", "perron_profile", "perron_vector",
         "proof_inspector", "quadratic_form", "random_pure2",
         "rayleigh_quotient", "read_facets", "rhombic",

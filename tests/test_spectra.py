@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from qcomplex import (
     apply_q_down,
     apply_q_up,
-    dense_q_up_spectrum,
     from_facets,
     perron_vector,
     rayleigh_quotient,
@@ -28,7 +27,7 @@ from qcomplex.errors import (
 from qcomplex import spectra
 from qcomplex.spectra import DEGENERACY_GAP, DENSE_CUTOFF, SpectralResult
 
-from conftest import pure2_complexes
+from conftest import dense_q_up_spectrum, pure2_complexes
 
 
 def twin_tents(n, extra_face):
