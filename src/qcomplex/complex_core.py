@@ -1,16 +1,18 @@
 """Pure simplicial complexes and their combinatorial neighbor structure.
 
 A complex is stored as a vertex count plus its inclusion-maximal faces
-(facets); every lower face is derived by closure. The i-faces are sorted int64
-vertex rows, keyed by (rank of ``row[:-1]`` among the (i-1)-faces) * n +
-``row[-1]``. Key order is lexicographic order, and a face's position is its
-index in every matrix. Face tuples and face-index dicts are built on demand.
+(facets); every lower face is derived by closure, in int64 arrays. The i-faces
+are sorted int64 vertex rows, keyed by (rank of ``row[:-1]`` among the
+(i-1)-faces) * n + ``row[-1]``. Key order is lexicographic order, and a face's
+position is its index in every matrix. Facet tuples, face tuples and
+face-index dicts are built on first read.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
+from functools import partial
 from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
@@ -65,18 +67,26 @@ class SimplicialComplex:
     """Immutable simplicial complex on vertices ``0..n_vertices-1``.
 
     Construct through :func:`from_facets`; the constructor assumes its
-    arguments are already validated and closed.
+    arguments are already validated and closed. The facets are kept as
+    sorted int64 row arrays, one per width, until read as tuples.
     """
 
-    __slots__ = ("n_vertices", "facets", "dim", "_rows", "_keys", "_cache")
+    __slots__ = ("n_vertices", "dim", "_maximal", "_rows", "_keys", "_cache")
 
-    def __init__(self, n_vertices: int, facets: tuple[Face, ...],
+    def __init__(self, n_vertices: int, maximal: tuple[np.ndarray, ...],
                  rows: list[np.ndarray], keys: list[np.ndarray]):
         self.n_vertices = n_vertices
-        self.facets = facets
         self.dim = len(rows) - 1
-        self._rows, self._keys = rows, keys
-        self._cache: dict = {}  # also the face tuples and face-index dicts
+        self._maximal, self._rows, self._keys = maximal, rows, keys
+        self._cache: dict = {}  # facet and face tuples, face-index dicts
+
+    @property
+    def facets(self) -> tuple[Face, ...]:
+        """The inclusion-maximal faces as sorted tuples, built on first read."""
+        if "facets" not in self._cache:
+            fs = [f for m in self._maximal for f in map(tuple, m.tolist())]
+            self._cache["facets"] = tuple(sorted(fs) if len(self._maximal) > 1 else fs)
+        return self._cache["facets"]
 
     # -- basic queries ----------------------------------------------------
 
@@ -121,7 +131,7 @@ class SimplicialComplex:
         return 0 <= i <= self.dim and F in self._lookup(i)
 
     def is_pure(self) -> bool:
-        return all(len(f) == self.dim + 1 for f in self.facets)
+        return len(self._maximal) == 1
 
     # -- neighbor structure -----------------------------------------------
 
@@ -181,8 +191,8 @@ class SimplicialComplex:
             raise DimensionOutOfRange(f"skeleton order {r} outside [0, {self.dim}]")
         if r == self.dim:
             return self
-        cand = list(self.faces(r)) + [f for f in self.facets if len(f) - 1 < r]
-        return from_facets(self.n_vertices, cand)
+        return from_facets(self.n_vertices, arrays=[self._rows[r]] + [
+            m for m in self._maximal if m.shape[1] <= r])
 
     def without_facet(self, F: Face) -> "SimplicialComplex":
         """The complex whose face set is the face set of this one minus ``F``.
@@ -201,21 +211,26 @@ class SimplicialComplex:
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
                 and self.n_vertices == other.n_vertices
-                and self.facets == other.facets)
+                and len(self._maximal) == len(other._maximal)
+                and all(map(np.array_equal, self._maximal, other._maximal)))
 
     def __hash__(self) -> int:
         return hash((self.n_vertices, self.facets))
 
     def __repr__(self) -> str:
         return (f"SimplicialComplex(n={self.n_vertices}, dim={self.dim}, "
-                f"facets={len(self.facets)})")
+                f"facets={sum(map(len, self._maximal))})")
 
 
-def from_facets(n: int, facets: Sequence[Iterable[int]],
-                require_pure: bool = False) -> SimplicialComplex:
-    """Build a complex from candidate facets.
+def from_facets(n: int, facets: Iterable[Iterable[int]] = (),
+                require_pure: bool = False, *,
+                arrays: Sequence[np.ndarray] = ()) -> SimplicialComplex:
+    """Build a complex from candidate facets: the vertex iterables in
+    ``facets``, grouped by length into one int64 array each, and the rows of
+    the 2-D int64 ``arrays`` (the ``.facets`` reader and the family
+    generators pass only these). Vertex order within a candidate is free.
 
-    Non-maximal entries are dropped; with ``require_pure`` the surviving
+    Non-maximal candidates are dropped; with ``require_pure`` the surviving
     facets must all share one dimension. The i-faces are the distinct keys of
     the candidates' (i+1)-column combinations; a candidate is maximal unless
     its key is among those of the longer candidates.
@@ -225,25 +240,32 @@ def from_facets(n: int, facets: Sequence[Iterable[int]],
     groups: dict[int, list] = {}
     for f in map(tuple, facets):
         groups.setdefault(len(f), []).append(f)
-    if not groups or 0 in groups:
-        raise BadParams("a face needs at least one vertex" if groups
+    try:  # operator.index and a safe cast refuse what int64 would truncate
+        blocks = [np.fromiter(map(operator.index, chain.from_iterable(group)),
+                              np.int64, size * len(group)).reshape(len(group), size)
+                  for size, group in groups.items()] + [
+            np.asarray(a).astype(np.int64, casting="safe", copy=False) for a in arrays]
+    except (TypeError, OverflowError):
+        bad = next((f for group in groups.values() for f in group if not all(
+            is_integer(v) and -2 ** 63 <= v < 2 ** 63 for v in f)), "an array")
+        raise BadVertexId(f"vertex ids in {bad!r} are not int64 integers") from None
+    if any(a.ndim != 2 for a in blocks):
+        raise BadParams("candidate arrays must be 2-D, one candidate per row")
+    sizes = sorted({a.shape[1] for a in blocks if len(a)})
+    if not sizes or sizes[0] == 0:
+        raise BadParams("a face needs at least one vertex" if sizes
                         else "facet list is empty")
     cand = {}
-    for size, group in sorted(groups.items()):
-        try:  # operator.index refuses what int64 conversion would truncate
-            a = np.fromiter(map(operator.index, chain.from_iterable(group)),
-                            np.int64, size * len(group))
-        except (TypeError, OverflowError):
-            bad = next(f for f in group
-                       if not all(is_integer(v) and -2 ** 63 <= v < 2 ** 63
-                                  for v in f))
-            raise BadVertexId(f"vertex ids in {bad!r} are not int64 integers") from None
-        a = cand[size] = np.sort(a.reshape(-1, size), axis=1)
+    for size in sizes:
+        listed = np.concatenate([a for a in blocks if a.shape[1] == size])
+        a = cand[size] = np.sort(listed, axis=1)
         if a[:, 0].min() < 0:
-            raise BadVertexId(f"negative vertex id in {group[a[:, 0].argmin()]}")
+            bad = tuple(listed[a[:, 0].argmin()].tolist())
+            raise BadVertexId(f"negative vertex id in {bad}")
         repeated = (a[:, 1:] == a[:, :-1]).any(axis=1)
         if repeated.any():
-            raise BadParams(f"repeated vertex in face {group[repeated.argmax()]!r}")
+            bad = tuple(listed[repeated.argmax()].tolist())
+            raise BadParams(f"repeated vertex in face {bad!r}")
     if (top_vertex := max(int(a[:, -1].max()) for a in cand.values())) >= n:
         raise BadVertexId(f"vertex {top_vertex} outside [0, {n})")
     rows, keys, maximal = [], [], []
@@ -262,13 +284,11 @@ def from_facets(n: int, facets: Sequence[Iterable[int]],
         if len(listed):
             covered = k[:len(k) - len(listed)]
             top = ~np.isin(keys[i], covered) if covered.size else slice(None)
-            maximal.append(rows[i][top].tolist())
-    dims = [len(m[0]) - 1 for m in maximal if m]
-    if require_pure and len(dims) > 1:
-        raise NotPure(f"facet dimensions {dims} are mixed")
-    facet_list = [f for m in maximal for f in map(tuple, m)]
-    return SimplicialComplex(n, tuple(sorted(facet_list) if len(dims) > 1
-                                      else facet_list), rows, keys)
+            if len(m := rows[i][top]):
+                maximal.append(m)
+    if require_pure and len(maximal) > 1:
+        raise NotPure(f"facet dimensions {[m.shape[1] - 1 for m in maximal]} are mixed")
+    return SimplicialComplex(n, tuple(maximal), rows, keys)
 
 
 def _prefix_keys(rows: np.ndarray, keys: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -282,10 +302,6 @@ def _prefix_keys(rows: np.ndarray, keys: Sequence[np.ndarray], n: int) -> np.nda
 
 # -- canonical form -----------------------------------------------------------
 
-def _support(K: SimplicialComplex) -> list[int]:
-    return sorted({v for f in K.facets for v in f})
-
-
 def canonical_form(K: SimplicialComplex) -> tuple[Face, ...]:
     """Lexicographically least facet list over all vertex permutations.
 
@@ -296,7 +312,7 @@ def canonical_form(K: SimplicialComplex) -> tuple[Face, ...]:
     n = K.n_vertices
     if n > ISO_MAX_VERTICES:
         raise TooLarge(f"canonical form is brute force; n={n} > {ISO_MAX_VERTICES}")
-    support = _support(K)
+    support = K.rows(0)[:, 0].tolist()
     best: tuple[Face, ...] | None = None
     for perm in permutations(range(len(support))):
         relabel = dict(zip(support, perm))
@@ -314,48 +330,63 @@ def read_facets(path) -> SimplicialComplex:
     """Load a complex from the ``.facets`` text format.
 
     Lines starting with '#' are comments; the first content line is
-    ``n <count>``; every following non-empty line is one facet. Labels
-    already inside [0, n) are kept verbatim (so written files round-trip
-    byte-identically); otherwise the distinct labels are remapped onto
-    0..k-1 in sorted order.
+    ``n <count>``; every following non-empty line is one facet, int64 labels
+    in optionally signed ASCII decimals, parsed by `np.loadtxt` per width.
+    Labels already inside [0, n) are kept verbatim (so written files
+    round-trip byte-identically); otherwise the distinct labels are remapped
+    onto 0..k-1 in sorted order.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    content = [ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")]
+        lines = fh.read().split("\n")
+    content = [ln for ln in map(str.strip, lines) if ln and ln[0] != "#"]
     if not content or not content[0].startswith("n "):
         raise BadParams(f"{path}: expected leading 'n <integer>' line")
     try:
         n = int(content[0].split()[1])
     except (IndexError, ValueError):
         raise BadParams(f"{path}: malformed header {content[0]!r}") from None
-    raw = []
-    for ln in content[1:]:
-        try:
-            raw.append(tuple(map(int, ln.split())))
-        except ValueError:
-            raise BadParams(f"{path}: malformed facet line {ln!r}") from None
-    if not raw:
+    if not (body := content[1:]):
         raise BadParams(f"{path}: no facets")
-    labels = sorted({v for f in raw for v in f})
-    if labels and labels[0] < 0:
-        raise BadVertexId(f"{path}: negative vertex label {labels[0]}")
-    if labels and labels[-1] >= n:
+    parse = partial(np.loadtxt, dtype=np.int64, comments=None, ndmin=2)
+    try:  # one call when every line has one width
+        arrays = [parse(body)]
+    except ValueError:
+        by_width: dict[int, list[str]] = {}
+        for ln in body:
+            by_width.setdefault(len(ln.split()), []).append(ln)
+        try:
+            arrays = [parse(group) for group in by_width.values()]
+        except ValueError:
+            for ln in body:  # name the first line that fails on its own
+                try:
+                    parse([ln])
+                except ValueError:
+                    raise BadParams(f"{path}: malformed facet line {ln!r}") from None
+            raise BadParams(f"{path}: malformed facet lines") from None
+    if (low := min(int(a.min()) for a in arrays)) < 0:
+        raise BadVertexId(f"{path}: negative vertex label {low}")
+    if max(int(a.max()) for a in arrays) >= n:
+        labels = np.unique(np.concatenate([a.ravel() for a in arrays]))
         if len(labels) > n:
             raise BadVertexId(f"{path}: {len(labels)} distinct labels exceed n={n}")
-        remap = {v: k for k, v in enumerate(labels)}
-        raw = [tuple(remap[v] for v in f) for f in raw]
-    return from_facets(n, raw)
+        arrays = [np.searchsorted(labels, a) for a in arrays]
+    return from_facets(n, arrays=arrays)
 
 
 def write_facets(K: SimplicialComplex, path) -> None:
     """Write the ``.facets`` format in canonical sorted order to a path,
     or to ``path`` itself when it is an open text stream."""
-    if hasattr(path, "write"):
-        path.write(f"n {K.n_vertices}\n")
-        path.writelines(" ".join(map(str, f)) + "\n" for f in K.facets)
-    else:
+    if not hasattr(path, "write"):
         with open(path, "w", encoding="utf-8") as fh:
-            write_facets(K, fh)
+            return write_facets(K, fh)
+    width = K.dim + 1  # pad short rows with -1: they sort first, as tuples do
+    rows = np.concatenate([np.pad(m, ((0, 0), (0, width - m.shape[1])),
+                                  constant_values=-1) for m in K._maximal])
+    if len(K._maximal) > 1:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    line = " ".join(["%d"] * width) + "\n"  # one %-format pass for all rows
+    path.write(f"n {K.n_vertices}\n" + (line * len(rows) % tuple(
+        rows.ravel().tolist())).replace(" -1", ""))
 
 
 from . import chains  # noqa: E402  (chains imports this module)

@@ -419,13 +419,9 @@ def detect_apex(K: SimplicialComplex) -> ApexResult:
     """
     if not K.is_pure() or K.dim != 2:
         raise NotPure("apex detection expects a pure 2-complex")
-    vertices = [v for (v,) in K.faces(0)]
-    found = []
-    for u in vertices:
-        others = [v for v in vertices if v != u]
-        if all(K.has_face(tuple(sorted((u, x, y))))
-               for x, y in combinations(others, 2)):
-            found.append(u)
+    active = K.rows(0)[:, 0]  # an apex lies on a triangle with every other pair
+    on = np.bincount(K.rows(2).ravel(), minlength=K.n_vertices)[active]
+    found = active[on == math.comb(len(active) - 1, 2)].tolist()
     if not found:
         return ApexResult(None, False)
     return ApexResult(found[0], len(found) > 1)

@@ -29,12 +29,24 @@ FAMILIES = ("simplex_skeleton", "tented", "tent_plus_common_edge",
 RANDOM_MAX_N = 12
 
 
+def subset_rows(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) as a (C(n, k), k) int64 array in
+    lexicographic order, each prefix repeated once per admissible next entry."""
+    rows = np.arange(n - k + 1)[:, None]
+    for j in range(1, k):
+        count = n - k + j - rows[:, -1]
+        first = np.repeat(rows[:, -1] + 1 - np.cumsum(count) + count, count)
+        rows = np.column_stack((np.repeat(rows, count, axis=0),
+                                first + np.arange(len(first))))
+    return rows
+
+
 def simplex_skeleton(n: int, r: int) -> SimplicialComplex:
     """Pure r-complex on n vertices with every (r+1)-subset as a facet."""
     require_int(n=n, r=r)
     if r < 0 or n < r + 1:
         raise BadParams(f"need 0 <= r <= n-1, got n={n}, r={r}")
-    return from_facets(n, list(combinations(range(n), r + 1)), require_pure=True)
+    return from_facets(n, arrays=[subset_rows(n, r + 1)], require_pure=True)
 
 
 def tented(n: int, r: int = 2) -> SimplicialComplex:
@@ -42,8 +54,8 @@ def tented(n: int, r: int = 2) -> SimplicialComplex:
     require_int(n=n, r=r)
     if r < 1 or n < r + 1:
         raise BadParams(f"need r >= 1 and n >= r+1, got n={n}, r={r}")
-    facets = [(0,) + rest for rest in combinations(range(1, n), r)]
-    return from_facets(n, facets, require_pure=True)
+    apex_rows = np.pad(subset_rows(n - 1, r) + 1, ((0, 0), (1, 0)))  # 0 in front
+    return from_facets(n, arrays=[apex_rows], require_pure=True)
 
 
 def delta_sphere(r: int) -> SimplicialComplex:
@@ -73,9 +85,9 @@ def tent_plus_common_edge(n: int, t: int) -> SimplicialComplex:
     require_int(n=n, t=t)
     if not 1 <= t <= n - 3:
         raise BadParams(f"need 1 <= t <= n-3, got n={n}, t={t}")
-    facets = [(0,) + rest for rest in combinations(range(1, n), 2)]
-    facets += [(1, 2, x) for x in range(3, 3 + t)]
-    return from_facets(n, facets, require_pure=True)
+    apex_rows = np.pad(subset_rows(n - 1, 2) + 1, ((0, 0), (1, 0)))
+    added = np.column_stack((np.full((t, 2), (1, 2)), np.arange(3, 3 + t)))
+    return from_facets(n, arrays=[apex_rows, added], require_pure=True)
 
 
 def tent_plus_faces(n: int, added) -> SimplicialComplex:
@@ -97,8 +109,8 @@ def tent_plus_faces(n: int, added) -> SimplicialComplex:
         if f in seen:
             raise DuplicateFace(f"added face {f} repeated")
         seen.add(f)
-    facets = [(0,) + rest for rest in combinations(range(1, n), 2)]
-    K = from_facets(n, facets + added_faces, require_pure=True)
+    apex_rows = np.pad(subset_rows(n - 1, 2) + 1, ((0, 0), (1, 0)))
+    K = from_facets(n, added_faces, require_pure=True, arrays=[apex_rows])
     b2 = homology.betti_profile(K).betti[2]
     if b2 != len(added_faces):
         raise BettiMismatch(
@@ -118,13 +130,12 @@ def random_pure2(n: int, target_t: int | None = None, seed: int = 0,
         raise BadParams(f"need 3 <= n <= {RANDOM_MAX_N}, got {n}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    triangles = list(combinations(range(n), 3))
+    triangles = subset_rows(n, 3)
     for _ in range(max_attempts):
         mask = rng.random(len(triangles)) < 0.5
         if not mask.any():
             continue
-        K = from_facets(n, [t for t, m in zip(triangles, mask) if m],
-                        require_pure=True)
+        K = from_facets(n, arrays=[triangles[mask]], require_pure=True)
         if target_t is None:
             return K
         if homology.betti_profile(K).betti[2] == target_t:

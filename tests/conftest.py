@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, permutations
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from qcomplex import from_facets, laplacian
+from qcomplex.errors import BadParams, BadVertexId
 
 
 @pytest.fixture
@@ -92,3 +94,69 @@ def is_isomorphic(K1, K2):
                for f in K1.facets):
             return True
     return False
+
+
+def int64_token(tok):
+    """``int`` narrowed to the labels `read_facets` parses: an optional sign,
+    ASCII decimal digits, and a value in the int64 range."""
+    if not re.fullmatch(r"[+-]?[0-9]+", tok) or not -2 ** 63 <= int(tok) < 2 ** 63:
+        raise ValueError(f"not an int64 label: {tok!r}")
+    return int(tok)
+
+
+def read_facets_oracle(path, token=int):
+    """Oracle: the per-line ``.facets`` reader, one tuple of ``token``-parsed
+    labels per line, labels remapped through a Python dict."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    content = [ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")]
+    if not content or not content[0].startswith("n "):
+        raise BadParams(f"{path}: expected leading 'n <integer>' line")
+    try:
+        n = int(content[0].split()[1])
+    except (IndexError, ValueError):
+        raise BadParams(f"{path}: malformed header {content[0]!r}") from None
+    raw = []
+    for ln in content[1:]:
+        try:
+            raw.append(tuple(map(token, ln.split())))
+        except ValueError:
+            raise BadParams(f"{path}: malformed facet line {ln!r}") from None
+    if not raw:
+        raise BadParams(f"{path}: no facets")
+    labels = sorted({v for f in raw for v in f})
+    if labels and labels[0] < 0:
+        raise BadVertexId(f"{path}: negative vertex label {labels[0]}")
+    if labels and labels[-1] >= n:
+        if len(labels) > n:
+            raise BadVertexId(f"{path}: {len(labels)} distinct labels exceed n={n}")
+        remap = {v: k for k, v in enumerate(labels)}
+        raw = [tuple(remap[v] for v in f) for f in raw]
+    return from_facets(n, raw)
+
+
+_PLAIN_LABELS = st.one_of(st.integers(0, 6), st.integers(0, 6),
+                          st.integers(-2, 40)).map(str)
+_ODD_LABELS = st.one_of(_PLAIN_LABELS, st.sampled_from(
+    ["+3", "1_0", "3.0", "0x1", "#", "007", "\u0663", str(2 ** 63),
+     str(-2 ** 63)]))
+
+
+@st.composite
+def facets_texts(draw):
+    """``.facets`` texts: comments, blank lines, ragged widths, labels at or
+    above n, negative and repeated labels; in a quarter of them also odd tokens
+    (a sign, leading zeros, ``1_0``, ``3.0``, ``0x1``, a non-ASCII digit, the
+    int64 limits) and a '#' in mid-line."""
+    n = draw(st.one_of(st.integers(5, 9), st.integers(5, 9), st.integers(-1, 4)))
+    header = draw(st.sampled_from([f"n {n}"] * 12 + [
+        f"  n {n}  ", f"n {n} x", f"n\t{n}", "n", f"n {n}.0", "m 3"]))
+    odd = draw(st.sampled_from([False, False, False, True]))
+    facet = st.tuples(st.sampled_from([" ", "  ", "\t"]), st.lists(
+        _ODD_LABELS if odd else _PLAIN_LABELS, min_size=1, max_size=4)).map(
+        lambda sep_labels: sep_labels[0].join(sep_labels[1]))
+    tail = facet.map(lambda ln: ln + " # tail") if odd else facet
+    body = draw(st.lists(st.one_of(facet, facet, facet, tail, st.sampled_from(
+        ["", "   ", "# note"])), min_size=1, max_size=10))
+    lead = draw(st.lists(st.sampled_from(["", "# first", "  "]), max_size=2))
+    return "\n".join(lead + [header] + body) + draw(st.sampled_from(["", "\n"]))

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from qcomplex import max_spectral_search, read_facets, tented
+from qcomplex import (delta_sphere, from_facets, max_spectral_search, perron_vector,
+                      read_facets, tent_plus_common_edge, tented, write_facets)
 from qcomplex.cli import main
 
 
@@ -82,6 +83,24 @@ class TestBettiAndSpectra:
         face_token, value_token = lines[1].split()
         assert face_token == "0,1"
         assert float(value_token) == pytest.approx(1 / 3 ** 0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("K,i,norm", [
+        (tented(9, 2), 1, "unit_norm"),
+        (tent_plus_common_edge(11, 2), 1, "max_boundary_sum_one"),
+        (delta_sphere(3), 2, "unit_norm"),
+        (from_facets(7, [(0, 1, 2, 3), (2, 3, 4, 5), (1, 5, 6)]), 0, "unit_norm"),
+    ])
+    def test_spectra_perron_bytes_match_per_face_format(self, K, i, norm,
+                                                        tmp_path, capsys):
+        # one %-format pass gives the bytes of one format call per face
+        f = tmp_path / "k.facets"
+        write_facets(K, f)
+        assert run_cli("spectra", str(f), "--dim", str(i), "--perron",
+                       "--normalization", norm) == 0
+        head, *rest = capsys.readouterr().out.splitlines(keepends=True)
+        vec = perron_vector(K, i, norm).vector
+        assert rest == [",".join(map(str, F)) + " " + format(float(x), ".12g") + "\n"
+                        for F, x in zip(K.faces(i), vec)]
 
     @pytest.mark.parametrize("command", [("spectra", "--dim", "1"),
                                          ("inspect",)])

@@ -1,3 +1,4 @@
+import io
 import numbers
 from itertools import combinations, permutations
 
@@ -26,20 +27,23 @@ from qcomplex import (
     tented,
     write_facets,
 )
+from qcomplex import cli, complex_core, extremal, families
 from qcomplex.errors import (
     BadParams,
     BadVertexId,
     DimensionOutOfRange,
     FaceNotInComplex,
     NotPure,
+    QComplexError,
     TooLarge,
     VertexInFace,
 )
 from qcomplex.chains import (boundary_index_table, laplacian,
                              up_connected_after_deletion)
 
-from conftest import (is_isomorphic, mixed_candidates, mixed_complexes,
-                      pure2_complexes, suspension)
+from conftest import (facets_texts, int64_token, is_isomorphic,
+                      mixed_candidates, mixed_complexes, pure2_complexes,
+                      read_facets_oracle, suspension)
 
 
 class TestFromFacets:
@@ -139,6 +143,20 @@ class TestConstructionAgainstSetOracle:
             assert tab.dtype == np.int64
             assert np.array_equal(tab, oracle_table(by_dim, i))
 
+    @pytest.mark.parametrize("arrays,error", [
+        ([np.array([[0, 1, 2.0]])], BadVertexId),
+        ([np.array([[0, 1, 2]], np.uint64)], BadVertexId),
+        ([np.array([0, 1, 2])], BadParams),
+        ([np.array([[0, 1, 1]])], BadParams),
+        ([np.array([[0, -1, 2]])], BadVertexId),
+        ([np.array([[0, 1, 5]])], BadVertexId),
+        ([np.zeros((2, 0), np.int64)], BadParams),
+        ([np.zeros((0, 3), np.int64)], BadParams),
+    ])
+    def test_array_input_refused(self, arrays, error):
+        with pytest.raises(error):
+            from_facets(5, arrays=arrays)
+
     @pytest.mark.parametrize("n,facets,error", [
         (0, [(0, 1)], BadParams),
         (-3, [(0, 1)], BadParams),
@@ -160,6 +178,63 @@ class TestConstructionAgainstSetOracle:
         for build in (from_facets, oracle_from_facets):
             with pytest.raises(error):
                 build(n, facets)
+
+    @given(mixed_candidates(max_n=7), mixed_candidates(max_n=7),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_facets_eq_and_hash_match_the_oracle(self, c1, c2, rnd):
+        # the facet tuples are built on first read from the row arrays;
+        # == compares the arrays, hash the tuples
+        (n1, f1), (n2, f2) = c1, c2
+        K1, K2 = from_facets(n1, f1), from_facets(n2, f2)
+        F1, F2 = oracle_from_facets(n1, f1)[0], oracle_from_facets(n2, f2)[0]
+        assert (K1.facets, K2.facets) == (F1, F2)
+        assert hash(K1) == hash((n1, F1))
+        assert (K1 == K2) == ((n1, F1) == (n2, F2))
+        shuffled = [rnd.sample(f, len(f)) for f in rnd.sample(f1, len(f1))]
+        by_width = [np.array([f for f in shuffled if len(f) == w], np.int64)
+                    for w in {len(f) for f in shuffled}]
+        for K in (from_facets(n1, shuffled), from_facets(n1, arrays=by_width)):
+            assert K == K1 and hash(K) == hash(K1)
+            assert K.facets == F1
+
+    @given(mixed_complexes())
+    @settings(max_examples=80, deadline=None)
+    def test_is_pure_reads_facet_lengths(self, K):
+        assert K.is_pure() == all(len(f) == K.dim + 1 for f in K.facets)
+
+    def test_large_tent_paths_build_no_tuples(self, monkeypatch, tmp_path):
+        # the construction, Perron output and .facets writer read the row
+        # arrays only: no facet tuples, face tuples or per-facet input
+        path = tmp_path / "t240.facets"
+        write_facets(tent_plus_common_edge(240, 2), path)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(SimplicialComplex, "faces",
+                            counted("faces", SimplicialComplex.faces))
+        monkeypatch.setattr(SimplicialComplex, "facets", property(
+            counted("facets", SimplicialComplex.facets.fget)))
+        for mod in (complex_core, families, extremal):
+            def from_rows_only(n, facets=(), *args, _build=mod.from_facets, **kw):
+                if facets:
+                    calls.append("from_facets with Python facets")
+                return _build(n, facets, *args, **kw)
+            monkeypatch.setattr(mod, "from_facets", from_rows_only)
+        rows = asymptotic_check(2, [60, 120, 240])
+        assert [r.n for r in rows] == [60, 120, 240]
+        out = tmp_path / "perron.txt"
+        assert cli.main(["spectra", str(path), "--dim", "1", "--perron",
+                         "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 28680
+        assert cli.main(["gen", "tent_plus_common_edge", "--n", "240", "--t",
+                         "2", "-o", str(tmp_path / "gen.facets")]) == 0
+        assert calls == []
 
     def test_lanczos_makes_no_face_tuple(self, monkeypatch):
         K = tent_plus_common_edge(60, 1)
@@ -597,3 +672,49 @@ class TestFacetsFormat:
         p.write_text("n 2\n0 1 5\n")
         with pytest.raises(BadVertexId):
             read_facets(p)
+
+    @given(mixed_complexes())
+    @settings(max_examples=60, deadline=None)
+    def test_writer_matches_facet_tuple_lines(self, K):
+        # mixed widths merge into the order of K.facets
+        out = io.StringIO()
+        write_facets(K, out)
+        assert out.getvalue() == f"n {K.n_vertices}\n" + "".join(
+            " ".join(map(str, f)) + "\n" for f in K.facets)
+
+    @given(facets_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_parser_contract(self, tmp_path_factory, text):
+        # the same complex as the per-line oracle, or the same refusal with
+        # the same message, under the narrowed label grammar
+        path = tmp_path_factory.mktemp("contract") / "k.facets"
+        path.write_text(text, encoding="utf-8")
+        got, want = _outcome(read_facets, path), _outcome(
+            lambda p: read_facets_oracle(p, token=int64_token), path)
+        assert got == want
+        if isinstance(got[0], SimplicialComplex):
+            assert got[0].facets == want[0].facets
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", str(2 ** 63)])
+    def test_narrowed_labels_are_malformed_lines(self, tmp_path, token):
+        # int() reads these; the int64 label grammar does not
+        path = tmp_path / "n.facets"
+        path.write_text(f"n 3\n0 1\n1 {token}\n", encoding="utf-8")
+        assert isinstance(read_facets_oracle(path), SimplicialComplex)
+        with pytest.raises(BadParams, match=f"malformed facet line '1 {token}'"):
+            read_facets(path)
+
+    @pytest.mark.parametrize("token", ["+3", "003", "-0", str(-2 ** 63)])
+    def test_labels_int_reads_are_kept(self, tmp_path, token):
+        path = tmp_path / "k.facets"
+        path.write_text(f"n 9\n0 1 2\n1 2 {token}\n", encoding="utf-8")
+        assert _outcome(read_facets, path) == _outcome(read_facets_oracle, path)
+
+
+def _outcome(read, path):
+    """The complex read, or the refusal's type and message."""
+    try:
+        return read(path), None
+    except QComplexError as exc:
+        return type(exc), str(exc)
+

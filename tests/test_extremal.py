@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from qcomplex import (
     betti_profile,
@@ -28,6 +29,8 @@ from qcomplex.errors import (
 from qcomplex.extremal import (
     EPS_MAXIMIZER, RESOLVE_MARGIN, _dedup_canonical, _domain_masks,
     _mask_faces, _q_values, _tables, _triangle_space, search_betti2)
+
+from conftest import pure2_complexes
 
 
 class TestBounds:
@@ -445,6 +448,17 @@ class TestDetectApex:
         K = from_facets(4, [(0, 1, 2), (2, 3)])
         with pytest.raises(NotPure):
             detect_apex(K)
+
+    @given(pure2_complexes(max_n=6, max_facets=20))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_pair_scan(self, K):
+        # oracle: an apex forms a face with every pair of the other vertices
+        active = [v for (v,) in K.faces(0)]
+        found = [u for u in active if all(
+            K.has_face(tuple(sorted((u, x, y))))
+            for x, y in combinations([v for v in active if v != u], 2))]
+        assert detect_apex(K) == ((found[0], len(found) > 1) if found
+                                  else (None, False))
 
 
 class TestProofInspector:

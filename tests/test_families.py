@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +22,7 @@ from qcomplex.errors import (
     DuplicateFace,
     FaceContainsApex,
 )
-from qcomplex.families import make
+from qcomplex.families import make, subset_rows
 
 from conftest import is_isomorphic
 
@@ -149,6 +150,24 @@ class TestRandomPure2:
     def test_budget(self):
         with pytest.raises(BudgetExhausted):
             random_pure2(5, target_t=50, seed=0, max_attempts=5)
+
+
+class TestSubsetRows:
+    @pytest.mark.parametrize("n,k", [(1, 1), (5, 1), (5, 5), (6, 3), (9, 4),
+                                     (30, 2)])
+    def test_matches_combinations(self, n, k):
+        rows = subset_rows(n, k)
+        assert rows.dtype.kind == "i" and rows.shape == (math.comb(n, k), k)
+        assert list(map(tuple, rows.tolist())) == list(combinations(range(n), k))
+
+    @pytest.mark.parametrize("n,r", [(4, 1), (7, 2), (8, 3)])
+    def test_families_match_tuple_lists(self, n, r):
+        assert simplex_skeleton(n, r).facets == tuple(combinations(range(n), r + 1))
+        assert tented(n, r).facets == tuple(
+            (0,) + rest for rest in combinations(range(1, n), r))
+        if r == 2:
+            assert tent_plus_common_edge(n, 2).facets == tuple(sorted(
+                tented(n, 2).facets + ((1, 2, 3), (1, 2, 4))))
 
 
 class TestRoundTrip:
