@@ -84,12 +84,11 @@ def _cmd_spectra(opt) -> int:
     if res.degenerate:
         lines.append("warning=top eigenvalue numerically multiple; "
                      "vector unreliable")
-    text = "\n".join(lines) + "\n"
     if opt.get("perron"):  # one %-format pass; "%.12g" is _fmt's format
         table = np.column_stack((K.rows(i).astype(object), res.vector.astype(object)))
-        line = ",".join(["%d"] * (i + 1)) + " %.12g\n"
-        text += line * len(table) % tuple(table.ravel().tolist())
-    _emit(text, opt.get("output"))
+        line = ",".join(["%d"] * (i + 1)) + " %.12g"
+        lines.append("\n".join([line] * len(table)) % tuple(table.ravel().tolist()))
+    _emit("\n".join(lines) + "\n", opt.get("output"))
     return 0
 
 

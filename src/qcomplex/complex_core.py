@@ -1,18 +1,19 @@
 """Pure simplicial complexes and their combinatorial neighbor structure.
 
 A complex is stored as a vertex count plus its inclusion-maximal faces
-(facets); every lower face is derived by closure, in int64 arrays. The i-faces
-are sorted int64 vertex rows, keyed by (rank of ``row[:-1]`` among the
-(i-1)-faces) * n + ``row[-1]``. Key order is lexicographic order, and a face's
-position is its index in every matrix. Facet tuples, face tuples and
-face-index dicts are built on first read.
+(facets); every lower face is derived by closure. The i-faces are sorted int64
+vertex rows, keyed by (rank of ``row[:-1]`` among the (i-1)-faces) * n +
+``row[-1]``. Key order is lexicographic order, and a face's position is its
+index in every matrix. Facet tuples, face tuples and face-index dicts are
+built on first read.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from functools import partial
+import re
+import warnings
 from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
@@ -202,9 +203,8 @@ class SimplicialComplex:
         """
         if F not in self.facets:
             raise FaceNotInComplex(f"{F} is not a facet")
-        rest = [g for g in self.facets if g != F]  # covered boundary faces drop
-        return from_facets(self.n_vertices, rest + list(combinations(F, len(F) - 1))
-                           if len(F) > 1 else rest)
+        sides = list(combinations(F, len(F) - 1)) if len(F) > 1 else []
+        return from_facets(self.n_vertices, [g for g in self.facets if g != F] + sides)
 
     # -- dunder plumbing ----------------------------------------------------
 
@@ -222,13 +222,10 @@ class SimplicialComplex:
                 f"facets={sum(map(len, self._maximal))})")
 
 
-def from_facets(n: int, facets: Iterable[Iterable[int]] = (),
-                require_pure: bool = False, *,
-                arrays: Sequence[np.ndarray] = ()) -> SimplicialComplex:
+def from_facets(n: int, facets: Iterable[Iterable[int]] = (), require_pure: bool = False,
+                *, arrays: Sequence[np.ndarray] = ()) -> SimplicialComplex:
     """Build a complex from candidate facets: the vertex iterables in
-    ``facets``, grouped by length into one int64 array each, and the rows of
-    the 2-D int64 ``arrays`` (the ``.facets`` reader and the family
-    generators pass only these). Vertex order within a candidate is free.
+    ``facets`` and the rows of the 2-D int64 ``arrays``, in any vertex order.
 
     Non-maximal candidates are dropped; with ``require_pure`` the surviving
     facets must all share one dimension. The i-faces are the distinct keys of
@@ -309,19 +306,12 @@ def canonical_form(K: SimplicialComplex) -> tuple[Face, ...]:
     equal canonical forms exactly when some bijection of their used
     vertices maps facets onto facets.
     """
-    n = K.n_vertices
-    if n > ISO_MAX_VERTICES:
+    if (n := K.n_vertices) > ISO_MAX_VERTICES:
         raise TooLarge(f"canonical form is brute force; n={n} > {ISO_MAX_VERTICES}")
-    support = K.rows(0)[:, 0].tolist()
-    best: tuple[Face, ...] | None = None
-    for perm in permutations(range(len(support))):
-        relabel = dict(zip(support, perm))
-        cand = tuple(sorted(tuple(sorted(relabel[v] for v in f))
-                            for f in K.facets))
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return best
+    support, facets = K.rows(0)[:, 0].tolist(), K.facets
+    relabels = (dict(zip(support, perm)) for perm in permutations(range(len(support))))
+    return min(tuple(sorted(tuple(sorted(relabel[v] for v in f)) for f in facets))
+               for relabel in relabels)
 
 
 # -- .facets text format ------------------------------------------------------
@@ -330,11 +320,11 @@ def read_facets(path) -> SimplicialComplex:
     """Load a complex from the ``.facets`` text format.
 
     Lines starting with '#' are comments; the first content line is
-    ``n <count>``; every following non-empty line is one facet, int64 labels
-    in optionally signed ASCII decimals, parsed by `np.loadtxt` per width.
-    Labels already inside [0, n) are kept verbatim (so written files
-    round-trip byte-identically); otherwise the distinct labels are remapped
-    onto 0..k-1 in sorted order.
+    ``n <count>``; every following non-empty line is one facet of int64
+    labels in signed ASCII decimal, parsed by `np.loadtxt`. Labels already
+    inside [0, n) are kept verbatim (so written files round-trip
+    byte-identically); otherwise the distinct labels are remapped onto
+    0..k-1 in sorted order.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -347,22 +337,19 @@ def read_facets(path) -> SimplicialComplex:
         raise BadParams(f"{path}: malformed header {content[0]!r}") from None
     if not (body := content[1:]):
         raise BadParams(f"{path}: no facets")
-    parse = partial(np.loadtxt, dtype=np.int64, comments=None, ndmin=2)
-    try:  # one call when every line has one width
-        arrays = [parse(body)]
-    except ValueError:
-        by_width: dict[int, list[str]] = {}
-        for ln in body:
-            by_width.setdefault(len(ln.split()), []).append(ln)
-        try:
-            arrays = [parse(group) for group in by_width.values()]
-        except ValueError:
-            for ln in body:  # name the first line that fails on its own
-                try:
-                    parse([ln])
-                except ValueError:
-                    raise BadParams(f"{path}: malformed facet line {ln!r}") from None
-            raise BadParams(f"{path}: malformed facet lines") from None
+    by_width: dict[int, list[str]] = {}
+    for ln in body:
+        by_width.setdefault(len(ln.split()), []).append(ln)
+    try:
+        with warnings.catch_warnings():  # older numpy reads "2.7" as 2, with a warning
+            warnings.simplefilter("error", DeprecationWarning)
+            arrays = [np.loadtxt(group, np.int64, comments=None, ndmin=2)
+                      for group in by_width.values()]
+    except ValueError:  # name the first line with a token that is no int64 label
+        bad = next((ln for ln in body for t in ln.split() if not (
+            (m := re.fullmatch(r"([+-]?)0*([0-9]{1,19})", t))
+            and -2 ** 63 <= int(m[1] + m[2]) < 2 ** 63)), None)
+        raise BadParams(f"{path}: malformed facet line {bad!r}") from None
     if (low := min(int(a.min()) for a in arrays)) < 0:
         raise BadVertexId(f"{path}: negative vertex label {low}")
     if max(int(a.max()) for a in arrays) >= n:

@@ -7,7 +7,7 @@ the tent-plus-common-edge family is always {1, 2}.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -30,15 +30,9 @@ RANDOM_MAX_N = 12
 
 
 def subset_rows(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n) as a (C(n, k), k) int64 array in
-    lexicographic order, each prefix repeated once per admissible next entry."""
-    rows = np.arange(n - k + 1)[:, None]
-    for j in range(1, k):
-        count = n - k + j - rows[:, -1]
-        first = np.repeat(rows[:, -1] + 1 - np.cumsum(count) + count, count)
-        rows = np.column_stack((np.repeat(rows, count, axis=0),
-                                first + np.arange(len(first))))
-    return rows
+    """The k-subsets of range(n), one row each, in lexicographic order."""
+    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64)
+    return flat.reshape(-1, k)
 
 
 def simplex_skeleton(n: int, r: int) -> SimplicialComplex:

@@ -1,5 +1,6 @@
 import io
 import numbers
+import warnings
 from itertools import combinations, permutations
 
 import numpy as np
@@ -702,6 +703,40 @@ class TestFacetsFormat:
         path.write_text(f"n 3\n0 1\n1 {token}\n", encoding="utf-8")
         assert isinstance(read_facets_oracle(path), SimplicialComplex)
         with pytest.raises(BadParams, match=f"malformed facet line '1 {token}'"):
+            read_facets(path)
+
+    @pytest.mark.parametrize("token", ["2.7", "3.0", "1e3"])
+    def test_integer_via_float_fallback_is_refused(self, tmp_path, monkeypatch, token):
+        # numpy 1.23 deprecated, and later releases dropped, a fallback in
+        # np.loadtxt: an integer field it cannot parse is read as a float and
+        # truncated, with one DeprecationWarning. Emulate that numpy here.
+        real_loadtxt = np.loadtxt
+
+        def loadtxt_with_fallback(lines, dtype, **kwargs):
+            fixed = []
+            for ln in lines:
+                toks = ln.split()
+                for k, tok in enumerate(toks):
+                    try:
+                        int64_token(tok)
+                    except ValueError:
+                        try:
+                            warnings.warn("loadtxt(): Parsing an integer via a "
+                                          "float is deprecated.", DeprecationWarning)
+                        except DeprecationWarning as exc:
+                            raise ValueError(f"could not convert {tok!r}") from exc
+                        toks[k] = str(int(float(tok)))
+                fixed.append(" ".join(toks))
+            return real_loadtxt(fixed, dtype, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_with_fallback)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            assert loadtxt_with_fallback([f"1 {token}"], np.int64).tolist() == [
+                1, int(float(token))]
+        path = tmp_path / "f.facets"
+        path.write_text(f"n 9\n0 1 2\n1 2 {token}\n", encoding="utf-8")
+        with pytest.raises(BadParams, match=f"malformed facet line '1 2 {token}'"):
             read_facets(path)
 
     @pytest.mark.parametrize("token", ["+3", "003", "-0", str(-2 ** 63)])
