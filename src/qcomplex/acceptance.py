@@ -155,8 +155,7 @@ def criterion_7_operator_identities() -> CriterionResult:
         worst["second_order_scaled"] = max(worst["second_order_scaled"], scaled)
         ok = ok and scaled <= 1e-6
 
-        prod = (chains.boundary_csr(K, 1, signed=True)
-                @ chains.boundary_csr(K, 2, signed=True))
+        prod = chains.signed_boundary(K, 1) @ chains.signed_boundary(K, 2)
         nz = int(abs(prod).max())
         worst["chain_product"] = max(worst["chain_product"], nz)
         ok = ok and nz == 0

@@ -5,18 +5,17 @@ column face carries the sign (-1)^j on the row face obtained by omitting
 its j-th vertex. The signless variants replace every sign with +1.
 
 Each complex holds one incidence per dimension, cached on it: the
-face-index table `boundary_index_table`, one `SimplicialComplex.row_index`
-search of the vertex-omitted face rows; no face tuple is made. On top of it
-sit
+face-index table `boundary_index_table` (one `SimplicialComplex.row_index`
+search of the vertex-omitted face rows; no face tuple is made) and its
+transpose `coface_index`, the signed coface lists that the neighbour
+queries, the connectivity tests and `homology` read. On top of them sit
 
 * operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
   that never form a matrix: gathers and one `np.bincount` scatter of the
   index table. The eigensolvers and the check battery run on these;
 * explicit matrices for desk-scale instances: the dense `laplacian`, one
-  scatter of the index tables, and the CSR boundaries `boundary_csr`
-  (cached; `signed_boundary` and `signless_boundary` return copies), whose
-  rows are also the coface lists behind the neighbour queries of
-  `SimplicialComplex`, the connectivity tests and `homology`.
+  scatter of the two, and the CSR boundaries `signed_boundary`
+  and `signless_boundary`, built from the table on each call.
 """
 
 from __future__ import annotations
@@ -37,8 +36,8 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     """Array of shape (|S_i|, i+1): row k lists the indices (in S_{i-1})
     of the boundary faces of the k-th i-face, in vertex-omission order.
 
-    Cached on the complex; the operator applications, the dense
-    `laplacian` and the CSR boundaries read it.
+    Cached on the complex; `coface_index`, the operator applications, the
+    dense `laplacian` and the CSR boundaries read it.
     """
     if not (is_integer(i) and 1 <= i <= K.dim):
         raise DimensionOutOfRange(f"boundary map needs 1 <= i <= {K.dim}, got {i}")
@@ -51,31 +50,35 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     return tab
 
 
+def coface_index(K: SimplicialComplex, i: int) -> tuple[np.ndarray, ...]:
+    """``(ptr, cof, pos)`` for 0 <= i < dim: the (i+1)-faces on the i-face
+    x are ``cof[ptr[x]:ptr[x + 1]]``, ascending, and x omits their
+    ``pos``-th vertex, so its sign in their boundaries is (-1)^pos. One
+    stable argsort of `boundary_index_table` (K, i + 1), cached on K."""
+    key = ("cofaces", i)
+    index = K._cache.get(key)
+    if index is None:
+        flat = boundary_index_table(K, i + 1).ravel()
+        ptr = np.bincount(flat + 1, minlength=K.n_faces(i) + 1).cumsum()
+        cof, pos = np.divmod(np.argsort(flat, kind="stable"), i + 2)
+        index = K._cache[key] = (ptr, cof, pos)
+    return index
+
+
 def signed_boundary(K: SimplicialComplex, i: int) -> sp.csr_matrix:
     """Matrix of the i-th boundary map in the lexicographic face bases: a
-    float64 CSR copy of the cached `boundary_csr`."""
-    return boundary_csr(K, i, signed=True).copy()
+    float64 CSR matrix, built from `boundary_index_table` on each call."""
+    tab = boundary_index_table(K, i)
+    n_cols, width = tab.shape
+    cols = np.repeat(np.arange(n_cols, dtype=np.int64), width)
+    values = np.tile(_signs(width, True), n_cols).astype(np.float64)
+    return sp.csr_matrix((values, (tab.reshape(-1), cols)),
+                         shape=(K.n_faces(i - 1), n_cols))
 
 
 def signless_boundary(K: SimplicialComplex, i: int) -> sp.csr_matrix:
     """Same support as the signed boundary with every entry equal to 1."""
-    return boundary_csr(K, i).copy()
-
-
-def boundary_csr(K: SimplicialComplex, i: int,
-                 signed: bool = False) -> sp.csr_matrix:
-    """The i-th boundary (signless by default) as a float64 CSR matrix,
-    cached on the complex."""
-    key = ("csr", i, signed)
-    B = K._cache.get(key)
-    if B is None:
-        tab = boundary_index_table(K, i)
-        n_cols, width = tab.shape
-        cols = np.repeat(np.arange(n_cols, dtype=np.int64), width)
-        values = np.tile(_signs(width, signed), n_cols).astype(np.float64)
-        B = K._cache[key] = sp.csr_matrix((values, (tab.reshape(-1), cols)),
-                                          shape=(K.n_faces(i - 1), n_cols))
-    return B
+    return abs(signed_boundary(K, i))
 
 
 def _signs(width: int, signed: bool) -> np.ndarray:
@@ -90,8 +93,8 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
     ``L_full`` is the sum of the up and down parts (terms that do not
     exist at the boundary dimensions are zero). Each pair of i-faces in
     one (i+1)-face, or on one (i-1)-face, adds its sign product in one
-    `np.bincount` of the boundary index tables (exact: small integer
-    sums). More than `DENSE_LIMIT` i-faces raise `TooLarge`.
+    `np.bincount` of the boundary index table and the coface index (exact:
+    small integer sums). More than `DENSE_LIMIT` i-faces raise `TooLarge`.
     """
     if kind not in LAPLACIAN_KINDS:
         raise BadParams(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
@@ -112,13 +115,11 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
         flat.append((tab[:, :, None] * n_i + tab[:, None, :]).ravel())
         weights.append(np.tile(np.outer(s, s).ravel(), len(tab)))
     if not kind.endswith("up") and i >= 1:
-        # group the (i-face, (i-1)-face) incidences by (i-1)-face
-        lower = boundary_index_table(K, i).ravel()
-        order = np.argsort(lower)
-        key = lower[order]
-        size = np.bincount(key)[key]
-        shift = np.searchsorted(key, key) - np.cumsum(size) + size
-        face, j = np.divmod(order, i + 1)
+        # pair the i-faces on each (i-1)-face
+        ptr, face, j = coface_index(K, i - 1)
+        degree = ptr[1:] - ptr[:-1]
+        size = np.repeat(degree, degree)
+        shift = np.repeat(ptr[:-1], degree) - np.cumsum(size) + size
         s = _signs(i + 1, signed)[j]
         other = np.repeat(shift, size) + np.arange(size.sum())
         flat.append(np.repeat(face * n_i, size) + face[other])
@@ -126,19 +127,6 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
     dense = np.bincount(np.concatenate(flat), np.concatenate(weights),
                         minlength=n_i * n_i)
     return dense.astype(np.float64, copy=False).reshape(n_i, n_i)
-
-
-def up_connected(K: SimplicialComplex, i: int) -> bool:
-    """Whether the i-faces are connected through shared (i+1)-faces.
-
-    Components of the bipartite incidence graph of i- and (i+1)-faces.
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    B = boundary_csr(K, i + 1)
-    _, labels = connected_components(sp.bmat([[None, B], [B.T, None]]),
-                                     directed=False)
-    return bool((labels[:B.shape[0]] == labels[0]).all())
 
 
 def up_connected_after_deletion(K: SimplicialComplex, i: int) -> np.ndarray:
@@ -152,9 +140,9 @@ def up_connected_after_deletion(K: SimplicialComplex, i: int) -> np.ndarray:
     point. One iterative depth-first search from the first i-face finds
     them all by low points (Hopcroft and Tarjan).
     """
-    B = boundary_csr(K, i + 1)
-    n_low = B.shape[0]
-    ptr, up = B.indptr.tolist(), (B.indices + n_low).tolist()
+    ptr, cof, _ = coface_index(K, i)
+    n_low = len(ptr) - 1
+    ptr, up = ptr.tolist(), (cof + n_low).tolist()
     adj = ([up[ptr[k]:ptr[k + 1]] for k in range(n_low)]
            + boundary_index_table(K, i + 1).tolist())
     disc, low = [0] * len(adj), [0] * len(adj)

@@ -111,8 +111,7 @@ def _cmd_check(opt) -> int:
     record("euler_identity", chi == chi_b, f"chi={chi}")
 
     for i in range(2, K.dim + 1):
-        prod = (chains.boundary_csr(K, i - 1, signed=True)
-                @ chains.boundary_csr(K, i, signed=True))
+        prod = chains.signed_boundary(K, i - 1) @ chains.signed_boundary(K, i)
         record(f"chain_identity_d{i - 1}d{i}", not prod.count_nonzero())
 
     if max(K.n_faces(i) for i in range(K.dim + 1)) <= spectra.DENSE_CUTOFF:

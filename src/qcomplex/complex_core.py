@@ -142,8 +142,8 @@ class SimplicialComplex:
         i = len(F) - 1
         if i + 1 > self.dim:
             return 0
-        indptr = chains.boundary_csr(self, i + 1).indptr
-        return int(indptr[k + 1] - indptr[k])
+        ptr = chains.coface_index(self, i)[0]
+        return int(ptr[k + 1] - ptr[k])
 
     def down_neighbors(self, F: Face) -> list[Face]:
         """Same-dimension faces sharing a codimension-1 face with ``F``."""
@@ -151,8 +151,10 @@ class SimplicialComplex:
         i = len(F) - 1
         if i < 1:
             raise DimensionOutOfRange("down neighbors need dimension >= 1")
-        tab = chains.boundary_index_table(self, i)
-        return self._others(i, chains.boundary_csr(self, i)[tab[k]].indices, k)
+        ptr, cof, _ = chains.coface_index(self, i - 1)
+        sides = chains.boundary_index_table(self, i)[k].tolist()
+        return self._others(i, np.concatenate([cof[ptr[y]:ptr[y + 1]]
+                                               for y in sides]), k)
 
     def down_neighbors_via_vertex(self, F: Face, x: int) -> list[Face]:
         """Down neighbors of ``F`` of the form {x} union (F minus one vertex)."""
@@ -170,7 +172,8 @@ class SimplicialComplex:
         i = len(F) - 1
         if i + 1 > self.dim:
             return []
-        cofaces = chains.boundary_csr(self, i + 1)[k].indices
+        ptr, cof, _ = chains.coface_index(self, i)
+        cofaces = cof[ptr[k]:ptr[k + 1]]
         return self._others(i, chains.boundary_index_table(self, i + 1)[cofaces], k)
 
     def _others(self, i: int, indices, k: int) -> list[Face]:
@@ -179,10 +182,17 @@ class SimplicialComplex:
         return [fs[j] for j in np.unique(indices).tolist() if j != k]
 
     def is_path_connected(self, i: int) -> bool:
-        """Connectivity of the up-neighbor graph on the i-faces."""
+        """Connectivity of the up-neighbor graph on the i-faces, in which
+        each (i+1)-face links its first boundary face to its others."""
+        from scipy.sparse import coo_array
+        from scipy.sparse.csgraph import connected_components
+
         if not (is_integer(i) and 0 <= i < self.dim):
             raise DimensionOutOfRange(f"path connectivity needs 0 <= i < dim, got {i}")
-        return chains.up_connected(self, i)
+        tab, n = chains.boundary_index_table(self, i + 1), self.n_faces(i)
+        links = (np.repeat(tab[:, 0], i + 1), tab[:, 1:].ravel())
+        graph = coo_array((np.ones(len(links[0]), np.int8), links), shape=(n, n))
+        return connected_components(graph, directed=False)[0] == 1
 
     # -- derived complexes --------------------------------------------------
 

@@ -124,8 +124,8 @@ def _triangle_space(n: int) -> _TriangleSpace:
         S = simplex_skeleton(n, 2)
         space = _SPACE_CACHE[n] = _TriangleSpace(
             S, S.faces(2),
-            chains.boundary_csr(S, 2, signed=True).toarray().astype(np.int64),
-            chains.boundary_csr(S, 2).toarray())
+            chains.signed_boundary(S, 2).toarray().astype(np.int64),
+            chains.signless_boundary(S, 2).toarray())
     return space
 
 

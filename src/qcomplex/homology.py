@@ -214,16 +214,16 @@ def _coreduce(K: SimplicialComplex
     stack = []  # (d, x, up): x has one remaining coface (up) or face
     for d in range(1, top + 1):
         tab = chains.boundary_index_table(K, d)
-        flat, n_lower = tab.reshape(-1), K.n_faces(d - 1)
+        ptr, cof, _ = chains.coface_index(K, d - 1)
+        co = ptr[1:] - ptr[:-1]
         faces.append(tab.tolist())
         n_down.append([d + 1] * len(tab))
         sum_down.append(tab.sum(axis=1).tolist())
-        co = np.bincount(flat, minlength=n_lower)
-        co_ptr.append([0] + np.cumsum(co).tolist())
-        co_idx.append((np.argsort(flat, kind="stable") // (d + 1)).tolist())
+        co_ptr.append(ptr.tolist())
+        co_idx.append(cof.tolist())
         n_up.append(co.tolist())
-        sum_up.append(np.bincount(flat, np.repeat(np.arange(len(tab)), d + 1),
-                                  minlength=n_lower).astype(np.int64).tolist())
+        sum_up.append(np.bincount(np.repeat(np.arange(len(co)), co), cof,
+                                  minlength=len(co)).astype(np.int64).tolist())
         stack.extend(zip(repeat(d - 1), np.flatnonzero(co == 1).tolist(),
                          repeat(True)))
     pairs, starts = [], 0
@@ -404,11 +404,11 @@ def is_basic_hole(K: SimplicialComplex) -> bool:
     left, _, pairs = _coreduce(K)
     z = np.zeros(K.n_faces(r), dtype=object)
     z[left[r]] = _kernel_vector(_residual_boundary(K, left, r))
-    B = chains.boundary_csr(K, r, signed=True)
-    signs = B.data.astype(np.int64)
+    ptr, cof, pos = chains.coface_index(K, r - 1)
+    signs = 1 - 2 * (pos & 1)
     for a, b in zip(*pairs[::-1].T.tolist()):
-        row = slice(B.indptr[a], B.indptr[a + 1])  # the facets on ridge a
-        cols, s = B.indices[row].tolist(), signs[row].tolist()
+        row = slice(ptr[a], ptr[a + 1])  # the facets on ridge a
+        cols, s = cof[row].tolist(), signs[row].tolist()
         # z[b] is still 0 in the sum
         z[b] = -s[cols.index(b)] * sum(x * z[c] for x, c in zip(s, cols))
         if not z[b]:

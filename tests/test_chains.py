@@ -11,10 +11,12 @@ from qcomplex import (
     apply_q_up,
     betti_profile,
     boundary_sums,
+    check_basic_hole_properties,
     from_facets,
     hodge_betti,
     is_basic_hole,
     laplacian,
+    proof_inspector,
     quadratic_form,
     second_order_identity_check,
     signed_boundary,
@@ -29,7 +31,7 @@ from qcomplex.chains import LAPLACIAN_KINDS
 from qcomplex.errors import (BadParams, DimensionOutOfRange, LengthMismatch,
                              TooLarge)
 
-from conftest import mixed_complexes, pure2_complexes
+from conftest import mixed_complexes, pure2_complexes, suspension
 
 
 def fraction_rank(M):
@@ -274,19 +276,19 @@ def spread_vector(rng, n):
 
 class TestOperatorsAgainstCsrProducts:
     """The index-table operators reproduce the scipy CSR products with the
-    cached signless boundary bit for bit."""
+    signless boundary bit for bit."""
 
     @staticmethod
     def _check(K, rng):
         for i in range(K.dim + 1):
             f = spread_vector(rng, K.n_faces(i))
             if i < K.dim:
-                B = chains.boundary_csr(K, i + 1)
+                B = signless_boundary(K, i + 1)
                 tab = chains.boundary_index_table(K, i + 1)
                 assert np.array_equal(chains._apply_bt(tab, f), B.T @ f)
                 assert np.array_equal(apply_q_up(K, i, f), B @ (B.T @ f))
             if i >= 1:
-                B = chains.boundary_csr(K, i)
+                B = signless_boundary(K, i)
                 assert np.array_equal(apply_q_down(K, i, f), B.T @ (B @ f))
 
     @given(mixed_complexes(), st.integers(0, 2**32 - 1))
@@ -304,7 +306,8 @@ class TestNoCsrOnTheOperatorPath:
         def refuse(*args, **kwargs):
             raise AssertionError("a CSR boundary was built")
 
-        monkeypatch.setattr(chains, "boundary_csr", refuse)
+        monkeypatch.setattr(chains, "signed_boundary", refuse)
+        monkeypatch.setattr(chains, "signless_boundary", refuse)
 
     @pytest.mark.parametrize("make", [lambda: tent_plus_common_edge(7, 2),
                                       lambda: tented(6, 3)])
@@ -325,6 +328,16 @@ class TestNoCsrOnTheOperatorPath:
         res = spectral_radius(tent_plus_common_edge(60, 1), 1,
                               method="lanczos")
         assert res.iterations > 0 and res.residual <= 1e-10
+
+    def test_basic_hole_checks(self, no_csr):
+        K = suspension(12)
+        assert is_basic_hole(K) is True
+        assert check_basic_hole_properties(K).all_pass
+
+    def test_proof_inspector_on_a_tent(self, no_csr):
+        rep = proof_inspector(tent_plus_common_edge(40, 1))
+        assert (rep.apex, rep.n_outside, rep.down_pair_count) == (0, 37, 5481)
+        assert all(rep.verdicts.values())
 
 
 class TestQuadraticForm:

@@ -39,7 +39,7 @@ from qcomplex.errors import (
     TooLarge,
     VertexInFace,
 )
-from qcomplex.chains import (boundary_index_table, laplacian,
+from qcomplex.chains import (boundary_index_table, coface_index, laplacian,
                              up_connected_after_deletion)
 
 from conftest import (facets_texts, int64_token, is_isomorphic,
@@ -378,6 +378,15 @@ class TestNeighborQueriesAgainstScan:
                                    (K.up_neighbors, scan_up_neighbors)):
                     assert (self._outcome(fast, F)
                             == self._outcome(scan, K, F))
+        # the coface index behind them: every table entry once, as
+        # tab[cof, pos] == x, with cof ascending on each i-face x
+        for i in range(K.dim):
+            tab = boundary_index_table(K, i + 1)
+            ptr, cof, pos = coface_index(K, i)
+            assert ptr[0] == 0 and ptr[-1] == len(cof) == tab.size
+            x = np.repeat(np.arange(K.n_faces(i)), np.diff(ptr))
+            assert np.array_equal(tab[cof, pos], x)
+            assert (np.diff(cof)[np.diff(x) == 0] > 0).all()
 
 
 class TestPathConnected:
@@ -438,6 +447,7 @@ class TestPathConnected:
     @settings(max_examples=40, deadline=None)
     def test_deletions_match_bfs_oracle_in_every_dimension(self, K):
         for i in range(K.dim):
+            assert K.is_path_connected(i) is self._bfs_connected(K, i)
             self._check_deletions(K, i)
 
     @pytest.mark.parametrize("m", [3, 4, 7, 12])
