@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,38 +128,65 @@ def criterion_6_hodge_crosscheck() -> CriterionResult:
                             "mismatches": mismatches})
 
 
+class OperatorIdentities(NamedTuple):
+    """The operator identities of a complex of dimension at least 1, as
+    measured at i = dim - 1."""
+
+    chain_products: tuple[int, ...]  # max |entry| of d_(j-1) d_j, j = 2..dim
+    quadratic_rel: float      # quadratic form against <Q_up f, g>
+    transfer_residual: float  # up-to-down transfer of the top eigenpair
+    second_order_error: float
+    second_order_scaled: float  # second_order_error / q^2
+
+    @property
+    def passes(self) -> dict[str, bool]:
+        """Each identity within its fixed tolerance, keyed by its
+        ``qcomplex check`` line name."""
+        out = {f"chain_identity_d{j - 1}d{j}": nz == 0
+               for j, nz in enumerate(self.chain_products, start=2)}
+        out.update(quadratic_form=self.quadratic_rel <= 1e-10,
+                   transfer_residual=self.transfer_residual <= 1e-7,
+                   second_order_identity=self.second_order_scaled <= 1e-6)
+        return out
+
+
+def operator_identities(K, seed: int) -> OperatorIdentities:
+    """Measure the quadratic form, up/down transfer, second-order and chain
+    identities of K, with random test vectors and eigensolve seeded by
+    ``seed``."""
+    chain_products = tuple(
+        int(abs(chains.signed_boundary(K, j - 1)
+                @ chains.signed_boundary(K, j)).max())
+        for j in range(2, K.dim + 1))
+    i = K.dim - 1
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(K.n_faces(i))
+    g = rng.standard_normal(K.n_faces(i))
+    lhs = chains.quadratic_form(K, i, f, g)
+    rhs = float(chains.apply_q_up(K, i, f) @ g)
+
+    res = spectra.spectral_radius(K, i, seed=seed)
+    gdown = spectra.transfer_to_down(K, i, res)
+    dres = float(np.linalg.norm(
+        chains.apply_q_down(K, i + 1, gdown) - res.value * gdown)
+        / np.linalg.norm(gdown))
+    err = spectra.second_order_identity_check(K, i, res)
+    return OperatorIdentities(chain_products,
+                              abs(lhs - rhs) / max(1.0, abs(rhs)), dres,
+                              err, err / res.value ** 2)
+
+
 def criterion_7_operator_identities() -> CriterionResult:
     """Quadratic form, up/down transfer, second-order identity, chain identity."""
     worst = {"quadratic_rel": 0.0, "transfer_residual": 0.0,
              "second_order_scaled": 0.0, "chain_product": 0}
     ok = True
     for idx, K in enumerate(_random_corpus(50, seed_base=1000)):
-        rng = np.random.default_rng(idx)
-        f = rng.standard_normal(K.n_faces(1))
-        g = rng.standard_normal(K.n_faces(1))
-        lhs = chains.quadratic_form(K, 1, f, g)
-        rhs = float(chains.apply_q_up(K, 1, f) @ g)
-        rel = abs(lhs - rhs) / max(1.0, abs(rhs))
-        worst["quadratic_rel"] = max(worst["quadratic_rel"], rel)
-        ok = ok and rel <= 1e-10
-
-        res = spectra.spectral_radius(K, 1)
-        gdown = spectra.transfer_to_down(K, 1, res)
-        dres = float(np.linalg.norm(
-            chains.apply_q_down(K, 2, gdown) - res.value * gdown)
-            / np.linalg.norm(gdown))
-        worst["transfer_residual"] = max(worst["transfer_residual"], dres)
-        ok = ok and dres <= 1e-7
-
-        err = spectra.second_order_identity_check(K, 1, res)
-        scaled = err / res.value ** 2
-        worst["second_order_scaled"] = max(worst["second_order_scaled"], scaled)
-        ok = ok and scaled <= 1e-6
-
-        prod = chains.signed_boundary(K, 1) @ chains.signed_boundary(K, 2)
-        nz = int(abs(prod).max())
-        worst["chain_product"] = max(worst["chain_product"], nz)
-        ok = ok and nz == 0
+        ids = operator_identities(K, idx)
+        for key in ("quadratic_rel", "transfer_residual", "second_order_scaled"):
+            worst[key] = max(worst[key], getattr(ids, key))
+        worst["chain_product"] = max(worst["chain_product"], *ids.chain_products)
+        ok = ok and all(ids.passes.values())
     return CriterionResult(7, "operator identities", ok, worst)
 
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, chains, extremal, families, homology, spectra
+from . import acceptance, extremal, families, homology, spectra
 from .complex_core import read_facets, write_facets
 from .errors import USAGE_ERRORS, BadParams, QComplexError
 
@@ -47,10 +47,9 @@ def _parse_added(spec: str | None):
 
 
 def _cmd_gen(opt) -> int:
-    K = families.make(opt["family"], n=opt.get("n"), r=opt.get("r"),
-                      t=opt.get("t"), seed=opt.get("seed") or 0,
-                      added=_parse_added(opt.get("add")))
-    write_facets(K, opt.get("output") or sys.stdout)
+    K = families.make(opt["family"], n=opt["n"], r=opt["r"], t=opt["t"],
+                      seed=opt["seed"], added=_parse_added(opt["add"]))
+    write_facets(K, opt["output"] or sys.stdout)
     return 0
 
 
@@ -58,25 +57,23 @@ def _cmd_betti(opt) -> int:
     K = read_facets(opt["file"])
     profile = homology.betti_profile(K)
     line = " ".join(str(b) for b in profile.betti) + f"  chi={profile.euler}\n"
-    if opt.get("format") == "json":
+    if opt["format"] == "json":
         payload = {"schema": JSON_SCHEMA_VERSION,
                    "betti": list(profile.betti),
                    "ranks": list(profile.ranks),
                    "chi": profile.euler}
-        _emit(json.dumps(payload, sort_keys=True) + "\n", opt.get("output"))
+        _emit(json.dumps(payload, sort_keys=True) + "\n", opt["output"])
     else:
-        _emit(line, opt.get("output"))
+        _emit(line, opt["output"])
     return 0
 
 
 def _cmd_spectra(opt) -> int:
     K = read_facets(opt["file"])
-    i = opt["dim"]
-    tol = 1e-10 if opt.get("tol") is None else opt["tol"]
-    seed = opt.get("seed") or 0
-    if opt.get("perron"):
-        res = spectra.perron_vector(K, i, opt.get("normalization", "unit_norm"),
-                                    tol=tol, seed=seed)
+    i, tol, seed = opt["dim"], opt["tol"], opt["seed"]
+    if opt["perron"]:
+        res = spectra.perron_vector(K, i, opt["normalization"], tol=tol,
+                                    seed=seed)
     else:
         res = spectra.spectral_radius(K, i, tol=tol, seed=seed)
     lines = [f"value={_fmt(res.value)} residual={_fmt(res.residual)} "
@@ -84,16 +81,16 @@ def _cmd_spectra(opt) -> int:
     if res.degenerate:
         lines.append("warning=top eigenvalue numerically multiple; "
                      "vector unreliable")
-    if opt.get("perron"):  # one %-format pass; "%.12g" is _fmt's format
+    if opt["perron"]:  # one %-format pass; "%.12g" is _fmt's format
         table = np.column_stack((K.rows(i).astype(object), res.vector.astype(object)))
         line = ",".join(["%d"] * (i + 1)) + " %.12g"
         lines.append("\n".join([line] * len(table)) % tuple(table.ravel().tolist()))
-    _emit("\n".join(lines) + "\n", opt.get("output"))
+    _emit("\n".join(lines) + "\n", opt["output"])
     return 0
 
 
 def _cmd_check(opt) -> int:
-    seed = opt.get("seed") or 0
+    seed = opt["seed"]
     spectra.check_seed(seed)
     K = read_facets(opt["file"])
     failures = 0
@@ -110,9 +107,11 @@ def _cmd_check(opt) -> int:
     chi_b = sum((-1) ** i * b for i, b in enumerate(profile.betti))
     record("euler_identity", chi == chi_b, f"chi={chi}")
 
-    for i in range(2, K.dim + 1):
-        prod = chains.signed_boundary(K, i - 1) @ chains.signed_boundary(K, i)
-        record(f"chain_identity_d{i - 1}d{i}", not prod.count_nonzero())
+    ids = acceptance.operator_identities(K, seed) if K.dim >= 1 else None
+    passes = ids.passes if ids else {}
+    for name, ok in passes.items():
+        if name.startswith("chain_identity"):
+            record(name, ok)
 
     if max(K.n_faces(i) for i in range(K.dim + 1)) <= spectra.DENSE_CUTOFF:
         hodge_ok = all(homology.hodge_betti(K, i) == profile.betti[i]
@@ -122,24 +121,12 @@ def _cmd_check(opt) -> int:
     else:
         lines.append("hodge_vs_betti: skipped (too large for dense solve)")
 
-    if K.dim >= 1:
-        i = K.dim - 1
-        rng = np.random.default_rng(seed)
-        f = rng.standard_normal(K.n_faces(i))
-        g = rng.standard_normal(K.n_faces(i))
-        lhs = chains.quadratic_form(K, i, f, g)
-        rhs = float(chains.apply_q_up(K, i, f) @ g)
-        record("quadratic_form", abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs)))
-
-        res = spectra.spectral_radius(K, i, seed=seed)
-        gdown = spectra.transfer_to_down(K, i, res)
-        dres = float(np.linalg.norm(chains.apply_q_down(K, i + 1, gdown)
-                                    - res.value * gdown)
-                     / np.linalg.norm(gdown))
-        record("transfer_residual", dres <= 1e-7, f"residual={_fmt(dres)}")
-        err = spectra.second_order_identity_check(K, i, res)
-        record("second_order_identity", err <= 1e-6 * res.value ** 2,
-               f"max_error={_fmt(err)}")
+    if ids:
+        record("quadratic_form", passes["quadratic_form"])
+        record("transfer_residual", passes["transfer_residual"],
+               f"residual={_fmt(ids.transfer_residual)}")
+        record("second_order_identity", passes["second_order_identity"],
+               f"max_error={_fmt(ids.second_order_error)}")
 
     if K.is_pure() and K.dim >= 1:
         if homology.is_basic_hole(K):
@@ -148,22 +135,21 @@ def _cmd_check(opt) -> int:
         else:
             lines.append("basic_hole: no")
 
-    _emit("\n".join(lines) + "\n", opt.get("output"))
+    _emit("\n".join(lines) + "\n", opt["output"])
     return 1 if failures else 0
 
 
 def _cmd_search(opt) -> int:
-    tol = opt.get("tol")
+    tol = opt["tol"]
     if opt["mode"] == "facets" and tol is not None:
         raise BadParams("--mode facets takes no --tol")
     search = (extremal.max_facets_search if opt["mode"] == "facets"
               else extremal.max_spectral_search)
     report = search(opt["n"], opt["t"], **({} if tol is None else {"tol": tol}),
-                    full_skeleton=opt.get("full_skeleton", True))
+                    full_skeleton=opt["full_skeleton"])
     payload = {"schema": JSON_SCHEMA_VERSION, "mode": opt["mode"],
                **report.to_dict()}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-          opt.get("output"))
+    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", opt["output"])
     return 1 if report.bound_violations else 0
 
 
@@ -177,13 +163,11 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 def _cmd_inspect(opt) -> int:
     K = read_facets(opt["file"])
-    tol = 1e-10 if opt.get("tol") is None else opt["tol"]
-    report = extremal.proof_inspector(K, tol=tol,
-                                      seed=opt.get("seed") or 0)
+    report = extremal.proof_inspector(K, tol=opt["tol"], seed=opt["seed"])
     d = report.to_dict()
-    if opt.get("format") == "json":
+    if opt["format"] == "json":
         _emit(json.dumps({"schema": JSON_SCHEMA_VERSION, **d}, sort_keys=True,
-                         indent=2) + "\n", opt.get("output"))
+                         indent=2) + "\n", opt["output"])
         return 0
     scalar_keys = ["betti_top", "apex", "u", "v", "w", "n_outside",
                    "outside_0", "outside_1", "outside_2", "outside_3",
@@ -195,25 +179,23 @@ def _cmd_inspect(opt) -> int:
     row = [" ".join(map(str, d["peak_face"]))]
     row += [str(d[k]) for k in scalar_keys]
     row += [str(d["verdicts"][k]).lower() for k in sorted(d["verdicts"])]
-    _emit(_csv([row], header), opt.get("output"))
+    _emit(_csv([row], header), opt["output"])
     return 0
 
 
 def _cmd_asymptotic(opt) -> int:
     rows = extremal.asymptotic_check(opt["t"], _ints(opt["n"], "--n"),
-                                     tol_schedule=opt.get("tol"),
-                                     seed=opt.get("seed") or 0)
-    if opt.get("format") == "json":
+                                     tol=opt["tol"], seed=opt["seed"])
+    if opt["format"] == "json":
         payload = {"schema": JSON_SCHEMA_VERSION, "t": opt["t"],
                    "rows": [{"n": r.n, "q1": r.q1, "excess": r.excess,
                              "g": r.g, "error_bound": r.error_bound}
                             for r in rows]}
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-              opt.get("output"))
+              opt["output"])
         return 0
     table = [[r.n, r.q1, r.excess, r.g, r.error_bound] for r in rows]
-    _emit(_csv(table, ["n", "q1", "excess", "g", "error_bound"]),
-          opt.get("output"))
+    _emit(_csv(table, ["n", "q1", "excess", "g", "error_bound"]), opt["output"])
     return 0
 
 
@@ -222,7 +204,7 @@ def _cmd_acceptance(opt) -> int:
     lines = [r.line() for r in results]
     n_pass = sum(r.passed for r in results)
     lines.append(f"{n_pass}/{len(results)} criteria passed")
-    report_path = opt.get("output") or "acceptance_report.json"
+    report_path = opt["output"] or "acceptance_report.json"
     payload = {
         "schema": JSON_SCHEMA_VERSION,
         "passed": n_pass == len(results),
@@ -258,12 +240,15 @@ def run(subcommand: str, options: dict) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default=None)
-    common.add_argument("-o", "--output", default=None)
+    def option(*flags, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*flags, **kwargs)
+        return parent
+
+    seed = option("--seed", type=int, default=0)
+    tol = option("--tol", type=float, default=1e-10)
+    fmt = option("--format", choices=("text", "json", "csv"), default=None)
+    out = option("-o", "--output", default=None)
 
     p = argparse.ArgumentParser(
         prog="qcomplex",
@@ -271,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "simplicial complexes.")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    g = sub.add_parser("gen", parents=[common],
+    g = sub.add_parser("gen", parents=[seed, out],
                        help="generate a named family as a .facets file")
     g.add_argument("family", choices=families.FAMILIES)
     g.add_argument("--n", type=int)
@@ -279,11 +264,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--t", type=int)
     g.add_argument("--add", help="added faces, e.g. '1,2,3;4,5,6'")
 
-    b = sub.add_parser("betti", parents=[common],
+    b = sub.add_parser("betti", parents=[fmt, out],
                        help="print Betti numbers and Euler characteristic")
     b.add_argument("file")
 
-    s = sub.add_parser("spectra", parents=[common],
+    s = sub.add_parser("spectra", parents=[seed, tol, out],
                        help="largest eigenvalue of the up signless Laplacian")
     s.add_argument("file")
     s.add_argument("--dim", type=int, required=True)
@@ -292,30 +277,31 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--normalization", choices=spectra.NORMALIZATIONS,
                    default="unit_norm")
 
-    c = sub.add_parser("check", parents=[common],
+    c = sub.add_parser("check", parents=[seed, out],
                        help="verify operator and homology identities")
     c.add_argument("file")
 
-    se = sub.add_parser("search", parents=[common],
+    se = sub.add_parser("search", parents=[out],
                         help="exhaustive extremal search (JSON report)")
     se.add_argument("--mode", choices=("facets", "spectral"), required=True)
     se.add_argument("--n", type=int, required=True)
     se.add_argument("--t", type=int, required=True)
+    se.add_argument("--tol", type=float, default=None)
     se.add_argument("--full-skeleton", dest="full_skeleton",
                     action="store_true", default=True)
     se.add_argument("--no-full-skeleton", dest="full_skeleton",
                     action="store_false")
 
-    ins = sub.add_parser("inspect", parents=[common],
+    ins = sub.add_parser("inspect", parents=[seed, tol, fmt, out],
                          help="proof-quantity inspector (CSV)")
     ins.add_argument("file")
 
-    a = sub.add_parser("asymptotic", parents=[common],
+    a = sub.add_parser("asymptotic", parents=[seed, tol, fmt, out],
                        help="normalized spectral excess of the tent family")
     a.add_argument("--t", type=int, required=True)
     a.add_argument("--n", required=True, help="comma-separated list, e.g. 60,120,240")
 
-    sub.add_parser("acceptance", parents=[common],
+    sub.add_parser("acceptance", parents=[out],
                    help="run the acceptance suite and write its report")
     return p
 

@@ -250,17 +250,6 @@ def enumerate_pure2(n: int, full_skeleton: bool = True) -> Iterator[SimplicialCo
         yield from_facets(n, _mask_faces(space, int(mask)), require_pure=True)
 
 
-def search_betti2(n: int, mask: int) -> int:
-    """Exact top Betti number of a triangle-subset mask (search fast path)."""
-    _check_domain(n, full_skeleton=True)  # the tables hold every mask
-    require_int(mask=mask)
-    m = math.comb(n, 3)
-    if not 0 <= mask < 1 << m:
-        raise BadParams(f"mask must lie in [0, 2^{m}), got {mask}")
-    tables = _tables(n)
-    return int(tables.popcount[mask]) - int(tables.rank[mask])
-
-
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of one exhaustive search over the (n, t) domain."""
@@ -640,12 +629,13 @@ class AsymptoticRow:
     error_bound: float
 
 
-def asymptotic_check(t: int, n_list, tol_schedule=None,
+def asymptotic_check(t: int, n_list, tol: float = 1e-10,
                      seed: int = 0) -> list[AsymptoticRow]:
     """Normalized spectral excess of the tent-plus-common-edge family.
 
-    For each n computes g(n) = (q1 - (2n-3)) * n^3 / (9t) with a
-    high-precision Lanczos solve. Restricted to t in {1, 2}, where the
+    For each n computes g(n) = (q1 - (2n-3)) * n^3 / (9t), where q1 comes
+    from `spectra.spectral_radius` at residual tolerance ``tol`` (one
+    number for every n) and ``seed``. Restricted to t in {1, 2}, where the
     extremal complex is identified. Raises if the measured gap to the
     second eigenvalue is below `spectra.DEGENERACY_GAP` or the eigenvalue
     error bound is not comfortably below the signal 9t/n^3.
@@ -662,20 +652,11 @@ def asymptotic_check(t: int, n_list, tol_schedule=None,
         raise BadParams(f"max n is 240, got {ns[-1]}")
     if ns and ns[0] < t + 3:
         raise BadParams(f"need n >= t+3, got {ns[0]}")
-    if tol_schedule is None:
-        tols = [1e-10] * len(ns)
-    elif isinstance(tol_schedule, (int, float)):
-        tols = [float(tol_schedule)] * len(ns)
-    else:
-        tols = [float(x) for x in tol_schedule]
-        if len(tols) != len(ns):
-            raise BadParams("tol_schedule length must match n_list")
-    for tol in tols:
-        spectra.check_tol(tol)
+    spectra.check_tol(tol)
     spectra.check_seed(seed)
     rows = []
     eps = np.finfo(np.float64).eps
-    for n, tol in zip(ns, tols):
+    for n in ns:
         K = tent_plus_common_edge(n, t)
         res = spectra.spectral_radius(K, 1, tol=tol, seed=seed)
         if res.degenerate:

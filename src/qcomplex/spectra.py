@@ -1,12 +1,13 @@
 """Largest eigenvalue and Perron vector of the up signless Laplacian.
 
-Instances with at most `DENSE_CUTOFF` faces take a full symmetric
-eigensolve (and that dense path is the ground-truth oracle in the tests).
-Larger ones take implicitly restarted Lanczos (ARPACK, through
+The face count alone picks the solver. Instances with at most
+`DENSE_CUTOFF` faces take a full symmetric eigensolve. Larger ones take
+implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) for the top two Ritz pairs, applying
 Q_up = B B^T by `chains.apply_q_up`: gathers and one scatter over the
-cached boundary index table, with no matrix formed. The gap between the
-two Ritz values is the measured gap behind ``degenerate``.
+cached boundary index table, with no matrix formed. On either path the
+gap between the top two eigenvalues is the measured gap behind
+``degenerate``, and a pair whose residual is above ``tol`` is refused.
 The final eigenvalue is always re-evaluated with compensated summation
 so that the asymptotic runs at n = 240 keep absolute accuracy near 1e-12.
 """
@@ -72,18 +73,18 @@ def _residual(K: SimplicialComplex, i: int, f: np.ndarray, value: float) -> floa
     return float(np.linalg.norm(chains.apply_q_up(K, i, f) - value * f))
 
 
-def _lanczos_top2(K: SimplicialComplex, i: int, v0: np.ndarray, seed: int,
+def _lanczos_top2(K: SimplicialComplex, i: int, seed: int,
                   max_iters: int | None):
     """Top Ritz vector (unit norm, entries summing to at least zero), the
     gap between the top two Ritz values, and the number of applications
     of `chains.apply_q_up`, which reads the boundary index table and forms
-    no matrix. More than ``max_iters`` applications (default
-    ``10 * |S_i|``, at least 100) raise `NoConvergence`."""
+    no matrix. The start vector is seeded and positive. More than
+    ``max_iters`` applications (default ``10 * |S_i|``, at least 100)
+    raise `NoConvergence`."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     n_i = K.n_faces(i)
-    if n_i < 3:
-        raise BadParams(f"the Lanczos solver needs at least 3 faces, got {n_i}")
+    v0 = np.random.default_rng(seed).uniform(0.5, 1.5, n_i)
     cap = max(100, 10 * n_i) if max_iters is None else max_iters
     applied = 0
 
@@ -108,22 +109,19 @@ def _lanczos_top2(K: SimplicialComplex, i: int, v0: np.ndarray, seed: int,
 
 
 def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
-                    seed: int = 0, max_iters: int | None = None,
-                    method: str = "auto") -> SpectralResult:
+                    seed: int = 0, max_iters: int | None = None) -> SpectralResult:
     """Largest eigenvalue of the i-up signless Laplacian.
 
-    ``method`` is ``"dense"`` (full eigensolve), ``"lanczos"`` (top two
-    Ritz pairs by restarted Lanczos from a seeded positive start), or
-    ``"auto"`` which picks dense up to `DENSE_CUTOFF` faces. A dense pair
-    whose residual exceeds ``tol`` is polished by the same Lanczos solve.
-    ``max_iters`` caps the operator applications (the default scales with
-    the face count). The returned vector has unit norm; its Rayleigh
-    quotient is re-evaluated in compensated summation. ``degenerate`` is
-    set when the measured gap to the second eigenvalue is below
-    `DEGENERACY_GAP`.
+    Up to `DENSE_CUTOFF` faces this is a full eigensolve; above it, the
+    top two Ritz pairs by restarted Lanczos from a seeded positive start.
+    The value is the Rayleigh quotient of the returned vector, evaluated
+    in compensated summation. ``max_iters`` caps the Lanczos operator
+    applications (the default scales with the face count). A pair whose
+    residual exceeds ``tol`` raises `NoConvergence`, with ``iterations``
+    0 for a dense solve. The returned vector has unit norm and entries summing to at
+    least zero. ``degenerate`` is set when the measured gap to the second
+    eigenvalue is below `DEGENERACY_GAP`.
     """
-    if method not in ("auto", "dense", "lanczos"):
-        raise BadParams(f"unknown method {method!r}")
     if max_iters is not None and not (is_integer(max_iters) and max_iters >= 1):
         raise BadParams(f"max_iters must be a positive integer, got {max_iters!r}")
     check_tol(tol)
@@ -132,31 +130,25 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
         raise DimensionOutOfRange(
             f"q_{i} needs 0 <= i < dim = {K.dim} so that S_(i+1) is nonempty")
     n_i = K.n_faces(i)
-    use_dense = method == "dense" or (method == "auto" and n_i <= DENSE_CUTOFF)
 
-    if use_dense:
-        Q = chains.laplacian(K, i, "Q_up")
-        eigs, vecs = np.linalg.eigh(Q)
+    if n_i <= DENSE_CUTOFF:
+        eigs, vecs = np.linalg.eigh(chains.laplacian(K, i, "Q_up"))
         f = vecs[:, -1]
         if f.sum() < 0:
             f = -f
         iterations = 0
         residual = _residual(K, i, f, float(eigs[-1]))
         gap = float(eigs[-1] - eigs[-2]) if n_i >= 2 else math.inf
-        if residual > tol:
-            f, _, iterations = _lanczos_top2(K, i, f, seed, max_iters)
+        value = rayleigh_quotient(K, i, f)
     else:
-        f0 = np.random.default_rng(seed).uniform(0.5, 1.5, n_i)
-        f, gap, iterations = _lanczos_top2(K, i, f0, seed, max_iters)
-
-    value = rayleigh_quotient(K, i, f)
-    if iterations:
+        f, gap, iterations = _lanczos_top2(K, i, seed, max_iters)
+        value = rayleigh_quotient(K, i, f)
         residual = _residual(K, i, f, value)
-        if residual > tol:
-            raise NoConvergence(
-                f"residual {residual:.3e} above tol {tol:.1e} after "
-                f"{iterations} operator applications",
-                iterations=iterations, residual=residual)
+    if residual > tol:
+        raise NoConvergence(
+            f"residual {residual:.3e} above tol {tol:.1e} "
+            f"({iterations} Lanczos operator applications)",
+            iterations=iterations, residual=residual)
     return SpectralResult(value, f, residual, iterations, "unit_norm",
                           gap < DEGENERACY_GAP)
 
@@ -172,9 +164,7 @@ def perron_vector(K: SimplicialComplex, i: int,
     if not K.is_path_connected(i):
         raise NotPathConnected(f"complex is not {i}-path connected")
     res = spectral_radius(K, i, tol=tol, seed=seed, max_iters=max_iters)
-    f = res.vector.copy()
-    if f.sum() < 0:
-        f = -f
+    f = res.vector
     if not res.degenerate and f.min() <= 0.0:
         raise NoConvergence(
             "Perron vector has nonpositive entries despite connectivity; "

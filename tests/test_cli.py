@@ -5,6 +5,7 @@ import pytest
 
 from qcomplex import (delta_sphere, from_facets, max_spectral_search, perron_vector,
                       read_facets, tent_plus_common_edge, tented, write_facets)
+from qcomplex import cli
 from qcomplex.cli import main
 
 
@@ -286,3 +287,40 @@ class TestInspectAndAsymptotic:
         err = capsys.readouterr().err
         assert err.startswith(f"error bad_params: --n {spec!r}: ")
         assert err.rstrip().endswith(token)
+
+
+#: Of --seed, --tol, --format and -o, the options each subcommand reads.
+READS = {"gen": {"--seed", "-o"}, "betti": {"--format", "-o"},
+         "spectra": {"--seed", "--tol", "-o"}, "check": {"--seed", "-o"},
+         "search": {"--tol", "-o"},
+         "inspect": {"--seed", "--tol", "--format", "-o"},
+         "asymptotic": {"--seed", "--tol", "--format", "-o"},
+         "acceptance": {"-o"}}
+REQUIRED = {"gen": ["tented"], "betti": ["k.facets"],
+            "spectra": ["k.facets", "--dim", "1"], "check": ["k.facets"],
+            "search": ["--mode", "spectral", "--n", "5", "--t", "1"],
+            "inspect": ["k.facets"], "asymptotic": ["--t", "1", "--n", "60"],
+            "acceptance": []}
+VALUES = {"--seed": ("2", "seed", 2), "--tol": ("1", "tol", 1.0),
+          "--format": ("json", "format", "json"),
+          "-o": ("out.txt", "output", "out.txt")}
+
+
+@pytest.mark.parametrize("sub,option", [
+    pytest.param(sub, option, id=f"{sub} {option}")
+    for sub in REQUIRED for option in VALUES])
+def test_each_subcommand_takes_only_the_options_it_reads(sub, option,
+                                                        monkeypatch):
+    # an option a subcommand would ignore is a usage error, not a no-op
+    parsed = {}
+    monkeypatch.setattr(cli, "run", lambda subcommand, options:
+                        parsed.update(options) or 0)
+    token, key, value = VALUES[option]
+    argv = [sub, *REQUIRED[sub], option, token]
+    if option in READS[sub]:
+        assert main(argv) == 0
+        assert parsed[key] == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -244,7 +244,8 @@ class TestConstructionAgainstSetOracle:
             raise AssertionError(f"faces({i}) built a tuple list")
 
         monkeypatch.setattr(SimplicialComplex, "faces", refuse)
-        res = spectral_radius(K, 1, method="lanczos")
+        res = spectral_radius(K, 1)
+        assert res.iterations > 0
         assert res.value == pytest.approx(117.0, abs=1e-3)
 
 

@@ -28,7 +28,7 @@ from qcomplex.errors import (
     BadParams, NoApex, NotPure, PrecisionInsufficient, TooLarge)
 from qcomplex.extremal import (
     EPS_MAXIMIZER, RESOLVE_MARGIN, _dedup_canonical, _domain_masks,
-    _mask_faces, _q_values, _tables, _triangle_space, search_betti2)
+    _mask_faces, _q_values, _tables, _triangle_space)
 
 from conftest import pure2_complexes
 
@@ -92,13 +92,14 @@ class TestEnumeration:
     def test_search_betti_matches_exact_profile(self):
         # dual route: the orbit rank table against coreduced Betti numbers
         space = _triangle_space(5)
-        _tables(5)
+        tables = _tables(5)
         rng = np.random.default_rng(5)
         for _ in range(40):
             mask = int(rng.integers(1, 1 << 10))
             faces = [space.triangles[k] for k in range(10) if mask >> k & 1]
             K = from_facets(5, faces, require_pure=True)
-            assert search_betti2(5, mask) == betti_profile(K).betti[2]
+            assert (tables.popcount[mask] - tables.rank[mask]
+                    == betti_profile(K).betti[2])
 
 
 def oracle_boundary(n):
@@ -234,11 +235,13 @@ class TestRankTable:
 
     def test_n6_sample_matches_exact_betti(self):
         space = _triangle_space(6)
+        tables = _tables(6)
         rng = np.random.default_rng(6)
         for mask in rng.choice(np.arange(1, 1 << 20), 2000, replace=False):
             K = from_facets(6, _mask_faces(space, int(mask)),
                             require_pure=True)
-            assert search_betti2(6, int(mask)) == betti_profile(K).betti[2]
+            assert (tables.popcount[mask] - tables.rank[mask]
+                    == betti_profile(K).betti[2])
 
 
 class TestQValues:
@@ -283,31 +286,12 @@ class TestDedup:
         assert extremal._tent_canonical(n, t) == canonical_form(tent)
 
 
-class TestSearchBetti2Guards:
-    def test_mask_out_of_range(self):
-        with pytest.raises(BadParams):
-            search_betti2(5, -1)
-        with pytest.raises(BadParams):
-            search_betti2(5, 1 << 10)
-        assert search_betti2(5, (1 << 10) - 1) == 4  # the full 2-skeleton
-
-    def test_vertex_count_refused_before_tables(self, monkeypatch):
-        def build(n):
-            raise AssertionError(f"tables built for n={n}")
-        monkeypatch.setattr(extremal, "_tables", build)
-        with pytest.raises(TooLarge):
-            search_betti2(7, 0)
-        with pytest.raises(BadParams):
-            search_betti2(2, 0)
-
-
 class TestSearchParamGuards:
     def test_non_integral_refused_before_tables(self, monkeypatch):
         def build(n):
             raise AssertionError(f"tables built for n={n}")
         monkeypatch.setattr(extremal, "_tables", build)
-        calls = [(search_betti2, (5, 1.5)), (search_betti2, (5.0, 3)),
-                 (max_facets_search, (5, 1.5)), (max_facets_search, (5.0, 1)),
+        calls = [(max_facets_search, (5, 1.5)), (max_facets_search, (5.0, 1)),
                  (max_spectral_search, (5, 1.5)),
                  (max_spectral_search, (5.0, 1)),
                  (lambda *a: next(enumerate_pure2(*a)), (5.0,))]
@@ -548,15 +532,15 @@ class TestAsymptoticCheck:
         with pytest.raises(BadParams):
             asymptotic_check(1, [300])
 
-    @pytest.mark.parametrize("tols", [math.nan, -1.0, [1e-10, math.nan]])
+    @pytest.mark.parametrize("tols", [math.nan, -1.0, [1e-10, 1e-10]])
     def test_bad_tol_refused(self, tols, monkeypatch):
-        # every entry is checked before the first solve
+        # one number for every n, checked before the first solve: a per-n
+        # list is refused
         def solve(*args, **kwargs):
-            raise AssertionError("solved before the tolerances were checked")
+            raise AssertionError("solved before the tolerance was checked")
         monkeypatch.setattr(spectra, "spectral_radius", solve)
-        n_list = [40, 80] if isinstance(tols, list) else [40]
         with pytest.raises(BadParams):
-            asymptotic_check(1, n_list, tol_schedule=tols)
+            asymptotic_check(1, [40, 80], tol=tols)
 
     @pytest.mark.parametrize("seed", [-3, 1.5])
     def test_bad_seed_refused(self, seed, monkeypatch):

@@ -60,28 +60,28 @@ class TestSpectralRadius:
     def test_lanczos_matches_dense(self):
         K = tent_plus_common_edge(40, 2)
         assert K.n_faces(1) > DENSE_CUTOFF
-        dense = spectral_radius(K, 1, method="dense")
         lanczos = spectral_radius(K, 1)
-        assert lanczos.value == pytest.approx(dense.value, abs=1e-9)
-        assert lanczos.iterations > 0 and dense.iterations == 0
+        assert lanczos.value == pytest.approx(dense_q_up_spectrum(K, 1)[-1],
+                                              abs=1e-9)
+        assert lanczos.iterations > 0
         assert lanczos.residual <= 1e-10
         assert not lanczos.degenerate
 
-    def test_residual_bound_respected(self):
-        res = spectral_radius(tented(12, 2), 1, method="lanczos", tol=1e-8)
-        assert res.residual <= 1e-8
+    def test_residual_bound_respected(self, monkeypatch):
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
+        res = spectral_radius(tented(12, 2), 1, tol=1e-8)
+        assert res.iterations > 0 and res.residual <= 1e-8
 
-    def test_no_convergence(self):
+    def test_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
         with pytest.raises(NoConvergence) as exc:
-            spectral_radius(tented(10, 2), 1, method="lanczos", max_iters=2)
+            spectral_radius(tented(10, 2), 1, max_iters=2)
         assert exc.value.iterations == 2
         assert math.isfinite(exc.value.residual)
 
     def test_lanczos_guards(self):
-        with pytest.raises(BadParams):  # k = 2 Ritz pairs need 3 faces
-            spectral_radius(from_facets(2, [(0, 1)]), 0, method="lanczos")
         with pytest.raises(BadParams):
-            spectral_radius(tented(10, 2), 1, method="lanczos", max_iters=0)
+            spectral_radius(tented(10, 2), 1, max_iters=0)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-10"])
     def test_bad_tol_refused(self, tol):
@@ -95,16 +95,21 @@ class TestSpectralRadius:
         # numpy used to raise a bare ValueError or TypeError mid-solve
         monkeypatch.setattr(np.linalg, "eigh", None)
         monkeypatch.setattr(spectra, "_lanczos_top2", None)
+        if method == "lanczos":
+            monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
         with pytest.raises(BadParams):
-            spectral_radius(tent_plus_common_edge(8, 1), 1, seed=seed,
-                            method=method)
+            spectral_radius(tent_plus_common_edge(8, 1), 1, seed=seed)
 
-    def test_dense_polish_reports_unreachable_tol(self):
-        # no eigensolve reaches a zero residual: the dense pair is polished
-        # by Lanczos, which then reports the residual it did reach
+    def test_dense_residual_above_tol_refused(self, monkeypatch):
+        # no eigensolve reaches a zero residual; the dense pair is refused
+        # as it stands, with no Lanczos solve after it
+        def lanczos(*args, **kwargs):
+            raise AssertionError("Lanczos ran on a dense-size complex")
+        monkeypatch.setattr(spectra, "_lanczos_top2", lanczos)
         with pytest.raises(NoConvergence) as exc:
-            spectral_radius(tented(8, 2), 1, method="dense", tol=0.0)
-        assert exc.value.iterations > 0
+            spectral_radius(tented(8, 2), 1, tol=0.0)
+        assert exc.value.iterations == 0
+        assert 0 < exc.value.residual <= 1e-10
 
     def test_twin_tent_small_gap(self):
         # top gap about 1.6e-4: resolved, and not flagged as multiple
