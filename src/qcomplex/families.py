@@ -28,6 +28,9 @@ FAMILIES = ("simplex_skeleton", "tented", "tent_plus_common_edge",
 #: Rejection sampling stays at or below this vertex count.
 RANDOM_MAX_N = 12
 
+#: Samples `random_pure2` draws for a target top Betti number.
+MAX_ATTEMPTS = 500
+
 
 def subset_rows(n: int, k: int) -> np.ndarray:
     """The k-subsets of range(n), one row each, in lexicographic order."""
@@ -112,20 +115,20 @@ def tent_plus_faces(n: int, added) -> SimplicialComplex:
     return K
 
 
-def random_pure2(n: int, target_t: int | None = None, seed: int = 0,
-                 max_attempts: int = 500) -> SimplicialComplex:
+def random_pure2(n: int, target_t: int | None = None,
+                 seed: int = 0) -> SimplicialComplex:
     """Uniformly random nonempty triangle subset on n labeled vertices.
 
     With ``target_t`` set, rejection-samples until the top Betti number
-    matches or the attempt budget runs out.
+    matches or `MAX_ATTEMPTS` samples have missed it.
     """
-    require_int(n=n, max_attempts=max_attempts)
+    require_int(n=n)
     if n < 3 or n > RANDOM_MAX_N:
         raise BadParams(f"need 3 <= n <= {RANDOM_MAX_N}, got {n}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     triangles = subset_rows(n, 3)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         mask = rng.random(len(triangles)) < 0.5
         if not mask.any():
             continue
@@ -135,7 +138,7 @@ def random_pure2(n: int, target_t: int | None = None, seed: int = 0,
         if homology.betti_profile(K).betti[2] == target_t:
             return K
     raise BudgetExhausted(
-        f"no sample with top Betti {target_t} in {max_attempts} attempts")
+        f"no sample with top Betti {target_t} in {MAX_ATTEMPTS} attempts")
 
 
 def make(family: str, n: int | None = None, r: int | None = None,

@@ -9,8 +9,10 @@ least vertex, which lowers beta_0 by one, and goes on. The remaining faces
 form an S-complex with the homology of the complex, except that beta_0 is
 lower by the number of vertices so removed. The ranks of its boundary
 matrices, and the residual kernel vector from which `is_basic_hole` builds
-the top cycle, come from one fraction-free (Bareiss) integer elimination:
-no tolerance and no rational arithmetic. The reduction is cached on the
+the top cycle, come from one fraction-free (Bareiss) integer elimination,
+`_bareiss` (Bareiss, Math. Comp. 22, 1968): no tolerance and no rational
+arithmetic. It runs in int64 and turns the matrix into Python integers in
+place once an entry nears overflow. The reduction is cached on the
 complex, so `betti_profile` and `is_basic_hole` share one.
 
 The floating-point `hodge_betti` is the independent cross-check: beta_i
@@ -43,12 +45,13 @@ from .errors import (
 )
 
 # int64 Bareiss updates are exact while |entries| stay below this bound
-# (update magnitude <= 2*M^2 must fit in int64).
+# (update magnitude <= 2*M^2 must fit in int64); `_bareiss` turns the
+# matrix into Python ints before an update with a larger entry.
 _INT64_GUARD = np.int64(1) << 31
 
 #: Largest dense int64 residual boundary matrix, in bytes, that
 #: `betti_profile` and `is_basic_hole` allocate after the reduction; larger
-#: ones raise `TooLarge`. `integer_rank` holds about three more working
+#: ones raise `TooLarge`. `_bareiss` holds about three more working
 #: copies, so the peak is about four times this. A tent with t added
 #: faces reduces to t triangles with zero boundary at any size, also with
 #: its apex relabelled; a surface with boundary to beta_1 edges with zero
@@ -57,6 +60,10 @@ _INT64_GUARD = np.int64(1) << 31
 #: `is_basic_hole` extends to the cycle without any other matrix. A closed
 #: surface keeps every triangle.
 DENSE_BYTES_LIMIT = 256 * 2**20
+
+#: `hodge_betti` counts the eigenvalues below this as zeros, and refuses
+#: one in the guard band [ZERO_TOL, 100 * ZERO_TOL).
+ZERO_TOL = 1e-8
 
 
 def _integer_matrix(A) -> np.ndarray:
@@ -82,82 +89,56 @@ def _integer_matrix(A) -> np.ndarray:
 def integer_rank(A) -> int:
     """Exact rank of an integer matrix via fraction-free elimination.
 
-    Runs vectorized in int64 and falls back to Python big integers for
-    the remaining submatrix if entries approach the overflow guard, or
-    from the start when an entry lies outside int64. Integral floats are
-    accepted; any other non-integral entry raises `BadParams`.
+    The elimination (`_bareiss`) runs in int64 and goes on in Python big
+    integers once an entry nears the overflow guard, or from the start
+    when an entry lies outside int64. Integral floats are accepted; any
+    other non-integral entry raises `BadParams`.
     """
     M = _integer_matrix(A)
     if M.ndim != 2 or 0 in M.shape:
         return 0
-    if M.dtype == object:
-        return len(_python_bareiss(M.tolist(), 1)[1])
+    return len(_bareiss(M)[1])
+
+
+def _bareiss(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Fraction-free (Bareiss) elimination of M in place, taking the
+    least |pivot| in each column: the nonzero echelon rows (the row space
+    of M) and their pivot columns. An int64 M turns into an object array
+    of Python ints before the first update that could leave int64, and
+    the elimination goes on in that array."""
     m, n = M.shape
-    rank = 0
-    row = 0
-    prev = np.int64(1)
+    pivots: list[int] = []
+    prev = 1
     for col in range(n):
+        row = len(pivots)
         if row >= m:
             break
         sub = M[row:, col]
-        nz = np.nonzero(sub)[0]
+        nz = np.flatnonzero(sub)
         if nz.size == 0:
             continue
         p = int(nz[np.abs(sub[nz]).argmin()]) + row
         if p != row:
             M[[row, p]] = M[[p, row]]
-        if np.abs(M[row:]).max() >= _INT64_GUARD:
-            return rank + len(_python_bareiss(M[row:, col:].tolist(),
-                                              int(prev))[1])
+        if M.dtype != object and np.abs(M[row:]).max() >= _INT64_GUARD:
+            M = M.astype(object)
         piv = M[row, col]
         below = M[row + 1:]
         if below.size:
-            factor = below[:, col].copy()
-            below[:] = (below * piv - np.outer(factor, M[row])) // prev
-        prev = piv
-        rank += 1
-        row += 1
-    return rank
-
-
-def _python_bareiss(rows: list[list[int]], prev: int) -> tuple[list, list]:
-    """Arbitrary-precision Bareiss on the remaining submatrix: its nonzero
-    echelon rows (the same row space) and their pivot columns."""
-    rows = [list(map(int, r)) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots: list[int] = []
-    for col in range(n):
-        row = len(pivots)
-        if row >= m:
-            break
-        p, best = None, None
-        for r in range(row, m):
-            v = rows[r][col]
-            if v and (best is None or abs(v) < best):
-                best, p = abs(v), r
-        if p is None:
-            continue
-        rows[row], rows[p] = rows[p], rows[row]
-        piv = rows[row][col]
-        pivot_row = rows[row]
-        for r in range(row + 1, m):
-            f = rows[r][col]
-            rows[r] = [(a * piv - f * b) // prev
-                       for a, b in zip(rows[r], pivot_row)]
+            below[:] = (below * piv - np.outer(below[:, col], M[row])) // prev
         prev = piv
         pivots.append(col)
-    return rows[:len(pivots)], pivots
+    return M[:len(pivots)], pivots
 
 
 def _kernel_vector(A) -> list[int]:
     """Primitive integer y != 0 with A y = 0: 1 at the first non-pivot
     column of the Bareiss echelon form, then back-substituted over the
     pivot rows, last first, scaling y by pivot / gcd instead of dividing."""
-    rows, pivots = _python_bareiss(np.asarray(A).tolist(), 1)
+    echelon, pivots = _bareiss(_integer_matrix(A))
     y = [0] * np.shape(A)[1]
     y[min(set(range(len(y))) - set(pivots))] = 1
-    for row, p in zip(reversed(rows), reversed(pivots)):
+    for row, p in zip(reversed(echelon.tolist()), reversed(pivots)):
         s = sum(a * x for a, x in zip(row, y))  # y[p] is still 0
         g = math.gcd(s, row[p])
         y = [x * (row[p] // g) for x in y]
@@ -339,37 +320,34 @@ def _gram_spectrum(K: SimplicialComplex, j: int) -> np.ndarray:
     return eigs
 
 
-def hodge_betti(K: SimplicialComplex, i: int, zero_tol: float = 1e-8) -> int:
+def hodge_betti(K: SimplicialComplex, i: int) -> int:
     """Betti number as the kernel dimension of the full signed Laplacian
     L_i = d_i^T d_i + d_{i+1} d_{i+1}^T, in floating point.
 
     Since d_i d_{i+1} = 0, the spectrum of L_i is the nonzero spectrum of
     d_i^T d_i, that of d_{i+1} d_{i+1}^T, and beta_i zeros; and A A^T has
     the nonzero spectrum of A^T A. So the answer is |S_i| less the number
-    of eigenvalues at least ``zero_tol`` in the cached spectra of the
+    of eigenvalues at least `ZERO_TOL` in the cached spectra of the
     smaller Gram matrices of d_i and d_{i+1} (those that exist): a battery
     over every i solves one matrix per boundary, of side
     min(|S_{j-1}|, |S_j|). Raises `SpectrumAmbiguous` if an eigenvalue of
-    either spectrum falls inside the guard band [zero_tol, 100*zero_tol),
+    either spectrum falls inside the guard band [ZERO_TOL, 100*ZERO_TOL),
     and `TooLarge` when |S_i| exceeds `chains.DENSE_LIMIT`. Cross-check
     only; `betti_profile` is the source of truth.
     """
     if not (is_integer(i) and 0 <= i <= K.dim):
         raise DimensionOutOfRange(f"i={i} outside [0, {K.dim}]")
-    if not (isinstance(zero_tol, numbers.Real) and 0 < zero_tol < math.inf):
-        raise BadParams(
-            f"zero_tol must be a positive finite number, got {zero_tol!r}")
     n_i = K.n_faces(i)
     if n_i > chains.DENSE_LIMIT:
         raise TooLarge(f"dense Hodge spectrum refused for {n_i} faces of "
                        f"dimension {i}")
     spectra = [_gram_spectrum(K, j) for j in (i, i + 1) if 1 <= j <= K.dim]
     eigs = np.concatenate(spectra) if spectra else np.zeros(0)
-    band = eigs[(eigs >= zero_tol) & (eigs < 100 * zero_tol)]
+    band = eigs[(eigs >= ZERO_TOL) & (eigs < 100 * ZERO_TOL)]
     if band.size:
         raise SpectrumAmbiguous(
-            f"eigenvalue {band.min():.3e} inside [{zero_tol:.1e}, {100 * zero_tol:.1e})")
-    return n_i - int((eigs >= zero_tol).sum())
+            f"eigenvalue {band.min():.3e} inside [{ZERO_TOL:.1e}, {100 * ZERO_TOL:.1e})")
+    return n_i - int((eigs >= ZERO_TOL).sum())
 
 
 def _require_pure(K: SimplicialComplex) -> None:

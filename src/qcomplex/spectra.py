@@ -36,6 +36,11 @@ DENSE_CUTOFF = 512
 #: Top eigenvalues closer than this are reported as numerically multiple.
 DEGENERACY_GAP = 1e-9
 
+#: Lanczos raises `NoConvergence` after max(LANCZOS_MIN_APPLICATIONS,
+#: LANCZOS_APPLICATIONS_PER_FACE * |S_i|) applications of Q_up.
+LANCZOS_MIN_APPLICATIONS = 100
+LANCZOS_APPLICATIONS_PER_FACE = 10
+
 NORMALIZATIONS = ("unit_norm", "max_boundary_sum_one")
 
 
@@ -73,19 +78,17 @@ def _residual(K: SimplicialComplex, i: int, f: np.ndarray, value: float) -> floa
     return float(np.linalg.norm(chains.apply_q_up(K, i, f) - value * f))
 
 
-def _lanczos_top2(K: SimplicialComplex, i: int, seed: int,
-                  max_iters: int | None):
-    """Top Ritz vector (unit norm, entries summing to at least zero), the
-    gap between the top two Ritz values, and the number of applications
-    of `chains.apply_q_up`, which reads the boundary index table and forms
-    no matrix. The start vector is seeded and positive. More than
-    ``max_iters`` applications (default ``10 * |S_i|``, at least 100)
-    raise `NoConvergence`."""
+def _lanczos_top2(K: SimplicialComplex, i: int, seed: int):
+    """Top Ritz vector (unit norm), the gap between the top two Ritz
+    values, and the number of applications of `chains.apply_q_up`, which
+    reads the boundary index table and forms no matrix. The start vector
+    is seeded and positive. More applications than the cap raise
+    `NoConvergence`."""
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     n_i = K.n_faces(i)
     v0 = np.random.default_rng(seed).uniform(0.5, 1.5, n_i)
-    cap = max(100, 10 * n_i) if max_iters is None else max_iters
+    cap = max(LANCZOS_MIN_APPLICATIONS, LANCZOS_APPLICATIONS_PER_FACE * n_i)
     applied = 0
 
     def matvec(x: np.ndarray) -> np.ndarray:
@@ -104,26 +107,22 @@ def _lanczos_top2(K: SimplicialComplex, i: int, seed: int,
     # at least one application, so the application cap binds before maxiter
     ritz, vecs = eigsh(LinearOperator((n_i, n_i), matvec=matvec, dtype=float),
                        k=2, which="LA", v0=v0, tol=0, maxiter=cap, rng=seed)
-    f = vecs[:, 1] if vecs[:, 1].sum() >= 0 else -vecs[:, 1]
-    return f, float(ritz[1] - ritz[0]), applied
+    return vecs[:, 1], float(ritz[1] - ritz[0]), applied
 
 
 def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
-                    seed: int = 0, max_iters: int | None = None) -> SpectralResult:
+                    seed: int = 0) -> SpectralResult:
     """Largest eigenvalue of the i-up signless Laplacian.
 
     Up to `DENSE_CUTOFF` faces this is a full eigensolve; above it, the
     top two Ritz pairs by restarted Lanczos from a seeded positive start.
     The value is the Rayleigh quotient of the returned vector, evaluated
-    in compensated summation. ``max_iters`` caps the Lanczos operator
-    applications (the default scales with the face count). A pair whose
-    residual exceeds ``tol`` raises `NoConvergence`, with ``iterations``
-    0 for a dense solve. The returned vector has unit norm and entries summing to at
-    least zero. ``degenerate`` is set when the measured gap to the second
-    eigenvalue is below `DEGENERACY_GAP`.
+    in compensated summation. A pair whose residual exceeds ``tol``, or a
+    Lanczos run past its application cap, raises `NoConvergence`, with
+    ``iterations`` 0 for a dense solve. The returned vector has unit norm
+    and entries summing to at least zero. ``degenerate`` is set when the
+    measured gap to the second eigenvalue is below `DEGENERACY_GAP`.
     """
-    if max_iters is not None and not (is_integer(max_iters) and max_iters >= 1):
-        raise BadParams(f"max_iters must be a positive integer, got {max_iters!r}")
     check_tol(tol)
     check_seed(seed)
     if not (is_integer(i) and 0 <= i < K.dim):
@@ -133,17 +132,16 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
 
     if n_i <= DENSE_CUTOFF:
         eigs, vecs = np.linalg.eigh(chains.laplacian(K, i, "Q_up"))
-        f = vecs[:, -1]
-        if f.sum() < 0:
-            f = -f
-        iterations = 0
-        residual = _residual(K, i, f, float(eigs[-1]))
+        f, iterations = vecs[:, -1], 0
         gap = float(eigs[-1] - eigs[-2]) if n_i >= 2 else math.inf
-        value = rayleigh_quotient(K, i, f)
     else:
-        f, gap, iterations = _lanczos_top2(K, i, seed, max_iters)
-        value = rayleigh_quotient(K, i, f)
-        residual = _residual(K, i, f, value)
+        f, gap, iterations = _lanczos_top2(K, i, seed)
+    if f.sum() < 0:
+        f = -f
+    value = rayleigh_quotient(K, i, f)
+    # a dense pair's residual is taken at its eigh value, a Lanczos one at
+    # the Rayleigh quotient
+    residual = _residual(K, i, f, value if iterations else float(eigs[-1]))
     if residual > tol:
         raise NoConvergence(
             f"residual {residual:.3e} above tol {tol:.1e} "
@@ -155,7 +153,7 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
 
 def perron_vector(K: SimplicialComplex, i: int,
                   normalization: str = "unit_norm", tol: float = 1e-10,
-                  seed: int = 0, max_iters: int | None = None) -> SpectralResult:
+                  seed: int = 0) -> SpectralResult:
     """Strictly positive top eigenvector of an i-path-connected complex."""
     if normalization not in NORMALIZATIONS:
         raise BadParams(f"normalization must be one of {NORMALIZATIONS}")
@@ -163,7 +161,7 @@ def perron_vector(K: SimplicialComplex, i: int,
     check_seed(seed)
     if not K.is_path_connected(i):
         raise NotPathConnected(f"complex is not {i}-path connected")
-    res = spectral_radius(K, i, tol=tol, seed=seed, max_iters=max_iters)
+    res = spectral_radius(K, i, tol=tol, seed=seed)
     f = res.vector
     if not res.degenerate and f.min() <= 0.0:
         raise NoConvergence(

@@ -531,12 +531,10 @@ class TestIntegerParameters:
         lambda: asymptotic_check(1.0, [60]),
         lambda: facet_bound(6, 2, 1.5),
         lambda: spectral_bound(6.0, 2, 1),
-        lambda: spectral_radius(tented(5, 2), 1, max_iters=2.5),
-        lambda: spectral_radius(tented(5, 2), 1, max_iters="a"),
     ], ids=["skeleton_n", "skeleton_r", "tented_r", "common_edge_n",
             "plus_faces_n", "delta_sphere_r", "rhombic_r", "random_n",
             "asymptotic_n", "asymptotic_t", "facet_bound_t",
-            "spectral_bound_n", "max_iters_half", "max_iters_str"])
+            "spectral_bound_n"])
     def test_non_integral_refused(self, call):
         with pytest.raises(BadParams):
             call()

@@ -22,6 +22,7 @@ from qcomplex.errors import (
     DuplicateFace,
     FaceContainsApex,
 )
+from qcomplex import families
 from qcomplex.families import make, subset_rows
 
 from conftest import is_isomorphic
@@ -147,9 +148,10 @@ class TestRandomPure2:
         with pytest.raises(BadParams):
             random_pure2(13)
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(families, "MAX_ATTEMPTS", 5)
         with pytest.raises(BudgetExhausted):
-            random_pure2(5, target_t=50, seed=0, max_attempts=5)
+            random_pure2(5, target_t=50, seed=0)
 
 
 class TestSubsetRows:

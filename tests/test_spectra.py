@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 
 from qcomplex import (
@@ -74,14 +75,28 @@ class TestSpectralRadius:
 
     def test_no_convergence(self, monkeypatch):
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(spectra, "LANCZOS_MIN_APPLICATIONS", 2)
+        monkeypatch.setattr(spectra, "LANCZOS_APPLICATIONS_PER_FACE", 0)
         with pytest.raises(NoConvergence) as exc:
-            spectral_radius(tented(10, 2), 1, max_iters=2)
+            spectral_radius(tented(10, 2), 1)
         assert exc.value.iterations == 2
         assert math.isfinite(exc.value.residual)
 
-    def test_lanczos_guards(self):
-        with pytest.raises(BadParams):
-            spectral_radius(tented(10, 2), 1, max_iters=0)
+    def test_lanczos_guards(self, monkeypatch):
+        # an eigensolver that never stops is cut at max(100, 10 |S_1|)
+        # operator applications: 100 for 6 edges, 450 for 45
+        def endless(A, v0, **kwargs):
+            while True:
+                v0 = A.matvec(v0)
+                v0 /= np.linalg.norm(v0)
+
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", endless)
+        for K, cap in ((tented(4, 2), 100), (tented(10, 2), 450)):
+            with pytest.raises(NoConvergence) as exc:
+                spectral_radius(K, 1)
+            assert exc.value.iterations == cap
+            assert math.isfinite(exc.value.residual)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-10"])
     def test_bad_tol_refused(self, tol):
