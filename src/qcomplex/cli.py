@@ -169,11 +169,8 @@ def _cmd_inspect(opt) -> int:
         _emit(json.dumps({"schema": JSON_SCHEMA_VERSION, **d}, sort_keys=True,
                          indent=2) + "\n", opt["output"])
         return 0
-    scalar_keys = ["betti_top", "apex", "u", "v", "w", "n_outside",
-                   "outside_0", "outside_1", "outside_2", "outside_3",
-                   "n_weak_outside", "two_class_u", "two_class_v",
-                   "two_class_w", "n_apex_missing", "n_shared_edge_missing",
-                   "down_pair_count"]
+    # the report's integer fields in order; the apex may be None
+    scalar_keys = [k for k, x in d.items() if x is None or type(x) is int]
     header = ["peak_face"] + scalar_keys + [f"verdict_{k}"
                                             for k in sorted(d["verdicts"])]
     row = [" ".join(map(str, d["peak_face"]))]
@@ -247,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     seed = option("--seed", type=int, default=0)
     tol = option("--tol", type=float, default=1e-10)
-    fmt = option("--format", choices=("text", "json", "csv"), default=None)
+    text_or_json = option("--format", choices=("text", "json"), default="text")
+    csv_or_json = option("--format", choices=("csv", "json"), default="csv")
     out = option("-o", "--output", default=None)
 
     p = argparse.ArgumentParser(
@@ -264,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--t", type=int)
     g.add_argument("--add", help="added faces, e.g. '1,2,3;4,5,6'")
 
-    b = sub.add_parser("betti", parents=[fmt, out],
+    b = sub.add_parser("betti", parents=[text_or_json, out],
                        help="print Betti numbers and Euler characteristic")
     b.add_argument("file")
 
@@ -292,11 +290,11 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--no-full-skeleton", dest="full_skeleton",
                     action="store_false")
 
-    ins = sub.add_parser("inspect", parents=[seed, tol, fmt, out],
+    ins = sub.add_parser("inspect", parents=[seed, tol, csv_or_json, out],
                          help="proof-quantity inspector (CSV)")
     ins.add_argument("file")
 
-    a = sub.add_parser("asymptotic", parents=[seed, tol, fmt, out],
+    a = sub.add_parser("asymptotic", parents=[seed, tol, csv_or_json, out],
                        help="normalized spectral excess of the tent family")
     a.add_argument("--t", type=int, required=True)
     a.add_argument("--n", required=True, help="comma-separated list, e.g. 60,120,240")

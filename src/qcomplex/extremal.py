@@ -29,14 +29,17 @@ among the 2^20 masks at n = 6):
 - Witness orbits take their canonical form from the same permutation
   tables.
 
-The large-n asymptotics go through the Lanczos top-two solve in `spectra`.
+The proof inspectors read the incidence arrays only: the vertices closing
+the peak face's edges come from `chains.coface_index`, and down-neighbour
+counts from N x = Q_down x - 3x (`chains.apply_q_down`). The large-n
+asymptotics go through the Lanczos top-two solve in `spectra`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -407,7 +410,7 @@ def detect_apex(K: SimplicialComplex) -> ApexResult:
     Returns the smallest such vertex and whether several qualify.
     """
     if not K.is_pure() or K.dim != 2:
-        raise NotPure("apex detection expects a pure 2-complex")
+        raise NotPure("apex detection and proof inspection need a pure 2-complex")
     active = K.rows(0)[:, 0]  # an apex lies on a triangle with every other pair
     on = np.bincount(K.rows(2).ravel(), minlength=K.n_vertices)[active]
     found = active[on == math.comb(len(active) - 1, 2)].tolist()
@@ -442,18 +445,13 @@ class InspectorReport:
     def to_dict(self) -> dict:
         return {
             "peak_face": list(self.peak_face),
-            "apex": self.apex,
-            "u": self.roles[0], "v": self.roles[1], "w": self.roles[2],
             "betti_top": self.betti_top,
+            "apex": self.apex,
+            **dict(zip("uvw", self.roles)),
             "n_outside": self.n_outside,
-            "outside_0": self.outside_by_count[0],
-            "outside_1": self.outside_by_count[1],
-            "outside_2": self.outside_by_count[2],
-            "outside_3": self.outside_by_count[3],
+            **{f"outside_{k}": c for k, c in enumerate(self.outside_by_count)},
             "n_weak_outside": self.n_weak_outside,
-            "two_class_u": self.two_class_split[0],
-            "two_class_v": self.two_class_split[1],
-            "two_class_w": self.two_class_split[2],
+            **{f"two_class_{r}": c for r, c in zip("uvw", self.two_class_split)},
             "n_apex_missing": self.n_apex_missing,
             "n_shared_edge_missing": len(self.shared_edge_missing),
             "shared_edge_missing": [list(f) for f in self.shared_edge_missing],
@@ -461,6 +459,12 @@ class InspectorReport:
             "verdicts": dict(self.verdicts),
             "caveat": self.caveat,
         }
+
+
+def _down_sum(K: SimplicialComplex, x: np.ndarray) -> np.ndarray:
+    """Sum of ``x`` over each triangle's down neighbours (Q_down adds the
+    triangle itself three times); exact on small integer vectors."""
+    return chains.apply_q_down(K, 2, x) - 3 * x
 
 
 def proof_inspector(K: SimplicialComplex, tol: float = 1e-10,
@@ -472,8 +476,7 @@ def proof_inspector(K: SimplicialComplex, tol: float = 1e-10,
     splits the two-neighbor class by which face is missing, and checks
     the counting inequalities that pin down the maximizers.
     """
-    if not K.is_pure() or K.dim != 2:
-        raise NotPure("proof inspector expects a pure 2-complex")
+    apex = detect_apex(K).vertex  # refuses a complex that is not pure of dim 2
     if not K.is_path_connected(1):
         raise NotPathConnected("proof inspector needs a 1-path-connected complex")
     t = homology.betti_profile(K).betti[2]
@@ -481,48 +484,47 @@ def proof_inspector(K: SimplicialComplex, tol: float = 1e-10,
                                    tol=tol, seed=seed)
     sums = chains.boundary_sums(K, 1, result.vector)
     top = float(sums.max())
-    near = [k for k, s in enumerate(sums) if s >= top - 1e-9 * (1.0 + abs(top))]
-    f0 = min(K.faces(2)[k] for k in near)
+    # faces are sorted, so the least index in the near window is the least face
+    k0 = int(np.flatnonzero(sums >= top - 1e-9 * (1.0 + abs(top)))[0])
+    rows = K.rows(2)
+    f0 = tuple(rows[k0].tolist())
 
-    active = [v for (v,) in K.faces(0)]
-    outside = [x for x in active if x not in f0]
-    by_count: dict[int, list[int]] = {0: [], 1: [], 2: [], 3: []}
-    for x in outside:
-        by_count[len(K.down_neighbors_via_vertex(f0, x))].append(x)
-    a_sizes = tuple(len(by_count[k]) for k in range(4))
+    # row j: the vertices that close edge j of F0 (which omits F0[j]) to a
+    # face other than F0: the vertex each coface of that edge omits from it
+    ptr, cof, pos = chains.coface_index(K, 1)
+    closes = np.zeros((3, K.n_vertices), dtype=np.int64)
+    for j, e in enumerate(chains.boundary_index_table(K, 2)[k0].tolist()):
+        closes[j, rows[cof[ptr[e]:ptr[e + 1]], pos[ptr[e]:ptr[e + 1]]]] = 1
+    closes[[0, 1, 2], f0] = 0  # F0 itself closes edge j with F0[j]
+    count = closes.sum(axis=0)  # |N^d(F0, x)| for each vertex x outside F0
+    a = K.n_faces(0) - 3
+    made = np.bincount(count, minlength=4)[1:].tolist()
+    a_sizes = (a - sum(made), *made)
 
     # split the |N^d(F0, .)| = 2 class by which face is missing
-    split: dict[int, list[int]] = {x: [] for x in f0}
-    for y in by_count[2]:
-        for x in f0:
-            other = tuple(sorted(set(f0) - {x} | {y}))
-            if not K.has_face(other):
-                split[x].append(y)
-                break
-    apex = detect_apex(K).vertex
+    split = dict(zip(f0, ((count == 2) & (closes == 0)).sum(axis=1).tolist()))
     if apex is not None and apex in f0:
         u = apex
-        v, w = sorted((x for x in f0 if x != u),
-                      key=lambda x: (-len(split[x]), x))
+        v, w = sorted((x for x in f0 if x != u), key=lambda x: (-split[x], x))
     else:
-        u, v, w = sorted(f0, key=lambda x: (-len(split[x]), x))
-    a2_split = (len(split[u]), len(split[v]), len(split[w]))
+        u, v, w = sorted(f0, key=lambda x: (-split[x], x))
+    a2_split = (split[u], split[v], split[w])
 
     base_vertex = apex if apex is not None else u
-    missing = [F for F in K.faces(2) if base_vertex not in F]
-    through_edge = tuple(F for F in missing if v in F and w in F)
+    missing = ~(rows == base_vertex).any(axis=1)
+    through_edge = tuple(map(tuple, rows[
+        missing & (rows == v).any(axis=1) & (rows == w).any(axis=1)].tolist()))
+    n_missing = int(missing.sum())
 
-    pair_count = sum(len(K.down_neighbors(F1))
-                     for F1 in K.down_neighbors(f0))
+    pair_count = int(_down_sum(K, _down_sum(K, np.ones(len(rows))))[k0])
 
-    a = len(outside)
     weak = a_sizes[0] + a_sizes[1]
     closing = a_sizes[3]
     upper = 4 * a * a - 2 * a * weak + closing * (closing + 2 * weak) + 4 * t
     verdicts = {
         "pair_count_lower": pair_count > 4 * a * a - 6 * t,
         "pair_count_upper": pair_count <= upper,
-        "apex_missing_bound": len(missing) < 5 * t * t + 10 * t,
+        "apex_missing_bound": n_missing < 5 * t * t + 10 * t,
     }
     if a2_split[1] > 0:
         verdicts["pair_count_upper_refined"] = (
@@ -531,7 +533,7 @@ def proof_inspector(K: SimplicialComplex, tol: float = 1e-10,
     return InspectorReport(
         peak_face=f0, apex=apex, roles=(u, v, w), betti_top=t, n_outside=a,
         outside_by_count=a_sizes, n_weak_outside=weak,
-        two_class_split=a2_split, n_apex_missing=len(missing),
+        two_class_split=a2_split, n_apex_missing=n_missing,
         shared_edge_missing=through_edge, down_pair_count=pair_count,
         verdicts=verdicts)
 
@@ -571,8 +573,7 @@ class PerronProfile:
         return max(self.max_rel_dev.values())
 
 
-def perron_profile(K: SimplicialComplex, tol: float = 1e-10,
-                   seed: int = 0) -> PerronProfile:
+def perron_profile(K: SimplicialComplex) -> PerronProfile:
     """Compare Perron-vector entries of a tent-plus-faces complex with the
     asymptotic predictions, grouped into non-apex edges, apex edges, and
     boundary sums of the apex-avoiding facets.
@@ -584,36 +585,32 @@ def perron_profile(K: SimplicialComplex, tol: float = 1e-10,
     if n < 20:
         raise BadParams(f"profile predictions need n >= 20, got {n}")
     u = apex_res.vertex
-    result = spectra.perron_vector(K, 1, "max_boundary_sum_one",
-                                   tol=tol, seed=seed)
-    f = result.vector
-    missing_faces = [F for F in K.faces(2) if u not in F]
-    t = len(missing_faces)
-
-    edge_missing_count: dict[Face, int] = {}
-    for F in missing_faces:
-        for e in combinations(F, 2):
-            edge_missing_count[e] = edge_missing_count.get(e, 0) + 1
+    f = spectra.perron_vector(K, 1, "max_boundary_sum_one").vector
+    rows = K.rows(2)
+    missing = ~(rows == u).any(axis=1)
+    t = int(missing.sum())
+    edge_missing_count = np.bincount(
+        chains.boundary_index_table(K, 2)[missing].ravel(),
+        minlength=K.n_faces(1)).tolist()
 
     def row(label, measured, predicted):
         m, p = float(measured), float(predicted)
         return ProfileRow(label, m, p, abs(m - p) / abs(p))
 
     non_apex, apex_rows = [], []
-    for k, e in enumerate(K.faces(1)):
+    for k, e in enumerate(K.rows(1).tolist()):
         if u in e:
             apex_rows.append(row(f"{e[0]},{e[1]}", f[k], 0.5 - 1.0 / (4 * n)))
         else:
-            pred = (1.0 / (2 * n - 3)
-                    + 3.0 * edge_missing_count.get(e, 0) / (4.0 * n * n))
-            non_apex.append(row(f"{e[0]},{e[1]}", f[k], pred))
+            non_apex.append(row(f"{e[0]},{e[1]}", f[k], 1.0 / (2 * n - 3)
+                                + 3.0 * edge_missing_count[k] / (4.0 * n * n)))
 
     missing_rows = []
     sums = chains.boundary_sums(K, 1, f)
-    for F in missing_faces:
-        nd = len(K.down_neighbors(F))
-        pred = 3.0 / (2 * n - 3) + 3.0 * nd / (4.0 * n * n)
-        missing_rows.append(row(",".join(map(str, F)), sums[K.face_index(F)],
+    n_down = _down_sum(K, np.ones(len(rows)))
+    for k in np.flatnonzero(missing).tolist():
+        pred = 3.0 / (2 * n - 3) + 3.0 * n_down[k] / (4.0 * n * n)
+        missing_rows.append(row(",".join(map(str, rows[k].tolist())), sums[k],
                                 pred))
 
     return PerronProfile(n, t, tuple(non_apex), tuple(apex_rows),

@@ -12,7 +12,8 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import homology
-from .complex_core import Face, SimplicialComplex, face, from_facets, require_int
+from .complex_core import (Face, SimplicialComplex, face, from_facets, is_integer,
+                           require_int)
 from .errors import (
     BadParams,
     BettiMismatch,
@@ -125,6 +126,8 @@ def random_pure2(n: int, target_t: int | None = None,
     require_int(n=n)
     if n < 3 or n > RANDOM_MAX_N:
         raise BadParams(f"need 3 <= n <= {RANDOM_MAX_N}, got {n}")
+    if target_t is not None and not (is_integer(target_t) and target_t >= 0):
+        raise BadParams(f"target_t must be a nonnegative integer, got {target_t!r}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
     triangles = subset_rows(n, 3)

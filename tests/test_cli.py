@@ -324,3 +324,27 @@ def test_each_subcommand_takes_only_the_options_it_reads(sub, option,
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+#: The --format values each subcommand renders (text or CSV by default).
+FORMATS = {"betti": ("text", "json"), "inspect": ("csv", "json"),
+           "asymptotic": ("csv", "json")}
+
+
+@pytest.mark.parametrize("sub,value", [
+    pytest.param(sub, value, id=f"{sub} --format {value}")
+    for sub in FORMATS for value in ("text", "csv", "json")])
+def test_each_subcommand_takes_only_the_formats_it_renders(sub, value,
+                                                          monkeypatch):
+    # `betti --format csv` would print text, `asymptotic --format text` CSV
+    parsed = {}
+    monkeypatch.setattr(cli, "run", lambda subcommand, options:
+                        parsed.update(options) or 0)
+    argv = [sub, *REQUIRED[sub], "--format", value]
+    if value in FORMATS[sub]:
+        assert main(argv) == 0
+        assert parsed["format"] == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

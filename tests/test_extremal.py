@@ -1,10 +1,11 @@
 import dataclasses
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from qcomplex import (
     betti_profile,
@@ -16,6 +17,7 @@ from qcomplex import (
     max_facets_search,
     max_spectral_search,
     perron_profile,
+    perron_vector,
     proof_inspector,
     spectral_bound,
     asymptotic_check,
@@ -26,9 +28,11 @@ from qcomplex import (
 from qcomplex import extremal, spectra
 from qcomplex.errors import (
     BadParams, NoApex, NotPure, PrecisionInsufficient, TooLarge)
+from qcomplex.chains import boundary_sums
 from qcomplex.extremal import (
-    EPS_MAXIMIZER, RESOLVE_MARGIN, _dedup_canonical, _domain_masks,
-    _mask_faces, _q_values, _tables, _triangle_space)
+    EPS_MAXIMIZER, RESOLVE_MARGIN, InspectorReport, PerronProfile, ProfileRow,
+    _dedup_canonical, _domain_masks, _mask_faces, _q_values, _tables,
+    _triangle_space)
 
 from conftest import pure2_complexes
 
@@ -485,7 +489,107 @@ class TestProofInspector:
             proof_inspector(two_triangles)
 
 
+def inspector_recount(K):
+    """Oracle: the inspector's report recounted face by face with the
+    complex's tuple queries (`has_face`, `down_neighbors_via_vertex`,
+    `down_neighbors`) around the least face of the near window."""
+    t = betti_profile(K).betti[2]
+    sums = boundary_sums(
+        K, 1, perron_vector(K, 1, "max_boundary_sum_one").vector)
+    top = float(sums.max())
+    f0 = min(F for F, s in zip(K.faces(2), sums)
+             if s >= top - 1e-9 * (1.0 + abs(top)))
+    outside = [v for (v,) in K.faces(0) if v not in f0]
+    by_count = {k: [] for k in range(4)}
+    for x in outside:
+        by_count[len(K.down_neighbors_via_vertex(f0, x))].append(x)
+    sizes = tuple(len(by_count[k]) for k in range(4))
+    split = {x: 0 for x in f0}
+    for y in by_count[2]:
+        split[next(x for x in f0
+                   if not K.has_face(tuple(sorted(set(f0) - {x} | {y}))))] += 1
+    apex = detect_apex(K).vertex
+    if apex in f0:
+        u, (v, w) = apex, sorted(set(f0) - {apex}, key=lambda x: (-split[x], x))
+    else:
+        u, v, w = sorted(f0, key=lambda x: (-split[x], x))
+    base = u if apex is None else apex
+    missing = [F for F in K.faces(2) if base not in F]
+    pairs = sum(len(K.down_neighbors(F1)) for F1 in K.down_neighbors(f0))
+    a, weak, closing = len(outside), sizes[0] + sizes[1], sizes[3]
+    upper = 4 * a * a - 2 * a * weak + closing * (closing + 2 * weak) + 4 * t
+    verdicts = {"pair_count_lower": pairs > 4 * a * a - 6 * t,
+                "pair_count_upper": pairs <= upper,
+                "apex_missing_bound": len(missing) < 5 * t * t + 10 * t}
+    if split[v] > 0:
+        verdicts["pair_count_upper_refined"] = (
+            pairs <= upper - 2 * (sizes[2] - 1))
+    return InspectorReport(
+        f0, apex, (u, v, w), t, a, sizes, weak, (split[u], split[v], split[w]),
+        len(missing), tuple(F for F in missing if v in F and w in F), pairs,
+        verdicts)
+
+
+class TestInspectorRecount:
+    @given(pure2_complexes())
+    @settings(max_examples=150, deadline=None)
+    def test_random_complexes(self, K):
+        assume(K.is_path_connected(1))
+        assert proof_inspector(K) == inspector_recount(K)
+
+    @pytest.mark.parametrize("n,t", [(5, 1), (6, 2), (9, 3), (14, 1), (21, 2),
+                                     (30, 5)])
+    def test_tents(self, n, t):
+        K = tent_plus_common_edge(n, t)
+        assert proof_inspector(K) == inspector_recount(K)
+
+    @pytest.mark.parametrize("added", [[(1, 2, 3), (4, 5, 6)],
+                                       [(1, 2, 3), (1, 2, 4), (2, 3, 4)]])
+    def test_tent_plus_faces(self, added):
+        K = tent_plus_faces(12, added)
+        assert proof_inspector(K) == inspector_recount(K)
+
+    def test_delta4(self, delta4):
+        assert proof_inspector(delta4) == inspector_recount(delta4)
+
+
+def profile_recount(K):
+    """Oracle: the Perron profile recounted face by face with the
+    complex's tuple queries (`faces`, `face_index`, `down_neighbors`)."""
+    u, n = detect_apex(K).vertex, K.n_vertices
+    f = perron_vector(K, 1, "max_boundary_sum_one").vector
+    missing = [F for F in K.faces(2) if u not in F]
+    on_edge = Counter(e for F in missing for e in combinations(F, 2))
+
+    def row(label, measured, predicted):
+        m, p = float(measured), float(predicted)
+        return ProfileRow(label, m, p, abs(m - p) / abs(p))
+
+    non_apex, apex_rows = [], []
+    for k, e in enumerate(K.faces(1)):
+        if u in e:
+            apex_rows.append(row(f"{e[0]},{e[1]}", f[k], 0.5 - 1.0 / (4 * n)))
+        else:
+            non_apex.append(row(f"{e[0]},{e[1]}", f[k], 1.0 / (2 * n - 3)
+                                + 3.0 * on_edge[e] / (4.0 * n * n)))
+    sums = boundary_sums(K, 1, f)
+    missing_rows = [
+        row(",".join(map(str, F)), sums[K.face_index(F)],
+            3.0 / (2 * n - 3) + 3.0 * len(K.down_neighbors(F)) / (4.0 * n * n))
+        for F in missing]
+    return PerronProfile(n, len(missing), tuple(non_apex), tuple(apex_rows),
+                         tuple(missing_rows))
+
+
 class TestPerronProfile:
+    @pytest.mark.parametrize("K", [
+        tent_plus_common_edge(20, 1), tent_plus_common_edge(31, 2),
+        tent_plus_common_edge(40, 3),
+        tent_plus_faces(24, [(1, 2, 3), (1, 2, 4), (2, 3, 4), (5, 6, 7)])],
+        ids=["tent20_1", "tent31_2", "tent40_3", "tent24_faces"])
+    def test_matches_recount(self, K):
+        assert perron_profile(K) == profile_recount(K)
+
     def test_t1_n30_classes(self):
         prof = perron_profile(tent_plus_common_edge(30, 1))
         dev = prof.max_rel_dev

@@ -148,6 +148,14 @@ class TestRandomPure2:
         with pytest.raises(BadParams):
             random_pure2(13)
 
+    @pytest.mark.parametrize("target_t", [1.5, -1, "1"])
+    def test_bad_target_refused_before_sampling(self, target_t, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before refusing target_t")
+        monkeypatch.setattr(families, "from_facets", no_sampling)
+        with pytest.raises(BadParams, match="target_t"):
+            random_pure2(12, target_t=target_t)
+
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(families, "MAX_ATTEMPTS", 5)
         with pytest.raises(BudgetExhausted):
