@@ -7,8 +7,9 @@ its j-th vertex. The signless variants replace every sign with +1.
 Each complex holds one incidence per dimension, cached on it: the
 face-index table `boundary_index_table` (one `SimplicialComplex.row_index`
 search of the vertex-omitted face rows; no face tuple is made) and its
-transpose `coface_index`, the signed coface lists that the neighbour
-queries, the connectivity tests and `homology` read. On top of them sit
+transpose `coface_index`, the signed coface lists that the down operators,
+the deletion connectivity test, `homology` and the proof inspector read.
+On top of them sit
 
 * operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
   that never form a matrix: gathers and one `np.bincount` scatter of the
@@ -55,6 +56,8 @@ def coface_index(K: SimplicialComplex, i: int) -> tuple[np.ndarray, ...]:
     x are ``cof[ptr[x]:ptr[x + 1]]``, ascending, and x omits their
     ``pos``-th vertex, so its sign in their boundaries is (-1)^pos. One
     stable argsort of `boundary_index_table` (K, i + 1), cached on K."""
+    if not (is_integer(i) and 0 <= i < K.dim):
+        raise DimensionOutOfRange(f"cofaces need 0 <= i < {K.dim}, got {i}")
     key = ("cofaces", i)
     index = K._cache.get(key)
     if index is None:

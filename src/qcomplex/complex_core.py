@@ -1,11 +1,12 @@
-"""Pure simplicial complexes and their combinatorial neighbor structure.
+"""Simplicial complexes built from their facets, addressed by face index.
 
 A complex is stored as a vertex count plus its inclusion-maximal faces
 (facets); every lower face is derived by closure. The i-faces are sorted int64
 vertex rows, keyed by (rank of ``row[:-1]`` among the (i-1)-faces) * n +
 ``row[-1]``. Key order is lexicographic order, and a face's position is its
-index in every matrix. Facet tuples, face tuples and face-index dicts are
-built on first read.
+index in every matrix; `SimplicialComplex.row_index` finds it for given rows.
+The facet tuples are built on first read; the incidence between faces is
+`chains.boundary_index_table` and `chains.coface_index`.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadParams,
-    BadVertexId,
-    DimensionOutOfRange,
-    FaceNotInComplex,
-    NotPure,
-    TooLarge,
-    VertexInFace,
-)
+from .errors import BadParams, BadVertexId, DimensionOutOfRange, NotPure, TooLarge
 
 Face = tuple[int, ...]
 
@@ -79,7 +72,7 @@ class SimplicialComplex:
         self.n_vertices = n_vertices
         self.dim = len(rows) - 1
         self._maximal, self._rows, self._keys = maximal, rows, keys
-        self._cache: dict = {}  # facet and face tuples, face-index dicts
+        self._cache: dict = {}  # facet tuples; chains and homology results
 
     @property
     def facets(self) -> tuple[Face, ...]:
@@ -97,13 +90,6 @@ class SimplicialComplex:
             raise DimensionOutOfRange(f"no faces of dimension {i} (dim={self.dim})")
         return self._rows[i]
 
-    def faces(self, i: int) -> tuple[Face, ...]:
-        """All i-faces in sorted (lexicographic) order."""
-        rows = self.rows(i)
-        if ("faces", i) not in self._cache:
-            self._cache["faces", i] = tuple(map(tuple, rows.tolist()))
-        return self._cache["faces", i]
-
     def n_faces(self, i: int) -> int:
         return len(self.rows(i))
 
@@ -112,74 +98,10 @@ class SimplicialComplex:
         keys = _prefix_keys(rows, self._keys, self.n_vertices)
         return np.searchsorted(self._keys[rows.shape[1] - 1], keys)
 
-    def _lookup(self, i: int) -> dict[Face, int]:
-        if ("index", i) not in self._cache:
-            self._cache["index", i] = {f: k for k, f in enumerate(self.faces(i))}
-        return self._cache["index", i]
-
-    def face_index(self, F: Face) -> int:
-        """Rank of ``F`` within the sorted list of faces of its dimension."""
-        i = len(F) - 1
-        if not 0 <= i <= self.dim:
-            raise FaceNotInComplex(f"{F} has no valid dimension here")
-        try:
-            return self._lookup(i)[F]
-        except KeyError:
-            raise FaceNotInComplex(f"{F} is not a face") from None
-
-    def has_face(self, F: Face) -> bool:
-        i = len(F) - 1
-        return 0 <= i <= self.dim and F in self._lookup(i)
-
     def is_pure(self) -> bool:
         return len(self._maximal) == 1
 
-    # -- neighbor structure -----------------------------------------------
-
-    def face_degree(self, F: Face) -> int:
-        """Number of (dim F + 1)-faces containing ``F``."""
-        k = self.face_index(F)
-        i = len(F) - 1
-        if i + 1 > self.dim:
-            return 0
-        ptr = chains.coface_index(self, i)[0]
-        return int(ptr[k + 1] - ptr[k])
-
-    def down_neighbors(self, F: Face) -> list[Face]:
-        """Same-dimension faces sharing a codimension-1 face with ``F``."""
-        k = self.face_index(F)
-        i = len(F) - 1
-        if i < 1:
-            raise DimensionOutOfRange("down neighbors need dimension >= 1")
-        ptr, cof, _ = chains.coface_index(self, i - 1)
-        sides = chains.boundary_index_table(self, i)[k].tolist()
-        return self._others(i, np.concatenate([cof[ptr[y]:ptr[y + 1]]
-                                               for y in sides]), k)
-
-    def down_neighbors_via_vertex(self, F: Face, x: int) -> list[Face]:
-        """Down neighbors of ``F`` of the form {x} union (F minus one vertex)."""
-        self.face_index(F)
-        if not 0 <= x < self.n_vertices:
-            raise BadVertexId(f"vertex {x} outside [0, {self.n_vertices})")
-        if x in F:
-            raise VertexInFace(f"vertex {x} lies in {F}")
-        swapped = (tuple(sorted(set(F) - {drop} | {x})) for drop in F)
-        return sorted(G for G in swapped if self.has_face(G))
-
-    def up_neighbors(self, F: Face) -> list[Face]:
-        """Same-dimension faces jointly contained with ``F`` in a coface."""
-        k = self.face_index(F)
-        i = len(F) - 1
-        if i + 1 > self.dim:
-            return []
-        ptr, cof, _ = chains.coface_index(self, i)
-        cofaces = cof[ptr[k]:ptr[k + 1]]
-        return self._others(i, chains.boundary_index_table(self, i + 1)[cofaces], k)
-
-    def _others(self, i: int, indices, k: int) -> list[Face]:
-        """The i-faces at ``indices`` other than the k-th, in sorted order."""
-        fs = self.faces(i)
-        return [fs[j] for j in np.unique(indices).tolist() if j != k]
+    # -- connectivity -----------------------------------------------------
 
     def is_path_connected(self, i: int) -> bool:
         """Connectivity of the up-neighbor graph on the i-faces, in which
@@ -204,17 +126,6 @@ class SimplicialComplex:
             return self
         return from_facets(self.n_vertices, arrays=[self._rows[r]] + [
             m for m in self._maximal if m.shape[1] <= r])
-
-    def without_facet(self, F: Face) -> "SimplicialComplex":
-        """The complex whose face set is the face set of this one minus ``F``.
-
-        ``F`` must be a facet; lower faces of ``F`` survive, so boundary
-        faces of ``F`` not covered elsewhere become facets of the result.
-        """
-        if F not in self.facets:
-            raise FaceNotInComplex(f"{F} is not a facet")
-        sides = list(combinations(F, len(F) - 1)) if len(F) > 1 else []
-        return from_facets(self.n_vertices, [g for g in self.facets if g != F] + sides)
 
     # -- dunder plumbing ----------------------------------------------------
 
@@ -374,7 +285,11 @@ def write_facets(K: SimplicialComplex, path) -> None:
     """Write the ``.facets`` format in canonical sorted order to a path,
     or to ``path`` itself when it is an open text stream."""
     if not hasattr(path, "write"):
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise BadParams(f"{path}: cannot write ({exc.strerror})") from None
+        with fh:
             return write_facets(K, fh)
     width = K.dim + 1  # pad short rows with -1: they sort first, as tuples do
     rows = np.concatenate([np.pad(m, ((0, 0), (0, width - m.shape[1])),

@@ -13,8 +13,6 @@ __all__ = [
     "QComplexError",
     "NotPure",
     "BadVertexId",
-    "FaceNotInComplex",
-    "VertexInFace",
     "TooLarge",
     "DimensionOutOfRange",
     "LengthMismatch",
@@ -50,16 +48,6 @@ class BadVertexId(QComplexError):
     """Vertex id negative or outside [0, n_vertices)."""
 
     code = "bad_vertex_id"
-
-
-class FaceNotInComplex(QComplexError):
-    code = "face_not_in_complex"
-
-
-class VertexInFace(QComplexError):
-    """A vertex that must lie outside a face was found inside it."""
-
-    code = "vertex_in_face"
 
 
 class TooLarge(QComplexError):
@@ -152,8 +140,6 @@ class PrecisionInsufficient(QComplexError):
 USAGE_ERRORS = (
     NotPure,
     BadVertexId,
-    FaceNotInComplex,
-    VertexInFace,
     TooLarge,
     DimensionOutOfRange,
     LengthMismatch,

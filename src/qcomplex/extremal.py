@@ -126,7 +126,7 @@ def _triangle_space(n: int) -> _TriangleSpace:
     if space is None:
         S = simplex_skeleton(n, 2)
         space = _SPACE_CACHE[n] = _TriangleSpace(
-            S, S.faces(2),
+            S, tuple(map(tuple, S.rows(2).tolist())),
             chains.signed_boundary(S, 2).toarray().astype(np.int64),
             chains.signless_boundary(S, 2).toarray())
     return space

@@ -181,7 +181,9 @@ def rayleigh_quotient(K: SimplicialComplex, i: int, f) -> float:
     both accumulated exactly (`math.fsum`) before the one division."""
     s = chains.boundary_sums(K, i, f)
     v = np.asarray(f, dtype=np.float64)
-    return math.fsum((s * s).tolist()) / math.fsum((v * v).tolist())
+    if not (norm := math.fsum((v * v).tolist())):
+        raise BadParams("the Rayleigh quotient of the zero vector is undefined")
+    return math.fsum((s * s).tolist()) / norm
 
 
 def _require_residual(result: SpectralResult, bound: float = 1e-8) -> None:

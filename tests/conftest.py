@@ -46,14 +46,12 @@ def pure2_complexes(draw, min_n=4, max_n=6, max_facets=12):
 def mixed_candidates(draw, max_n=6):
     """Vertex count and candidate faces of mixed dimensions (1 to 3)."""
     n = draw(st.integers(4, max_n))
-    faces = []
+    candidates = []
     for size in (2, 3, 4):
         pool = list(combinations(range(n), size))
         picks = draw(st.sets(st.integers(0, len(pool) - 1), max_size=5))
-        faces.extend(pool[k] for k in picks)
-    if not faces:
-        faces = [(0, 1)]
-    return n, faces
+        candidates.extend(pool[k] for k in picks)
+    return n, candidates or [(0, 1)]
 
 
 def mixed_complexes(max_n=6):
@@ -65,6 +63,56 @@ def dense_q_up_spectrum(K, i):
     """Oracle: all eigenvalues of the i-up signless Laplacian, ascending,
     from one dense solve."""
     return np.linalg.eigvalsh(laplacian(K, i, "Q_up"))
+
+
+# -- faces by tuple: set scans over K.facets and K.rows, no incidence ---------
+
+def faces(K, i):
+    """Oracle: the i-faces as sorted vertex tuples, in row order."""
+    return tuple(map(tuple, K.rows(i).tolist()))
+
+
+def has_face(K, F):
+    """Oracle: whether the tuple ``F`` is a face of K."""
+    return 0 < len(F) <= K.dim + 1 and tuple(F) in faces(K, len(F) - 1)
+
+
+def face_index(K, F):
+    """Oracle: the position of the face ``F`` among the faces of its
+    dimension; `ValueError` when it is no face."""
+    return faces(K, len(F) - 1).index(tuple(F))
+
+
+def _cofaces(K, F):
+    """The (dim F + 1)-faces containing ``F``, as subsets of the facets."""
+    return {G for f in K.facets for G in combinations(f, len(F) + 1)
+            if set(F) <= set(G)}
+
+
+def face_degree(K, F):
+    """Oracle: the number of (dim F + 1)-faces containing ``F``."""
+    return len(_cofaces(K, F))
+
+
+def down_neighbors(K, F):
+    """Oracle: the faces of F's dimension meeting ``F`` in all but one
+    vertex, in sorted order."""
+    i = len(F) - 1
+    return [G for G in faces(K, i) if G != F and len(set(F) & set(G)) == i]
+
+
+def down_neighbors_via_vertex(K, F, x):
+    """Oracle: the down neighbours of ``F`` that swap one vertex of F for
+    the vertex ``x`` outside it, in sorted order."""
+    swapped = (tuple(sorted(set(F) - {drop} | {x})) for drop in F)
+    return sorted(G for G in swapped if has_face(K, G))
+
+
+def up_neighbors(K, F):
+    """Oracle: the faces of F's dimension other than ``F`` in the boundary of
+    some coface of ``F``, in sorted order."""
+    return sorted({G for cof in _cofaces(K, F) for G in combinations(cof, len(F))
+                   if G != F})
 
 
 def _support(K):

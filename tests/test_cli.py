@@ -8,6 +8,8 @@ from qcomplex import (delta_sphere, from_facets, max_spectral_search, perron_vec
 from qcomplex import cli
 from qcomplex.cli import main
 
+from conftest import faces
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -44,6 +46,13 @@ class TestGen:
 
     def test_gen_bad_params_is_usage_error(self):
         assert run_cli("gen", "tented", "--n", "2") == 2
+
+    def test_gen_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.facets"
+        assert run_cli("gen", "tented", "--n", "5", "--t", "1",
+                       "-o", str(path)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error bad_params: {path}: cannot write")
 
     def test_gen_bad_added_token_is_usage_error(self, capsys):
         assert run_cli("gen", "tent_plus_faces", "--n", "6",
@@ -101,7 +110,7 @@ class TestBettiAndSpectra:
         head, *rest = capsys.readouterr().out.splitlines(keepends=True)
         vec = perron_vector(K, i, norm).vector
         assert rest == [",".join(map(str, F)) + " " + format(float(x), ".12g") + "\n"
-                        for F, x in zip(K.faces(i), vec)]
+                        for F, x in zip(faces(K, i), vec)]
 
     @pytest.mark.parametrize("command", [("spectra", "--dim", "1"),
                                          ("inspect",)])

@@ -1,5 +1,6 @@
 import io
 import numbers
+import re
 import warnings
 from itertools import combinations, permutations
 
@@ -33,25 +34,25 @@ from qcomplex.errors import (
     BadParams,
     BadVertexId,
     DimensionOutOfRange,
-    FaceNotInComplex,
     NotPure,
     QComplexError,
     TooLarge,
-    VertexInFace,
 )
 from qcomplex.chains import (boundary_index_table, coface_index, laplacian,
                              up_connected_after_deletion)
 
-from conftest import (facets_texts, int64_token, is_isomorphic,
-                      mixed_candidates, mixed_complexes, pure2_complexes,
-                      read_facets_oracle, suspension)
+from conftest import (down_neighbors, down_neighbors_via_vertex, face_degree,
+                      face_index, faces, facets_texts, has_face, int64_token,
+                      is_isomorphic, mixed_candidates, mixed_complexes,
+                      pure2_complexes, read_facets_oracle, suspension,
+                      up_neighbors)
 
 
 class TestFromFacets:
     def test_single_triangle_closure(self, triangle):
-        assert triangle.faces(2) == ((0, 1, 2),)
-        assert triangle.faces(1) == ((0, 1), (0, 2), (1, 2))
-        assert triangle.faces(0) == ((0,), (1,), (2,))
+        assert faces(triangle, 2) == ((0, 1, 2),)
+        assert faces(triangle, 1) == ((0, 1), (0, 2), (1, 2))
+        assert faces(triangle, 0) == ((0,), (1,), (2,))
 
     def test_delta4_counts(self, delta4):
         assert delta4.n_faces(2) == 4
@@ -129,15 +130,15 @@ class TestConstructionAgainstSetOracle:
     @settings(max_examples=80, deadline=None)
     def test_faces_and_tables_match(self, candidates, rnd):
         # shuffled vertex order, shuffled list order and repeated candidates
-        n, faces = candidates
-        listed = [rnd.sample(f, len(f)) for f in faces + faces[:2]]
+        n, candidates = candidates
+        listed = [rnd.sample(f, len(f)) for f in candidates + candidates[:2]]
         rnd.shuffle(listed)
         K = from_facets(n, listed)
         facets, by_dim = oracle_from_facets(n, listed)
         assert K.facets == facets
         assert K.dim == len(by_dim) - 1
         for i, fs in enumerate(by_dim):
-            assert K.faces(i) == fs
+            assert faces(K, i) == fs
             assert K.n_faces(i) == len(fs)
         for i in range(1, K.dim + 1):
             tab = boundary_index_table(K, i)
@@ -206,7 +207,7 @@ class TestConstructionAgainstSetOracle:
 
     def test_large_tent_paths_build_no_tuples(self, monkeypatch, tmp_path):
         # the construction, Perron output and .facets writer read the row
-        # arrays only: no facet tuples, face tuples or per-facet input
+        # arrays only: no facet tuples or per-facet input
         path = tmp_path / "t240.facets"
         write_facets(tent_plus_common_edge(240, 2), path)
         calls = []
@@ -217,8 +218,6 @@ class TestConstructionAgainstSetOracle:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(SimplicialComplex, "faces",
-                            counted("faces", SimplicialComplex.faces))
         monkeypatch.setattr(SimplicialComplex, "facets", property(
             counted("facets", SimplicialComplex.facets.fget)))
         for mod in (complex_core, families, extremal):
@@ -240,77 +239,111 @@ class TestConstructionAgainstSetOracle:
     def test_lanczos_makes_no_face_tuple(self, monkeypatch):
         K = tent_plus_common_edge(60, 1)
 
-        def refuse(self, i):
-            raise AssertionError(f"faces({i}) built a tuple list")
+        def refuse(self):
+            raise AssertionError("the facet tuples were built")
 
-        monkeypatch.setattr(SimplicialComplex, "faces", refuse)
+        monkeypatch.setattr(SimplicialComplex, "facets", property(refuse))
         res = spectral_radius(K, 1)
         assert res.iterations > 0
         assert res.value == pytest.approx(117.0, abs=1e-3)
 
 
+# -- the library's incidence, read per face --------------------------------
+
+def row_of(K, F):
+    """The index `row_index` finds for the tuple ``F``, or None when F is no
+    face of K."""
+    if not 0 < len(F) <= K.dim + 1:
+        return None
+    rows = K.rows(len(F) - 1)
+    k = int(K.row_index(np.array([F], np.int64))[0])
+    return k if k < len(rows) and tuple(rows[k].tolist()) == F else None
+
+
+def incidence_degree(K, F):
+    """The cofaces of the face ``F`` in `coface_index`."""
+    i = len(F) - 1
+    if i == K.dim:
+        return 0
+    ptr, k = coface_index(K, i)[0], row_of(K, F)
+    return int(ptr[k + 1] - ptr[k])
+
+
+def _others(K, i, indices, k):
+    """The i-faces at ``indices`` other than the k-th, as sorted tuples."""
+    return [tuple(K.rows(i)[j].tolist()) for j in np.unique(indices).tolist()
+            if j != k]
+
+
+def incidence_down(K, F):
+    """The cofaces in `coface_index` of the boundary faces of ``F`` in
+    `boundary_index_table`, F left out."""
+    i, k = len(F) - 1, row_of(K, F)
+    ptr, cof, _ = coface_index(K, i - 1)
+    sides = boundary_index_table(K, i)[k].tolist()
+    return _others(K, i, np.concatenate([cof[ptr[y]:ptr[y + 1]] for y in sides]), k)
+
+
+def incidence_up(K, F):
+    """The boundary faces in `boundary_index_table` of the cofaces of ``F``
+    in `coface_index`, F left out."""
+    i, k = len(F) - 1, row_of(K, F)
+    if i == K.dim:
+        return []
+    ptr, cof, _ = coface_index(K, i)
+    return _others(K, i, boundary_index_table(K, i + 1)[cof[ptr[k]:ptr[k + 1]]], k)
+
+
 class TestFaceDegree:
     def test_tent_non_apex_edge(self):
         K = tented(5, 2)
-        assert K.face_degree((1, 2)) == 1
+        assert incidence_degree(K, (1, 2)) == face_degree(K, (1, 2)) == 1
 
     def test_delta4_every_edge_has_degree_two(self, delta4):
         # oracle: direct count over the 4 facets
-        for e in delta4.faces(1):
+        for e in faces(delta4, 1):
             count = sum(1 for f in delta4.facets if set(e) <= set(f))
             assert count == 2
-            assert delta4.face_degree(e) == 2
+            assert incidence_degree(delta4, e) == 2
 
     def test_single_triangle_edge(self, triangle):
-        assert triangle.face_degree((0, 1)) == 1
-
-    def test_missing_face(self, triangle):
-        with pytest.raises(FaceNotInComplex):
-            triangle.face_degree((0, 3))
+        assert incidence_degree(triangle, (0, 1)) == 1
 
 
 class TestDownNeighbors:
     def test_delta4_brute_force(self, delta4):
         # oracle: pairwise intersection sizes
-        for F in delta4.faces(2):
-            expected = sorted(G for G in delta4.faces(2)
-                              if G != F and len(set(F) & set(G)) == 2)
-            assert sorted(delta4.down_neighbors(F)) == expected
-        assert len(delta4.down_neighbors((0, 1, 2))) == 3
+        for F in faces(delta4, 2):
+            assert incidence_down(delta4, F) == down_neighbors(delta4, F)
+        assert len(incidence_down(delta4, (0, 1, 2))) == 3
 
     def test_single_triangle_no_neighbors(self, triangle):
-        assert triangle.down_neighbors((0, 1, 2)) == []
+        assert incidence_down(triangle, (0, 1, 2)) == []
 
     def test_added_face_of_tent_plus_one(self):
         K = tent_plus_faces(6, [(1, 2, 3)])
-        got = sorted(K.down_neighbors((1, 2, 3)))
+        got = incidence_down(K, (1, 2, 3))
         assert got == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
 
 
 class TestDownNeighborsViaVertex:
+    # the down neighbours through x are those of the incidence holding x
     def test_delta4_all_present(self, delta4):
-        got = delta4.down_neighbors_via_vertex((0, 1, 2), 3)
+        got = [G for G in incidence_down(delta4, (0, 1, 2)) if 3 in G]
+        assert got == down_neighbors_via_vertex(delta4, (0, 1, 2), 3)
         assert got == [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
     def test_tent_apex_face(self):
         K = tented(6, 2)
-        got = K.down_neighbors_via_vertex((0, 1, 2), 3)
+        got = [G for G in incidence_down(K, (0, 1, 2)) if 3 in G]
         # {3,1,2} is absent: every facet contains the apex
+        assert got == down_neighbors_via_vertex(K, (0, 1, 2), 3)
         assert got == [(0, 1, 3), (0, 2, 3)]
-        assert len(got) == 2
-
-    def test_vertex_out_of_range(self, triangle):
-        with pytest.raises(BadVertexId):
-            triangle.down_neighbors_via_vertex((0, 1, 2), 5)
-
-    def test_vertex_inside_face(self, delta4):
-        with pytest.raises(VertexInFace):
-            delta4.down_neighbors_via_vertex((0, 1, 2), 1)
 
 
 class TestUpNeighbors:
     def test_single_triangle(self, triangle):
-        assert triangle.up_neighbors((0, 1)) == [(0, 2), (1, 2)]
+        assert incidence_up(triangle, (0, 1)) == [(0, 2), (1, 2)]
 
     def test_delta4_edge_has_four(self, delta4):
         # oracle: brute force over covering facets
@@ -320,65 +353,30 @@ class TestUpNeighbors:
                 for e in combinations(f, 2):
                     if e != (0, 1):
                         expected.add(e)
-        got = delta4.up_neighbors((0, 1))
-        assert sorted(expected) == got
+        got = incidence_up(delta4, (0, 1))
+        assert sorted(expected) == got == up_neighbors(delta4, (0, 1))
         assert len(got) == 4
 
     def test_disjoint_triangles_stay_local(self, two_triangles):
-        assert two_triangles.up_neighbors((0, 1)) == [(0, 2), (1, 2)]
-
-
-def scan_face_degree(K, F):
-    """Oracle: count the (dim F + 1)-faces containing F by a full scan."""
-    K.face_index(F)
-    i = len(F) - 1
-    if i + 1 > K.dim:
-        return 0
-    return sum(1 for G in K.faces(i + 1) if set(F).issubset(G))
-
-
-def scan_down_neighbors(K, F):
-    """Oracle: same-dimension faces meeting F in i vertices, by a full scan."""
-    K.face_index(F)
-    i = len(F) - 1
-    if i < 1:
-        raise DimensionOutOfRange("down neighbors need dimension >= 1")
-    return [G for G in K.faces(i) if G != F and len(set(F) & set(G)) == i]
-
-
-def scan_up_neighbors(K, F):
-    """Oracle: boundary faces of every coface of F, by a full scan."""
-    K.face_index(F)
-    i = len(F) - 1
-    if i + 1 > K.dim:
-        return []
-    out = set()
-    for cof in K.faces(i + 1):
-        if set(F).issubset(cof):
-            out.update(G for G in combinations(cof, i + 1) if G != F)
-    return sorted(out)
+        assert incidence_up(two_triangles, (0, 1)) == [(0, 2), (1, 2)]
 
 
 class TestNeighborQueriesAgainstScan:
-    @staticmethod
-    def _outcome(fn, *args):
-        try:
-            return fn(*args)
-        except (FaceNotInComplex, DimensionOutOfRange) as exc:
-            return type(exc)
-
     @given(mixed_complexes())
     @settings(max_examples=60, deadline=None)
     def test_matches_scan_on_every_vertex_subset(self, K):
-        # every subset of the vertex set: faces of each dimension, and
-        # non-faces (including ones above K.dim) for the error paths
+        # every subset of the vertex set: `row_index` finds exactly the faces
+        # (none above K.dim), and the degree and neighbours of each face read
+        # off the incidence are those of the scans
         for size in range(1, K.n_vertices + 1):
             for F in combinations(range(K.n_vertices), size):
-                for fast, scan in ((K.face_degree, scan_face_degree),
-                                   (K.down_neighbors, scan_down_neighbors),
-                                   (K.up_neighbors, scan_up_neighbors)):
-                    assert (self._outcome(fast, F)
-                            == self._outcome(scan, K, F))
+                assert (row_of(K, F) is not None) == has_face(K, F)
+                if not has_face(K, F):
+                    continue
+                assert incidence_degree(K, F) == face_degree(K, F)
+                assert incidence_up(K, F) == up_neighbors(K, F)
+                if size > 1:
+                    assert incidence_down(K, F) == down_neighbors(K, F)
         # the coface index behind them: every table entry once, as
         # tab[cof, pos] == x, with cof ascending on each i-face x
         for i in range(K.dim):
@@ -393,10 +391,10 @@ class TestNeighborQueriesAgainstScan:
 class TestPathConnected:
     @staticmethod
     def _bfs_connected(K, i, skip=None):
-        faces = list(K.faces(i))
-        pos = {f: k for k, f in enumerate(faces)}
-        adj = [set() for _ in faces]
-        for k, cof in enumerate(K.faces(i + 1)):
+        low = faces(K, i)
+        pos = {f: k for k, f in enumerate(low)}
+        adj = [set() for _ in low]
+        for k, cof in enumerate(faces(K, i + 1)):
             if k == skip:
                 continue
             members = [pos[tuple(v for v in cof if v != drop)] for drop in cof]
@@ -414,7 +412,7 @@ class TestPathConnected:
                         seen.add(b)
                         nxt.append(b)
             frontier = nxt
-        return len(seen) == len(faces)
+        return len(seen) == len(low)
 
     def test_tent_is_connected(self):
         K = tented(8, 2)
@@ -460,7 +458,7 @@ class TestPathConnected:
         hung = from_facets(m + 3, list(K.facets) + [(0, 1, m + 2)])
         kept = up_connected_after_deletion(hung, 1)
         assert [k for k, ok in enumerate(kept) if not ok] == [
-            hung.face_index((0, 1, m + 2))]
+            face_index(hung, (0, 1, m + 2))]
         self._check_deletions(hung, 1)
 
 
@@ -468,12 +466,12 @@ class TestSkeleton:
     def test_delta4_one_skeleton_is_k4(self, delta4):
         K1 = delta4.skeleton(1)
         assert K1.dim == 1
-        assert K1.faces(1) == tuple(combinations(range(4), 2))
+        assert faces(K1, 1) == tuple(combinations(range(4), 2))
 
     def test_tent_one_skeleton_is_complete(self):
         for n in (5, 7):
             K1 = tented(n, 2).skeleton(1)
-            assert K1.faces(1) == tuple(combinations(range(n), 2))
+            assert faces(K1, 1) == tuple(combinations(range(n), 2))
 
     def test_full_skeleton_is_identity(self, delta4):
         assert delta4.skeleton(2) is delta4
@@ -487,10 +485,11 @@ class TestDimensionIndex:
     ENTRY_POINTS = {
         "rows": lambda K, i: K.rows(i),
         "n_faces": lambda K, i: K.n_faces(i),
-        "faces": lambda K, i: K.faces(i),
+        "faces": faces,
         "skeleton": lambda K, i: K.skeleton(i),
         "is_path_connected": lambda K, i: K.is_path_connected(i),
         "boundary_index_table": boundary_index_table,
+        "coface_index": coface_index,
         "laplacian": lambda K, i: laplacian(K, i, "L_full"),
         "hodge_betti": hodge_betti,
         "spectral_radius": spectral_radius,
@@ -511,6 +510,8 @@ class TestDimensionIndex:
         want = self.ENTRY_POINTS[name](K, 1)
         if isinstance(want, np.ndarray):
             assert np.array_equal(got, want)
+        elif name == "coface_index":
+            assert all(map(np.array_equal, got, want))
         elif name == "spectral_radius":
             assert got.value == want.value
         else:
@@ -542,17 +543,6 @@ class TestIntegerParameters:
     def test_numpy_integers_accepted(self):
         assert facet_bound(np.int64(6), 2, np.int32(1)) == facet_bound(6, 2, 1)
         assert tented(np.int64(6), np.int64(2)) == tented(6, 2)
-
-
-class TestWithoutFacet:
-    def test_keeps_lower_faces(self, triangle):
-        K = triangle.without_facet((0, 1, 2))
-        assert K.faces(1) == ((0, 1), (0, 2), (1, 2))
-        assert K.dim == 1
-
-    def test_requires_facet(self, delta4):
-        with pytest.raises(FaceNotInComplex):
-            delta4.without_facet((0, 1))
 
 
 class TestIsomorphism:
@@ -607,37 +597,37 @@ class TestInvariants:
     @settings(max_examples=40, deadline=None)
     def test_closure(self, K):
         for i in range(1, K.dim + 1):
-            for F in K.faces(i):
+            for F in faces(K, i):
                 for sub in combinations(F, i):
-                    assert K.has_face(sub)
+                    assert has_face(K, sub)
 
     @given(pure2_complexes())
     @settings(max_examples=30, deadline=None)
     def test_neighbor_symmetry(self, K):
-        for F in K.faces(2):
-            for G in K.down_neighbors(F):
-                assert F in K.down_neighbors(G)
-        for F in K.faces(1):
-            for G in K.up_neighbors(F):
-                assert F in K.up_neighbors(G)
+        for F in faces(K, 2):
+            for G in incidence_down(K, F):
+                assert F in incidence_down(K, G)
+        for F in faces(K, 1):
+            for G in incidence_up(K, F):
+                assert F in incidence_up(K, G)
 
     @given(pure2_complexes())
     @settings(max_examples=30, deadline=None)
     def test_down_neighbor_decomposition(self, K):
-        for F in K.faces(2):
+        for F in faces(K, 2):
             union = []
             for x in range(K.n_vertices):
                 if x not in F:
-                    part = K.down_neighbors_via_vertex(F, x)
+                    part = down_neighbors_via_vertex(K, F, x)
                     union.extend(part)
-            assert sorted(union) == sorted(K.down_neighbors(F))
+            assert sorted(union) == incidence_down(K, F)
             assert len(union) == len(set(union))  # disjoint over x
 
     @given(mixed_complexes())
     @settings(max_examples=30, deadline=None)
     def test_boundary_count(self, K):
         for i in range(1, K.dim + 1):
-            for F in K.faces(i):
+            for F in faces(K, i):
                 assert len(list(combinations(F, i))) == i + 1
 
 
@@ -676,6 +666,12 @@ class TestFacetsFormat:
         p.write_text("0 1 2\n")
         with pytest.raises(BadParams):
             read_facets(p)
+
+    def test_write_into_missing_directory_refused(self, tmp_path):
+        path = tmp_path / "missing" / "x.facets"
+        with pytest.raises(BadParams, match=f"^{re.escape(str(path))}: cannot write"):
+            write_facets(tented(5, 1), path)
+        assert not path.parent.exists()
 
     def test_too_many_labels(self, tmp_path):
         p = tmp_path / "g.facets"

@@ -34,7 +34,8 @@ from qcomplex.extremal import (
     _dedup_canonical, _domain_masks, _mask_faces, _q_values, _tables,
     _triangle_space)
 
-from conftest import pure2_complexes
+from conftest import (down_neighbors, down_neighbors_via_vertex, face_index,
+                      faces, has_face, pure2_complexes)
 
 
 class TestBounds:
@@ -100,8 +101,8 @@ class TestEnumeration:
         rng = np.random.default_rng(5)
         for _ in range(40):
             mask = int(rng.integers(1, 1 << 10))
-            faces = [space.triangles[k] for k in range(10) if mask >> k & 1]
-            K = from_facets(5, faces, require_pure=True)
+            picked = [space.triangles[k] for k in range(10) if mask >> k & 1]
+            K = from_facets(5, picked, require_pure=True)
             assert (tables.popcount[mask] - tables.rank[mask]
                     == betti_profile(K).betti[2])
 
@@ -441,9 +442,9 @@ class TestDetectApex:
     @settings(max_examples=120, deadline=None)
     def test_matches_pair_scan(self, K):
         # oracle: an apex forms a face with every pair of the other vertices
-        active = [v for (v,) in K.faces(0)]
+        active = [v for (v,) in faces(K, 0)]
         found = [u for u in active if all(
-            K.has_face(tuple(sorted((u, x, y))))
+            has_face(K, tuple(sorted((u, x, y))))
             for x, y in combinations([v for v in active if v != u], 2))]
         assert detect_apex(K) == ((found[0], len(found) > 1) if found
                                   else (None, False))
@@ -491,31 +492,31 @@ class TestProofInspector:
 
 def inspector_recount(K):
     """Oracle: the inspector's report recounted face by face with the
-    complex's tuple queries (`has_face`, `down_neighbors_via_vertex`,
-    `down_neighbors`) around the least face of the near window."""
+    tuple oracles (`has_face`, `down_neighbors_via_vertex`, `down_neighbors`)
+    around the least face of the near window."""
     t = betti_profile(K).betti[2]
     sums = boundary_sums(
         K, 1, perron_vector(K, 1, "max_boundary_sum_one").vector)
     top = float(sums.max())
-    f0 = min(F for F, s in zip(K.faces(2), sums)
+    f0 = min(F for F, s in zip(faces(K, 2), sums)
              if s >= top - 1e-9 * (1.0 + abs(top)))
-    outside = [v for (v,) in K.faces(0) if v not in f0]
+    outside = [v for (v,) in faces(K, 0) if v not in f0]
     by_count = {k: [] for k in range(4)}
     for x in outside:
-        by_count[len(K.down_neighbors_via_vertex(f0, x))].append(x)
+        by_count[len(down_neighbors_via_vertex(K, f0, x))].append(x)
     sizes = tuple(len(by_count[k]) for k in range(4))
     split = {x: 0 for x in f0}
     for y in by_count[2]:
         split[next(x for x in f0
-                   if not K.has_face(tuple(sorted(set(f0) - {x} | {y}))))] += 1
+                   if not has_face(K, tuple(sorted(set(f0) - {x} | {y}))))] += 1
     apex = detect_apex(K).vertex
     if apex in f0:
         u, (v, w) = apex, sorted(set(f0) - {apex}, key=lambda x: (-split[x], x))
     else:
         u, v, w = sorted(f0, key=lambda x: (-split[x], x))
     base = u if apex is None else apex
-    missing = [F for F in K.faces(2) if base not in F]
-    pairs = sum(len(K.down_neighbors(F1)) for F1 in K.down_neighbors(f0))
+    missing = [F for F in faces(K, 2) if base not in F]
+    pairs = sum(len(down_neighbors(K, F1)) for F1 in down_neighbors(K, f0))
     a, weak, closing = len(outside), sizes[0] + sizes[1], sizes[3]
     upper = 4 * a * a - 2 * a * weak + closing * (closing + 2 * weak) + 4 * t
     verdicts = {"pair_count_lower": pairs > 4 * a * a - 6 * t,
@@ -554,11 +555,11 @@ class TestInspectorRecount:
 
 
 def profile_recount(K):
-    """Oracle: the Perron profile recounted face by face with the
-    complex's tuple queries (`faces`, `face_index`, `down_neighbors`)."""
+    """Oracle: the Perron profile recounted face by face with the tuple
+    oracles (`faces`, `face_index`, `down_neighbors`)."""
     u, n = detect_apex(K).vertex, K.n_vertices
     f = perron_vector(K, 1, "max_boundary_sum_one").vector
-    missing = [F for F in K.faces(2) if u not in F]
+    missing = [F for F in faces(K, 2) if u not in F]
     on_edge = Counter(e for F in missing for e in combinations(F, 2))
 
     def row(label, measured, predicted):
@@ -566,7 +567,7 @@ def profile_recount(K):
         return ProfileRow(label, m, p, abs(m - p) / abs(p))
 
     non_apex, apex_rows = [], []
-    for k, e in enumerate(K.faces(1)):
+    for k, e in enumerate(faces(K, 1)):
         if u in e:
             apex_rows.append(row(f"{e[0]},{e[1]}", f[k], 0.5 - 1.0 / (4 * n)))
         else:
@@ -574,8 +575,8 @@ def profile_recount(K):
                                 + 3.0 * on_edge[e] / (4.0 * n * n)))
     sums = boundary_sums(K, 1, f)
     missing_rows = [
-        row(",".join(map(str, F)), sums[K.face_index(F)],
-            3.0 / (2 * n - 3) + 3.0 * len(K.down_neighbors(F)) / (4.0 * n * n))
+        row(",".join(map(str, F)), sums[face_index(K, F)],
+            3.0 / (2 * n - 3) + 3.0 * len(down_neighbors(K, F)) / (4.0 * n * n))
         for F in missing]
     return PerronProfile(n, len(missing), tuple(non_apex), tuple(apex_rows),
                          tuple(missing_rows))

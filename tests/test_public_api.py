@@ -1,4 +1,5 @@
 import qcomplex
+from qcomplex import errors
 
 
 def test_public_names_are_pinned():
@@ -22,3 +23,19 @@ def test_public_names_are_pinned():
         "tented", "transfer_to_down", "write_facets",
     ]
 
+
+def test_error_names_are_pinned():
+    # the error set, and which errors are usage errors (CLI exit code 2)
+    assert sorted(errors.__all__) == [
+        "BadParams", "BadVertexId", "BettiMismatch", "BudgetExhausted",
+        "DimensionOutOfRange", "DuplicateFace", "FaceContainsApex",
+        "LengthMismatch", "NoApex", "NoConvergence", "NotBasicHole",
+        "NotPathConnected", "NotPure", "PrecisionInsufficient",
+        "QComplexError", "ResidualTooLarge", "SpectrumAmbiguous", "TooLarge",
+        "USAGE_ERRORS",
+    ]
+    assert sorted(e.__name__ for e in errors.USAGE_ERRORS) == [
+        "BadParams", "BadVertexId", "DimensionOutOfRange", "DuplicateFace",
+        "FaceContainsApex", "LengthMismatch", "NoApex", "NotBasicHole",
+        "NotPathConnected", "NotPure", "TooLarge",
+    ]

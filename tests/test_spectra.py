@@ -177,6 +177,11 @@ class TestSpectralRadius:
             f = rng.standard_normal(K.n_faces(1))
             assert rayleigh_quotient(K, 1, f) <= res.value + 1e-8
 
+    def test_rayleigh_quotient_of_zero_vector_refused(self):
+        K = tented(5, 1)
+        with pytest.raises(BadParams, match="zero vector"):
+            rayleigh_quotient(K, 0, np.zeros(K.n_faces(0)))
+
     def test_subcomplex_monotonicity(self):
         # growing chain of full-edge-set complexes on six vertices
         chain = [tented(6, 2), tent_plus_common_edge(6, 1),
