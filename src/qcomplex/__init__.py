@@ -17,8 +17,6 @@ from .chains import (
     boundary_sums,
     laplacian,
     quadratic_form,
-    signed_boundary,
-    signless_boundary,
 )
 from .homology import (
     BasicHoleReport,
@@ -71,7 +69,7 @@ __all__ = [
     "Face", "SimplicialComplex", "canonical_form", "face", "from_facets",
     "read_facets", "write_facets",
     "apply_q_down", "apply_q_up", "boundary_sums", "laplacian",
-    "quadratic_form", "signed_boundary", "signless_boundary",
+    "quadratic_form",
     "BasicHoleReport", "BettiProfile", "betti_profile",
     "check_basic_hole_properties", "euler_characteristic", "hodge_betti",
     "integer_rank", "is_basic_hole",

@@ -1,28 +1,28 @@
-"""Signed and signless boundary matrices and the Laplace operators.
+"""The incidence between faces, and the Laplace operators on it.
 
 Faces are oriented by ascending vertex order, so the signed boundary of a
 column face carries the sign (-1)^j on the row face obtained by omitting
 its j-th vertex. The signless variants replace every sign with +1.
 
-Each complex holds one incidence per dimension, cached on it: the
-face-index table `boundary_index_table` (one `SimplicialComplex.row_index`
-search of the vertex-omitted face rows; no face tuple is made) and its
-transpose `coface_index`, the signed coface lists that the down operators,
-the deletion connectivity test, `homology` and the proof inspector read.
-On top of them sit
+Each complex holds one incidence per dimension, cached on it, and no other
+form of the boundary maps: the face-index table `boundary_index_table`
+(one `SimplicialComplex.row_index` search of the vertex-omitted face rows;
+no face tuple is made) and its transpose `coface_index`, the signed coface
+lists that the down operators, the deletion connectivity test, `homology`
+and the proof inspector read. On top of them sit
 
 * operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
   that never form a matrix: gathers and one `np.bincount` scatter of the
   index table. The eigensolvers and the check battery run on these;
-* explicit matrices for desk-scale instances: the dense `laplacian`, one
-  scatter of the two, and the CSR boundaries `signed_boundary`
-  and `signless_boundary`, built from the table on each call.
+* the dense `laplacian` for desk-scale instances, one scatter of the two.
+
+The dense boundary itself is scattered from the table in `homology`, and
+the check battery composes two tables for d_(j-1) d_j (`acceptance`).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .complex_core import SimplicialComplex, is_integer
 from .errors import DimensionOutOfRange, LengthMismatch, TooLarge, BadParams
@@ -38,7 +38,7 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     of the boundary faces of the k-th i-face, in vertex-omission order.
 
     Cached on the complex; `coface_index`, the operator applications, the
-    dense `laplacian` and the CSR boundaries read it.
+    dense `laplacian`, the dense boundary and the chain identity read it.
     """
     if not (is_integer(i) and 1 <= i <= K.dim):
         raise DimensionOutOfRange(f"boundary map needs 1 <= i <= {K.dim}, got {i}")
@@ -66,22 +66,6 @@ def coface_index(K: SimplicialComplex, i: int) -> tuple[np.ndarray, ...]:
         cof, pos = np.divmod(np.argsort(flat, kind="stable"), i + 2)
         index = K._cache[key] = (ptr, cof, pos)
     return index
-
-
-def signed_boundary(K: SimplicialComplex, i: int) -> sp.csr_matrix:
-    """Matrix of the i-th boundary map in the lexicographic face bases: a
-    float64 CSR matrix, built from `boundary_index_table` on each call."""
-    tab = boundary_index_table(K, i)
-    n_cols, width = tab.shape
-    cols = np.repeat(np.arange(n_cols, dtype=np.int64), width)
-    values = np.tile(_signs(width, True), n_cols).astype(np.float64)
-    return sp.csr_matrix((values, (tab.reshape(-1), cols)),
-                         shape=(K.n_faces(i - 1), n_cols))
-
-
-def signless_boundary(K: SimplicialComplex, i: int) -> sp.csr_matrix:
-    """Same support as the signed boundary with every entry equal to 1."""
-    return abs(signed_boundary(K, i))
 
 
 def _signs(width: int, signed: bool) -> np.ndarray:

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import acceptance, extremal, families, homology, spectra
-from .complex_core import read_facets, write_facets
+from .complex_core import open_for_writing, read_facets, write_facets
 from .errors import USAGE_ERRORS, BadParams, QComplexError
 
 JSON_SCHEMA_VERSION = 1
@@ -28,7 +28,7 @@ def _fmt(x: float) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open_for_writing(out_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -197,18 +197,18 @@ def _cmd_asymptotic(opt) -> int:
 
 
 def _cmd_acceptance(opt) -> int:
-    results = acceptance.run_all()
-    lines = [r.line() for r in results]
-    n_pass = sum(r.passed for r in results)
-    lines.append(f"{n_pass}/{len(results)} criteria passed")
-    report_path = opt["output"] or "acceptance_report.json"
-    payload = {
-        "schema": JSON_SCHEMA_VERSION,
-        "passed": n_pass == len(results),
-        "criteria": [{"id": r.cid, "name": r.name, "passed": r.passed,
-                      "details": r.details} for r in results],
-    }
-    with open(report_path, "w", encoding="utf-8") as fh:
+    # the report path is refused before the suite runs
+    with open_for_writing(opt["output"] or "acceptance_report.json") as fh:
+        results = acceptance.run_all()
+        lines = [r.line() for r in results]
+        n_pass = sum(r.passed for r in results)
+        lines.append(f"{n_pass}/{len(results)} criteria passed")
+        payload = {
+            "schema": JSON_SCHEMA_VERSION,
+            "passed": n_pass == len(results),
+            "criteria": [{"id": r.cid, "name": r.name, "passed": r.passed,
+                          "details": r.details} for r in results],
+        }
         json.dump(payload, fh, sort_keys=True, indent=2, default=float)
         fh.write("\n")
     sys.stdout.write("\n".join(lines) + "\n")

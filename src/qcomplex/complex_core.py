@@ -19,6 +19,7 @@ from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from .errors import BadParams, BadVertexId, DimensionOutOfRange, NotPure, TooLarge
 
@@ -106,7 +107,6 @@ class SimplicialComplex:
     def is_path_connected(self, i: int) -> bool:
         """Connectivity of the up-neighbor graph on the i-faces, in which
         each (i+1)-face links its first boundary face to its others."""
-        from scipy.sparse import coo_array
         from scipy.sparse.csgraph import connected_components
 
         if not (is_integer(i) and 0 <= i < self.dim):
@@ -281,15 +281,19 @@ def read_facets(path) -> SimplicialComplex:
     return from_facets(n, arrays=arrays)
 
 
+def open_for_writing(path):
+    """``path`` opened to write UTF-8 text, or refused with `BadParams`."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise BadParams(f"{path}: cannot write ({exc.strerror})") from None
+
+
 def write_facets(K: SimplicialComplex, path) -> None:
     """Write the ``.facets`` format in canonical sorted order to a path,
     or to ``path`` itself when it is an open text stream."""
     if not hasattr(path, "write"):
-        try:
-            fh = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise BadParams(f"{path}: cannot write ({exc.strerror})") from None
-        with fh:
+        with open_for_writing(path) as fh:
             return write_facets(K, fh)
     width = K.dim + 1  # pad short rows with -1: they sort first, as tuples do
     rows = np.concatenate([np.pad(m, ((0, 0), (0, width - m.shape[1])),

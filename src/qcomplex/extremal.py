@@ -125,10 +125,11 @@ def _triangle_space(n: int) -> _TriangleSpace:
     space = _SPACE_CACHE.get(n)
     if space is None:
         S = simplex_skeleton(n, 2)
+        alive = [np.ones(S.n_faces(i), dtype=bool) for i in range(3)]
+        signed = homology._residual_boundary(S, alive, 2)
         space = _SPACE_CACHE[n] = _TriangleSpace(
-            S, tuple(map(tuple, S.rows(2).tolist())),
-            chains.signed_boundary(S, 2).toarray().astype(np.int64),
-            chains.signless_boundary(S, 2).toarray())
+            S, tuple(map(tuple, S.rows(2).tolist())), signed,
+            np.abs(signed).astype(np.float64))
     return space
 
 

@@ -23,8 +23,21 @@ from .errors import (
 )
 from .spectra import check_seed
 
-FAMILIES = ("simplex_skeleton", "tented", "tent_plus_common_edge",
-            "tent_plus_faces", "delta_sphere", "rhombic", "random_pure2")
+#: Per family: its generator over the given parameters, the parameters it
+#: needs, and those it also reads.
+_MAKERS = {
+    "simplex_skeleton": (lambda n, r, **_: simplex_skeleton(n, r), ("n", "r"), ()),
+    "tented": (lambda n, r, **_: tented(n, 2 if r is None else r), ("n",), ("r",)),
+    "tent_plus_common_edge": (lambda n, t, **_: tent_plus_common_edge(n, t),
+                              ("n", "t"), ()),
+    "tent_plus_faces": (lambda n, added, **_: tent_plus_faces(n, added),
+                        ("n", "added"), ()),
+    "delta_sphere": (lambda r, **_: delta_sphere(r), ("r",), ()),
+    "rhombic": (lambda r, **_: rhombic(r), ("r",), ()),
+    "random_pure2": (lambda n, t, seed, **_: random_pure2(n, target_t=t, seed=seed),
+                     ("n",), ("t",)),
+}
+FAMILIES = tuple(_MAKERS)
 
 #: Rejection sampling stays at or below this vertex count.
 RANDOM_MAX_N = 12
@@ -147,34 +160,18 @@ def random_pure2(n: int, target_t: int | None = None,
 def make(family: str, n: int | None = None, r: int | None = None,
          t: int | None = None, seed: int = 0,
          added=None) -> SimplicialComplex:
-    """Dispatch a family name plus parameters to its generator (CLI entry)."""
-    if family not in FAMILIES:
+    """Dispatch a family name plus parameters to its generator (CLI entry).
+    A parameter the family needs and lacks, or is given and does not read,
+    is refused with `BadParams`; an empty ``added`` list counts as none."""
+    if family not in _MAKERS:
         raise BadParams(f"unknown family {family!r}; choose from {FAMILIES}")
-    if family == "simplex_skeleton":
-        _need(n=n, r=r)
-        return simplex_skeleton(n, r)
-    if family == "tented":
-        _need(n=n)
-        return tented(n, 2 if r is None else r)
-    if family == "tent_plus_common_edge":
-        _need(n=n, t=t)
-        return tent_plus_common_edge(n, t)
-    if family == "tent_plus_faces":
-        _need(n=n)
-        if not added:
-            raise BadParams("tent_plus_faces needs an explicit added-face list")
-        return tent_plus_faces(n, added)
-    if family == "delta_sphere":
-        _need(r=r)
-        return delta_sphere(r)
-    if family == "rhombic":
-        _need(r=r)
-        return rhombic(r)
-    _need(n=n)
-    return random_pure2(n, target_t=t, seed=seed)
-
-
-def _need(**kwargs) -> None:
-    missing = [k for k, v in kwargs.items() if v is None]
+    build, needs, reads = _MAKERS[family]
+    params = {"n": n, "r": r, "t": t, "added": added or None}
+    missing = [k for k in needs if params[k] is None]
     if missing:
         raise BadParams(f"missing required parameter(s): {', '.join(missing)}")
+    unread = [k for k, v in params.items()
+              if v is not None and k not in needs + reads]
+    if unread:
+        raise BadParams(f"{family} does not read {', '.join(unread)}")
+    return build(seed=seed, **params)

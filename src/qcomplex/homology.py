@@ -92,11 +92,11 @@ def integer_rank(A) -> int:
     The elimination (`_bareiss`) runs in int64 and goes on in Python big
     integers once an entry nears the overflow guard, or from the start
     when an entry lies outside int64. Integral floats are accepted; any
-    other non-integral entry raises `BadParams`.
+    other non-integral entry, or an A that is not 2-D, raises `BadParams`.
     """
     M = _integer_matrix(A)
-    if M.ndim != 2 or 0 in M.shape:
-        return 0
+    if M.ndim != 2:
+        raise BadParams(f"integer_rank needs a 2-D matrix, got shape {M.shape}")
     return len(_bareiss(M)[1])
 
 

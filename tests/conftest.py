@@ -3,6 +3,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from qcomplex import from_facets, laplacian
@@ -70,6 +71,19 @@ def dense_q_up_spectrum(K, i):
 def faces(K, i):
     """Oracle: the i-faces as sorted vertex tuples, in row order."""
     return tuple(map(tuple, K.rows(i).tolist()))
+
+
+def boundary_matrix(K, i, signed=True):
+    """Oracle: the i-th boundary map in the lexicographic face bases, a
+    float64 CSR matrix. The column of each i-face carries (-1)^j, or 1
+    when not ``signed``, on the row of the face that omits its j-th
+    vertex; rows are found in a dict of the (i-1)-face tuples."""
+    row_of = {F: k for k, F in enumerate(faces(K, i - 1))}
+    entries = [(row_of[F[:j] + F[j + 1:]], c, (-1) ** j if signed else 1)
+               for c, F in enumerate(faces(K, i)) for j in range(i + 1)]
+    rows, cols, values = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    return sp.csr_matrix((values.astype(np.float64), (rows, cols)),
+                         shape=(K.n_faces(i - 1), K.n_faces(i)))
 
 
 def has_face(K, F):

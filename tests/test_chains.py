@@ -12,6 +12,7 @@ from qcomplex import (
     betti_profile,
     boundary_sums,
     check_basic_hole_properties,
+    delta_sphere,
     from_facets,
     hodge_betti,
     is_basic_hole,
@@ -19,20 +20,19 @@ from qcomplex import (
     proof_inspector,
     quadratic_form,
     second_order_identity_check,
-    signed_boundary,
-    signless_boundary,
+    simplex_skeleton,
     spectral_radius,
     tent_plus_common_edge,
     tented,
     transfer_to_down,
 )
-from qcomplex import chains, spectra
+from qcomplex import acceptance, chains, spectra
 from qcomplex.chains import LAPLACIAN_KINDS
 from qcomplex.errors import (BadParams, DimensionOutOfRange, LengthMismatch,
                              TooLarge)
 
-from conftest import (face_degree, faces, mixed_complexes, pure2_complexes,
-                      suspension)
+from conftest import (boundary_matrix, face_degree, faces, mixed_complexes,
+                      pure2_complexes, suspension)
 
 
 def fraction_rank(M):
@@ -55,43 +55,57 @@ def fraction_rank(M):
 
 class TestSignedBoundary:
     def test_triangle_column_signs(self, triangle):
-        B = signed_boundary(triangle, 2).toarray()
+        B = boundary_matrix(triangle, 2).toarray()
         # edges sorted: (0,1), (0,2), (1,2); omit vertex j -> sign (-1)^j
         assert B[:, 0].tolist() == [1, -1, 1]
 
     def test_chain_identity_delta4(self, delta4):
-        B1 = signed_boundary(delta4, 1).toarray()
-        B2 = signed_boundary(delta4, 2).toarray()
+        B1 = boundary_matrix(delta4, 1).toarray()
+        B2 = boundary_matrix(delta4, 2).toarray()
         assert not (B1 @ B2).any()
+        assert acceptance._chain_product_max(delta4, 2) == 0
 
     def test_rank_of_delta4(self, delta4):
-        B2 = signed_boundary(delta4, 2).toarray()
+        B2 = boundary_matrix(delta4, 2).toarray()
         assert fraction_rank(B2) == 3
 
     def test_dimension_guard(self, triangle):
         with pytest.raises(DimensionOutOfRange):
-            signed_boundary(triangle, 3)
+            chains.boundary_index_table(triangle, 3)
+
+    @staticmethod
+    def _check_chain_identity(K):
+        # the check battery composes the index tables; the oracle multiplies
+        for j in range(2, K.dim + 1):
+            prod = (boundary_matrix(K, j - 1).toarray()
+                    @ boundary_matrix(K, j).toarray())
+            assert not prod.any()
+            assert acceptance._chain_product_max(K, j) == np.abs(prod).max()
 
     @given(mixed_complexes())
     @settings(max_examples=30, deadline=None)
     def test_chain_identity_everywhere(self, K):
-        for i in range(2, K.dim + 1):
-            prod = (signed_boundary(K, i - 1).toarray()
-                    @ signed_boundary(K, i).toarray())
-            assert not prod.any()
+        self._check_chain_identity(K)
+
+    @pytest.mark.parametrize("K", [delta_sphere(3), simplex_skeleton(7, 4),
+                                   from_facets(6, [(0, 1, 2, 3), (2, 3, 4, 5),
+                                                   (0, 4, 5)])],
+                             ids=["delta_sphere3", "K7_4", "mixed_dim3"])
+    def test_chain_identity_up_to_dimension_four(self, K):
+        self._check_chain_identity(K)
 
 
 class TestSignlessBoundary:
     def test_triangle_all_ones(self, triangle):
-        B = signless_boundary(triangle, 2).toarray()
+        B = boundary_matrix(triangle, 2, signed=False).toarray()
         assert B[:, 0].tolist() == [1, 1, 1]
 
     def test_column_sums_are_three(self, delta4):
-        B = signless_boundary(delta4, 2).toarray()
+        B = boundary_matrix(delta4, 2, signed=False).toarray()
         assert (B.sum(axis=0) == 3).all()
 
     def test_row_sums_are_degrees(self, delta4):
-        B = signless_boundary(delta4, 2).toarray()
+        B = boundary_matrix(delta4, 2, signed=False).toarray()
         degrees = [face_degree(delta4, e) for e in faces(delta4, 1)]
         assert B.sum(axis=1).tolist() == degrees
         assert degrees == [2] * 6
@@ -110,9 +124,8 @@ class TestBoundaryCopies:
                     res.vector.tobytes())
 
         def scribble(K):
-            for i in (1, 2):
-                for B in (signed_boundary(K, i), signless_boundary(K, i)):
-                    B.data[:] = 7.0
+            for kind, i in valid_operators(K):
+                laplacian(K, i, kind)[:] = 7.0
 
         f = np.random.default_rng(3).standard_normal(tented(8, 2).n_faces(1))
         want = results(tented(8, 2))
@@ -130,7 +143,7 @@ class TestLaplacian:
 
     def test_delta4_q_up_structure(self, delta4):
         # oracle: explicit product of the signless boundary with itself
-        B = signless_boundary(delta4, 2).toarray().astype(float)
+        B = boundary_matrix(delta4, 2, signed=False).toarray()
         expected = B @ B.T
         Q = laplacian(delta4, 1, "Q_up")
         assert np.allclose(Q, expected)
@@ -186,14 +199,14 @@ class TestLaplacian:
 def sparse_laplacian(K, i, kind):
     """The sparse product of the boundaries (test oracle for the dense
     `laplacian` scatter)."""
-    boundary = signed_boundary if kind.startswith("L") else signless_boundary
+    signed = kind.startswith("L")
 
     def up():
-        B = boundary(K, i + 1)
+        B = boundary_matrix(K, i + 1, signed)
         return (B @ B.T).tocsr()
 
     def down():
-        B = boundary(K, i)
+        B = boundary_matrix(K, i, signed)
         return (B.T @ B).tocsr()
 
     if kind.endswith("up"):
@@ -281,19 +294,19 @@ def spread_vector(rng, n):
 
 class TestOperatorsAgainstCsrProducts:
     """The index-table operators reproduce the scipy CSR products with the
-    signless boundary bit for bit."""
+    oracle's signless boundary bit for bit."""
 
     @staticmethod
     def _check(K, rng):
         for i in range(K.dim + 1):
             f = spread_vector(rng, K.n_faces(i))
             if i < K.dim:
-                B = signless_boundary(K, i + 1)
+                B = boundary_matrix(K, i + 1, signed=False)
                 tab = chains.boundary_index_table(K, i + 1)
                 assert np.array_equal(chains._apply_bt(tab, f), B.T @ f)
                 assert np.array_equal(apply_q_up(K, i, f), B @ (B.T @ f))
             if i >= 1:
-                B = signless_boundary(K, i)
+                B = boundary_matrix(K, i, signed=False)
                 assert np.array_equal(apply_q_down(K, i, f), B.T @ (B @ f))
 
     @given(mixed_complexes(), st.integers(0, 2**32 - 1))
@@ -306,17 +319,12 @@ class TestOperatorsAgainstCsrProducts:
 
 
 class TestNoCsrOnTheOperatorPath:
-    @pytest.fixture
-    def no_csr(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a CSR boundary was built")
-
-        monkeypatch.setattr(chains, "signed_boundary", refuse)
-        monkeypatch.setattr(chains, "signless_boundary", refuse)
+    """The check battery, Lanczos, the basic-hole checks and the proof
+    inspector on the index tables (the library builds no CSR boundary)."""
 
     @pytest.mark.parametrize("make", [lambda: tent_plus_common_edge(7, 2),
                                       lambda: tented(6, 3)])
-    def test_check_battery_on_a_non_hole(self, no_csr, make):
+    def test_check_battery_on_a_non_hole(self, make):
         K = make()
         profile = betti_profile(K)
         hodge = [hodge_betti(K, i) for i in range(K.dim + 1)]
@@ -330,16 +338,16 @@ class TestNoCsrOnTheOperatorPath:
         assert second_order_identity_check(K, i, res) <= 1e-9 * res.value ** 2
         assert is_basic_hole(K) is False
 
-    def test_lanczos_on_a_tent(self, no_csr):
+    def test_lanczos_on_a_tent(self):
         res = spectral_radius(tent_plus_common_edge(60, 1), 1)
         assert res.iterations > 0 and res.residual <= 1e-10
 
-    def test_basic_hole_checks(self, no_csr):
+    def test_basic_hole_checks(self):
         K = suspension(12)
         assert is_basic_hole(K) is True
         assert check_basic_hole_properties(K).all_pass
 
-    def test_proof_inspector_on_a_tent(self, no_csr):
+    def test_proof_inspector_on_a_tent(self):
         rep = proof_inspector(tent_plus_common_edge(40, 1))
         assert (rep.apex, rep.n_outside, rep.down_pair_count) == (0, 37, 5481)
         assert all(rep.verdicts.values())

@@ -49,8 +49,7 @@ class TestGen:
 
     def test_gen_into_missing_directory_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.facets"
-        assert run_cli("gen", "tented", "--n", "5", "--t", "1",
-                       "-o", str(path)) == 2
+        assert run_cli("gen", "tented", "--n", "5", "-o", str(path)) == 2
         assert capsys.readouterr().err.startswith(
             f"error bad_params: {path}: cannot write")
 
@@ -333,6 +332,32 @@ def test_each_subcommand_takes_only_the_options_it_reads(sub, option,
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+#: An invocation of each subcommand that answers; {file} is a tent file.
+ANSWERS = {"gen": ["tented", "--n", "5"], "betti": ["{file}"],
+           "spectra": ["{file}", "--dim", "1"], "check": ["{file}"],
+           "search": ["--mode", "facets", "--n", "5", "--t", "1"],
+           "inspect": ["{file}"], "asymptotic": ["--t", "1", "--n", "20"],
+           "acceptance": []}
+
+
+@pytest.mark.parametrize("sub", [sub for sub in READS if "-o" in READS[sub]])
+def test_output_into_a_missing_directory_is_refused(sub, tmp_path, capsys,
+                                                    monkeypatch):
+    # a typed refusal naming the path, exit 2; acceptance refuses it
+    # before the suite runs
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda: pytest.fail(
+        "the acceptance suite ran before its report path was checked"))
+    f = tmp_path / "t.facets"
+    write_facets(tent_plus_common_edge(8, 1), f)
+    path = tmp_path / "missing" / "x.txt"
+    argv = [str(f) if tok == "{file}" else tok for tok in ANSWERS[sub]]
+    assert run_cli(sub, *argv, "-o", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error bad_params: {path}: cannot write "
+                            "(No such file or directory)\n")
+    assert captured.out == ""
 
 
 #: The --format values each subcommand renders (text or CSV by default).

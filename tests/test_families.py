@@ -210,3 +210,28 @@ class TestMake:
     def test_missing_params(self):
         with pytest.raises(BadParams):
             make("tented")
+
+
+#: Per family: parameters that build it, and every parameter it reads.
+MAKE_ARGS = {"simplex_skeleton": ({"n": 5, "r": 2}, {"n", "r"}),
+             "tented": ({"n": 5}, {"n", "r"}),
+             "tent_plus_common_edge": ({"n": 6, "t": 1}, {"n", "t"}),
+             "tent_plus_faces": ({"n": 6, "added": [(1, 2, 3)]}, {"n", "added"}),
+             "delta_sphere": ({"r": 2}, {"r"}),
+             "rhombic": ({"r": 2}, {"r"}),
+             "random_pure2": ({"n": 5}, {"n", "t"})}
+EXTRA = {"n": 5, "r": 2, "t": 1, "added": [(1, 2, 4)]}
+
+
+@pytest.mark.parametrize("family,param", [
+    pytest.param(family, param, id=f"{family} {param}")
+    for family in MAKE_ARGS for param in EXTRA])
+def test_make_refuses_a_parameter_the_family_does_not_read(family, param):
+    # `gen tented --n 5 --t 3` printed tented(5, 2), the --t unread
+    base, reads = MAKE_ARGS[family]
+    args = {**base, param: EXTRA[param]}
+    if param in reads:
+        assert make(family, **args).dim >= 1
+    else:
+        with pytest.raises(BadParams, match=f"{family} does not read {param}"):
+            make(family, **args)

@@ -17,7 +17,6 @@ from qcomplex import (
     integer_rank,
     is_basic_hole,
     rhombic,
-    signed_boundary,
     simplex_skeleton,
     tent_plus_common_edge,
     tented,
@@ -31,8 +30,8 @@ from qcomplex.errors import (
     TooLarge,
 )
 
-from conftest import (face_degree, faces, mixed_complexes, pure2_complexes,
-                      suspension)
+from conftest import (boundary_matrix, face_degree, faces, mixed_complexes,
+                      pure2_complexes, suspension)
 from test_chains import fraction_rank
 
 
@@ -142,6 +141,17 @@ class TestIntegerRank:
 
     def test_zero_matrix(self):
         assert integer_rank(np.zeros((3, 4), dtype=np.int64)) == 0
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix_has_rank_zero(self, shape):
+        assert integer_rank(np.zeros(shape, dtype=np.int64)) == 0
+
+    @pytest.mark.parametrize("A", [[1, 2, 3], 5, np.ones((2, 2, 2), np.int64),
+                                   []], ids=["row", "scalar", "3d", "empty_1d"])
+    def test_not_a_matrix_refused(self, A):
+        # [1, 2, 3] read as a 1 x 3 matrix has rank 1, not the 0 it gave
+        with pytest.raises(BadParams, match="2-D"):
+            integer_rank(A)
 
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
@@ -288,7 +298,7 @@ class TestBettiProfile:
     def test_rank_of_boundary_vs_oracle(self, delta4):
         profile = betti_profile(delta4)
         assert profile.ranks == (0, 3, 3)
-        assert fraction_rank(signed_boundary(delta4, 2).toarray()) == 3
+        assert fraction_rank(boundary_matrix(delta4, 2).toarray()) == 3
 
     @given(mixed_complexes())
     @settings(max_examples=30, deadline=None)
@@ -302,14 +312,14 @@ class TestBettiProfile:
     @settings(max_examples=30, deadline=None)
     def test_beta2_is_corank_of_top_boundary(self, K):
         profile = betti_profile(K)
-        rank2 = fraction_rank(signed_boundary(K, 2).toarray())
+        rank2 = fraction_rank(boundary_matrix(K, 2).toarray())
         assert profile.betti[2] == K.n_faces(2) - rank2
 
 
 def oracle_profile(K):
     """Betti numbers and boundary ranks from the full, unreduced signed
     boundaries by rational elimination."""
-    ranks = [0] + [fraction_rank(signed_boundary(K, i).toarray())
+    ranks = [0] + [fraction_rank(boundary_matrix(K, i).toarray())
                    for i in range(1, K.dim + 1)] + [0]
     betti = tuple(K.n_faces(i) - ranks[i] - ranks[i + 1]
                   for i in range(K.dim + 1))
@@ -513,7 +523,7 @@ def _outcome(count):
 def naive_deletion_check(K):
     """Oracle for is_basic_hole without the reduction: the full top boundary has
     a one-dimensional kernel and deleting any single facet kills it."""
-    A = signed_boundary(K, K.dim).toarray()
+    A = boundary_matrix(K, K.dim).toarray()
     if A.shape[1] - fraction_rank(A) != 1:
         return False
     for j in range(A.shape[1]):
@@ -583,7 +593,7 @@ class TestBasicHoles:
         # the RP^2 triangles bound twice the loop 0-1-4, so the cone over
         # it carries coefficient 2 and every RP^2 triangle 1
         K = rp2_plus((0, 1, 6), (0, 4, 6), (1, 4, 6))
-        z = homology._kernel_vector(signed_boundary(K, 2).toarray())
+        z = homology._kernel_vector(boundary_matrix(K, 2).toarray())
         assert [abs(x) for f, x in zip(faces(K, 2), z) if 6 in f] == [2, 2, 2]
         assert all(abs(x) == 1 for f, x in zip(faces(K, 2), z) if 6 not in f)
 

@@ -17,8 +17,7 @@ def test_public_names_are_pinned():
         "max_spectral_search", "perron_profile", "perron_vector",
         "proof_inspector", "quadratic_form", "random_pure2",
         "rayleigh_quotient", "read_facets", "rhombic",
-        "second_order_identity_check", "signed_boundary",
-        "signless_boundary", "simplex_skeleton", "spectral_bound",
+        "second_order_identity_check", "simplex_skeleton", "spectral_bound",
         "spectral_radius", "tent_plus_common_edge", "tent_plus_faces",
         "tented", "transfer_to_down", "write_facets",
     ]
