@@ -30,10 +30,10 @@ ISO_MAX_VERTICES = 10
 
 
 def is_integer(x) -> bool:
-    """Whether ``x`` is an integer (`numbers.Integral`: Python and numpy
-    integers). A Python int is tested first: the ABC check costs about a
-    microsecond, and `SimplicialComplex.rows` makes it on every face count."""
-    return type(x) is int or isinstance(x, numbers.Integral)
+    """Whether ``x`` is an integer (`numbers.Integral`, not `bool`). A
+    Python int is tested first: the ABC check costs about a microsecond,
+    and `SimplicialComplex.rows` makes it on every face count."""
+    return type(x) is int or type(x) is not bool and isinstance(x, numbers.Integral)
 
 
 def require_int(**values) -> None:

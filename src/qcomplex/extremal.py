@@ -7,16 +7,18 @@ rank, the edge coverage, the facet count and the spectrum are constant
 on each orbit. The search therefore works once per orbit (2,136 orbits
 among the 2^20 masks at n = 6):
 
-- One ascending scan of the masks through precomputed
-  triangle-permutation tables gives every mask an orbit id. The first
-  mask met in an orbit, its least, is the orbit's representative.
+- One ascending scan of the masks gives every mask an orbit id. The
+  first mask met in an orbit, its least, is the orbit's representative;
+  its images under all n! permutations are the OR of one row of each of
+  two image tables, indexed by its low and its high half of bits.
 - The rank of each representative's signed boundary columns is exact.
   A triangle with an edge that no other triangle has lies in no 2-cycle,
   so it adds one to the rank of the mask without it: a smaller mask, in
-  an orbit met earlier. The representatives with no such triangle (175
-  at n = 6) go through the exact integer elimination
-  `homology.integer_rank`. Every mask reads its rank, coverage and facet
-  count through its orbit id.
+  an orbit met earlier. A face of a tetrahedron whose four faces all lie
+  in the mask is +-the sum of the other three (dd = 0) and adds nothing.
+  The other nonempty representatives (22 at n = 6) go through the exact
+  `homology.integer_rank`. Rank, coverage and facet count are stored
+  once per orbit and read through the orbit id.
 - The top eigenvalue of the up signless Laplacian comes from one batched
   `eigvalsh` per chunk of masks. Each Q_up is the sum of its triangles'
   outer products of signless boundary columns, so it is the very matrix
@@ -106,14 +108,15 @@ class _TriangleSpace(NamedTuple):
     triangles: tuple[Face, ...]
     signed: np.ndarray            # dense (edges, triangles) int64 boundary
     signless: np.ndarray          # dense (edges, triangles) signless boundary
+    tetrahedra: np.ndarray        # mask of each tetrahedron's four faces
 
 
 class _Tables(NamedTuple):
     orbit: np.ndarray             # int32 orbit id per mask
     reps: np.ndarray              # least mask of each orbit, by orbit id
-    rank: np.ndarray              # int8 boundary rank per mask
-    cover: np.ndarray             # whether each mask covers every edge
-    popcount: np.ndarray          # int8 facet count per mask
+    rank: np.ndarray              # int8 boundary rank per orbit
+    cover: np.ndarray             # whether each orbit covers every edge
+    popcount: np.ndarray          # int8 facet count per orbit
 
 
 _SPACE_CACHE: dict[int, _TriangleSpace] = {}
@@ -127,9 +130,11 @@ def _triangle_space(n: int) -> _TriangleSpace:
         S = simplex_skeleton(n, 2)
         alive = [np.ones(S.n_faces(i), dtype=bool) for i in range(3)]
         signed = homology._residual_boundary(S, alive, 2)
+        faces = (chains.boundary_index_table(simplex_skeleton(n, 3), 3)
+                 if n > 3 else np.empty((0, 4), dtype=np.int64))
         space = _SPACE_CACHE[n] = _TriangleSpace(
             S, tuple(map(tuple, S.rows(2).tolist())), signed,
-            np.abs(signed).astype(np.float64))
+            np.abs(signed).astype(np.float64), (1 << faces).sum(axis=1))
     return space
 
 
@@ -153,43 +158,60 @@ def _mask_faces(space: _TriangleSpace, mask: int) -> list[Face]:
     return [space.triangles[k] for k in _mask_bits(mask)]
 
 
+def _image_table(weights: np.ndarray) -> np.ndarray:
+    """(2^k, n!) images of the masks over k columns of triangle weights:
+    rows [2^j, 2^(j+1)) are rows [0, 2^j) OR-ed with column j."""
+    table = np.zeros((1 << weights.shape[1], weights.shape[0]), np.int32)
+    for j, column in enumerate(weights.T):
+        table[1 << j:2 << j] = table[:1 << j] | column
+    return table
+
+
 def _tables(n: int) -> _Tables:
-    """Orbit id of every mask, and its rank, full-skeleton coverage and
-    facet count, each computed once per orbit.
+    """Orbit id of every mask, and each orbit's rank, full-skeleton
+    coverage and facet count.
 
     Masks are scanned in ascending order, so the first mask met in an
-    orbit is its least; its images under every permutation are the orbit.
+    orbit is its least; its images, one row of each half-mask image table
+    OR-ed, are the orbit. Ranks follow the rules in the module docstring.
     """
     tables = _TABLE_CACHE.get(n)
     if tables is None:
         space = _triangle_space(n)
-        weights = 1 << _perm_triangle_maps(n)
+        weights = (1 << _perm_triangle_maps(n)).astype(np.int32)
         m = weights.shape[1]
+        h = m // 2
+        low, high = _image_table(weights[:, :h]), _image_table(weights[:, h:])
         orbit = np.full(1 << m, -1, dtype=np.int32)
         reps: list[int] = []
         for start in range(0, orbit.size, _SCAN_CHUNK):
             unseen = np.flatnonzero(orbit[start:start + _SCAN_CHUNK] < 0)
             for mask in (unseen + start).tolist():
                 if orbit[mask] < 0:
-                    orbit[weights[:, _mask_bits(mask)].sum(axis=1)] = len(reps)
+                    orbit[low[mask & (1 << h) - 1] | high[mask >> h]] = len(reps)
                     reps.append(mask)
-        bits = (np.array(reps)[:, None] >> np.arange(m) & 1).astype(float)
+        least = np.array(reps, dtype=np.int64)
+        bits = (least[:, None] >> np.arange(m) & 1).astype(float)
         degree = bits @ space.signless.T   # edge degrees per representative
         # free[i, k] > 0: triangle k of representative i has an edge that
         # no other of its triangles has, so it lies in no 2-cycle
         free = ((degree == 1) @ space.signless) * bits
         drop = free.argmax(axis=1).tolist()
-        rank = np.empty(len(reps), dtype=np.int8)
+        tets = space.tetrahedra   # drop a face of a tetrahedron in the mask
+        full = least[:, None] & tets == tets
+        face = np.where(full, tets & -tets, 0).max(axis=1, initial=0).tolist()
+        rank = np.zeros(len(reps), dtype=np.int8)
         for i, mask in enumerate(reps):
             if free[i, drop[i]]:
                 rank[i] = rank[orbit[mask ^ (1 << drop[i])]] + 1
-            else:
+            elif face[i]:
+                rank[i] = rank[orbit[mask ^ face[i]]]
+            elif mask:
                 rank[i] = homology.integer_rank(
                     space.signed[:, _mask_bits(mask)])
         tables = _TABLE_CACHE[n] = _Tables(
-            orbit, np.array(reps, dtype=np.int64), rank[orbit],
-            (degree > 0).all(axis=1)[orbit],
-            bits.sum(axis=1).astype(np.int8)[orbit])
+            orbit, least, rank,
+            (degree > 0).all(axis=1), bits.sum(axis=1).astype(np.int8))
     return tables
 
 
@@ -227,19 +249,22 @@ def _check_domain(n: int, full_skeleton: bool) -> None:
             f"n <= {limit}, got {n}")
 
 
-def _domain_masks(n: int, full_skeleton: bool) -> np.ndarray:
+def _domain_orbits(n: int, full_skeleton: bool) -> np.ndarray:
+    """Whether each orbit lies in the search domain."""
     _check_domain(n, full_skeleton)
-    tables = _tables(n)
-    if full_skeleton:
-        return np.flatnonzero(tables.cover)
-    return np.flatnonzero(tables.popcount > 0)
+    return _tables(n).cover if full_skeleton else _tables(n).popcount > 0
+
+
+def _domain_masks(n: int, full_skeleton: bool) -> np.ndarray:
+    return np.flatnonzero(_domain_orbits(n, full_skeleton)[_tables(n).orbit])
 
 
 def _hits(n: int, t: int, full_skeleton: bool) -> np.ndarray:
     """Masks of the domain with top Betti number t, ascending."""
-    masks = _domain_masks(n, full_skeleton)
+    domain = _domain_orbits(n, full_skeleton)
     tables = _tables(n)
-    return masks[tables.popcount[masks] - tables.rank[masks] == t]
+    return np.flatnonzero(
+        (domain & (tables.popcount - tables.rank == t))[tables.orbit])
 
 
 def enumerate_pure2(n: int, full_skeleton: bool = True) -> Iterator[SimplicialComplex]:
@@ -340,7 +365,7 @@ def max_facets_search(n: int, t: int,
     hits = _hits(n, t, full_skeleton)
     if hits.size == 0:
         return _empty_report(n, t, full_skeleton)
-    counts = _tables(n).popcount[hits]
+    counts = _tables(n).popcount[_tables(n).orbit[hits]]
     best = int(counts.max())
     witnesses = _dedup_canonical(n, hits[counts == best])
     violations: list[dict] = []

@@ -70,7 +70,7 @@ def check_tol(tol) -> None:
 
 def check_seed(seed) -> None:
     """Refuse a seed that is not a nonnegative integer."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise BadParams(f"seed must be a nonnegative integer, got {seed!r}")
 
 

@@ -25,7 +25,7 @@ from qcomplex import (
     tent_plus_faces,
     tented,
 )
-from qcomplex import extremal, spectra
+from qcomplex import extremal, homology, spectra
 from qcomplex.errors import (
     BadParams, NoApex, NotPure, PrecisionInsufficient, TooLarge)
 from qcomplex.chains import boundary_sums
@@ -103,7 +103,8 @@ class TestEnumeration:
             mask = int(rng.integers(1, 1 << 10))
             picked = [space.triangles[k] for k in range(10) if mask >> k & 1]
             K = from_facets(5, picked, require_pure=True)
-            assert (tables.popcount[mask] - tables.rank[mask]
+            orbit = tables.orbit[mask]
+            assert (tables.popcount[orbit] - tables.rank[orbit]
                     == betti_profile(K).betti[2])
 
 
@@ -183,6 +184,10 @@ class TestTriangleSpace:
         assert np.array_equal(space.signless, np.abs(signed))
         assert space.signed.dtype == np.int64
         assert np.array_equal(space.signed, signed)
+        # each tetrahedron's four faces, as a mask over the triangle list
+        assert space.tetrahedra.tolist() == [
+            sum(1 << triangles.index(f) for f in combinations(tet, 3))
+            for tet in combinations(range(n), 4)]
 
 
 def oracle_orbit_images(n, perm):
@@ -214,6 +219,17 @@ class TestOrbits:
         for perm in (transposition, cycle):
             assert np.array_equal(orbit[oracle_orbit_images(n, perm)], orbit)
 
+    def test_image_tables_match_weight_sums(self):
+        # row r of a half table is the image of r's bits under every
+        # permutation, as the sum of the permuted triangles' weights
+        weights = 1 << extremal._perm_triangle_maps(6)
+        for half in (weights[:, :10], weights[:, 10:]):
+            table = extremal._image_table(half)
+            assert table.dtype == np.int32 and table.shape == (1 << 10, 720)
+            for r in range(1 << 10):
+                bits = [j for j in range(10) if r >> j & 1]
+                assert np.array_equal(table[r], half[:, bits].sum(axis=1))
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_representative_is_least_member(self, n):
         tables = _tables(n)
@@ -225,7 +241,8 @@ class TestOrbits:
     def test_members_solve_within_margin(self, n, sample):
         tables = _tables(n)
         masks = _domain_masks(n, True)
-        hits = masks[tables.popcount[masks] - tables.rank[masks] <= 2]
+        orbits = tables.orbit[masks]
+        hits = masks[tables.popcount[orbits] - tables.rank[orbits] <= 2]
         if sample is not None:
             hits = np.random.default_rng(n).choice(hits, sample, replace=False)
         deviation = np.abs(_q_values(n, hits)
@@ -236,7 +253,8 @@ class TestOrbits:
 class TestRankTable:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_every_mask_matches_dfs_oracle(self, n):
-        assert np.array_equal(_tables(n).rank, dfs_rank_table(n))
+        tables = _tables(n)
+        assert np.array_equal(tables.rank[tables.orbit], dfs_rank_table(n))
 
     def test_n6_sample_matches_exact_betti(self):
         space = _triangle_space(6)
@@ -245,8 +263,25 @@ class TestRankTable:
         for mask in rng.choice(np.arange(1, 1 << 20), 2000, replace=False):
             K = from_facets(6, _mask_faces(space, int(mask)),
                             require_pure=True)
-            assert (tables.popcount[mask] - tables.rank[mask]
+            orbit = tables.orbit[mask]
+            assert (tables.popcount[orbit] - tables.rank[orbit]
                     == betti_profile(K).betti[2])
+
+    @pytest.mark.parametrize("n,eliminations", [(3, 0), (4, 0), (5, 1),
+                                                 (6, 22)])
+    def test_free_triangle_and_tetrahedron_rules_leave_few_eliminations(
+            self, n, eliminations, monkeypatch):
+        # the nonempty representatives with no free triangle and no
+        # tetrahedron among their faces; the empty mask has rank 0
+        calls = []
+        rank = homology.integer_rank
+        monkeypatch.setattr(homology, "integer_rank",
+                            lambda A: calls.append(A.shape) or rank(A))
+        for cache in ("_SPACE_CACHE", "_TABLE_CACHE", "_PERM_MAP_CACHE"):
+            monkeypatch.setattr(extremal, cache, {})
+        tables = _tables(n)
+        assert len(calls) == eliminations
+        assert tables.rank[0] == 0 and tables.reps[0] == 0
 
 
 class TestQValues:
@@ -265,8 +300,8 @@ class TestDedup:
     def test_n5_witness_sets_match_canonical_form(self, t):
         tables = _tables(5)
         masks = _domain_masks(5, True)
-        popcount = tables.popcount
-        hits = masks[popcount[masks] - tables.rank[masks] == t]
+        popcount = tables.popcount[tables.orbit]
+        hits = masks[popcount[masks] - tables.rank[tables.orbit[masks]] == t]
         qs = _q_values(5, hits)
         for witnesses in (hits[popcount[hits] == popcount[hits].max()],
                           hits[qs >= qs.max() - EPS_MAXIMIZER]):
@@ -277,9 +312,9 @@ class TestDedup:
         # covering masks use every vertex; masks of at most four
         # triangles leave some unused
         tables = _tables(6)
-        popcount = tables.popcount
+        popcount = tables.popcount[tables.orbit]
         rng = np.random.default_rng(66)
-        for pool in (np.flatnonzero(tables.cover),
+        for pool in (np.flatnonzero(tables.cover[tables.orbit]),
                      np.flatnonzero((popcount > 0) & (popcount <= 4))):
             masks = rng.choice(pool, 30, replace=False)
             assert _dedup_canonical(6, masks) == canonical_oracle(6, masks)
@@ -315,7 +350,8 @@ def per_mask_search(n, t):
     eigenvalues, each solved on its own."""
     tables = _tables(n)
     masks = _domain_masks(n, True)
-    hits = masks[tables.popcount[masks] - tables.rank[masks] == t]
+    orbits = tables.orbit[masks]
+    hits = masks[tables.popcount[orbits] - tables.rank[orbits] == t]
     space = _triangle_space(n)
     qs = np.array([per_mask_q(space, int(mask)) for mask in hits])
     return hits, qs

@@ -1,3 +1,5 @@
+import pytest
+
 import qcomplex
 from qcomplex import errors
 
@@ -38,3 +40,34 @@ def test_error_names_are_pinned():
         "FaceContainsApex", "LengthMismatch", "NoApex", "NotBasicHole",
         "NotPathConnected", "NotPure", "TooLarge",
     ]
+
+
+BOOL_ARGUMENTS = {
+    "facet_bound": lambda: qcomplex.facet_bound(6, 2, True),
+    "spectral_bound": lambda: qcomplex.spectral_bound(True, 2, 1),
+    "max_facets_search": lambda: qcomplex.max_facets_search(5, True),
+    "max_spectral_search": lambda: qcomplex.max_spectral_search(6, True),
+    "enumerate_pure2": lambda: next(qcomplex.enumerate_pure2(True)),
+    "asymptotic_check t": lambda: qcomplex.asymptotic_check(True, [60]),
+    "asymptotic_check n": lambda: qcomplex.asymptotic_check(1, [True]),
+    "simplex_skeleton": lambda: qcomplex.simplex_skeleton(6, True),
+    "tented": lambda: qcomplex.tented(True),
+    "delta_sphere": lambda: qcomplex.delta_sphere(True),
+    "rhombic": lambda: qcomplex.rhombic(True),
+    "tent_plus_common_edge": lambda: qcomplex.tent_plus_common_edge(6, True),
+    "tent_plus_faces": lambda: qcomplex.tent_plus_faces(True, [(1, 2, 3)]),
+    "random_pure2 n": lambda: qcomplex.random_pure2(True),
+    "random_pure2 target_t": lambda: qcomplex.random_pure2(5, target_t=True),
+    "random_pure2 seed": lambda: qcomplex.random_pure2(5, seed=True),
+    "spectral_radius seed": lambda: qcomplex.spectral_radius(
+        qcomplex.tented(5), 1, seed=True),
+    "from_facets": lambda: qcomplex.from_facets(True, [(0,)]),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_ARGUMENTS.values(), ids=BOOL_ARGUMENTS)
+def test_bool_is_not_an_integer_parameter(call):
+    # bool is an int subclass; as a count or a Betti number it is refused
+    # like any other non-integer, before numpy sees it
+    with pytest.raises(errors.BadParams, match="True"):
+        call()
