@@ -53,7 +53,6 @@ from .extremal import (
     SearchReport,
     asymptotic_check,
     detect_apex,
-    enumerate_pure2,
     facet_bound,
     max_facets_search,
     max_spectral_search,
@@ -79,9 +78,9 @@ __all__ = [
     "delta_sphere", "random_pure2", "rhombic", "simplex_skeleton",
     "tent_plus_common_edge", "tent_plus_faces", "tented",
     "ApexResult", "AsymptoticRow", "InspectorReport", "PerronProfile",
-    "SearchReport", "asymptotic_check", "detect_apex", "enumerate_pure2",
-    "facet_bound", "max_facets_search", "max_spectral_search",
-    "perron_profile", "proof_inspector", "spectral_bound",
+    "SearchReport", "asymptotic_check", "detect_apex", "facet_bound",
+    "max_facets_search", "max_spectral_search", "perron_profile",
+    "proof_inspector", "spectral_bound",
     "errors",
     "__version__",
 ]

@@ -14,7 +14,7 @@ and the proof inspector read. On top of them sit
 * operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
   that never form a matrix: gathers and one `np.bincount` scatter of the
   index table. The eigensolvers and the check battery run on these;
-* the dense `laplacian` for desk-scale instances, one scatter of the two.
+* the dense `laplacian` for desk-scale instances, one scatter of either.
 
 The dense boundary itself is scattered from the table in `homology`, and
 the check battery composes two tables for d_(j-1) d_j (`acceptance`).
@@ -30,7 +30,7 @@ from .errors import DimensionOutOfRange, LengthMismatch, TooLarge, BadParams
 #: Explicit dense matrices are only materialized up to this side length.
 DENSE_LIMIT = 4096
 
-LAPLACIAN_KINDS = ("L_up", "L_down", "L_full", "Q_up", "Q_down")
+LAPLACIAN_KINDS = ("L_up", "L_down", "Q_up")
 
 
 def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
@@ -74,45 +74,42 @@ def _signs(width: int, signed: bool) -> np.ndarray:
 
 
 def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
-    """Dense float64 operator of the requested kind on the i-faces.
+    """Dense float64 operator of the requested kind on the i-faces: the up
+    Laplacian ``L_up`` and the down Laplacian ``L_down`` of the signed
+    boundary, or the up signless Laplacian ``Q_up``.
 
-    ``L_*`` kinds use the signed boundary, ``Q_*`` the signless one;
-    ``L_full`` is the sum of the up and down parts (terms that do not
-    exist at the boundary dimensions are zero). Each pair of i-faces in
-    one (i+1)-face, or on one (i-1)-face, adds its sign product in one
-    `np.bincount` of the boundary index table and the coface index (exact:
-    small integer sums). More than `DENSE_LIMIT` i-faces raise `TooLarge`.
+    Each pair of i-faces in one (i+1)-face (up), or on one (i-1)-face
+    (down), adds its sign product in one `np.bincount` of the boundary
+    index table or of the coface index (exact: small integer sums). More
+    than `DENSE_LIMIT` i-faces raise `TooLarge`.
     """
     if kind not in LAPLACIAN_KINDS:
         raise BadParams(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
     if not (is_integer(i) and 0 <= i <= K.dim):
         raise DimensionOutOfRange(f"i={i} outside [0, {K.dim}]")
-    if kind in ("L_up", "Q_up") and i >= K.dim:
-        raise DimensionOutOfRange(f"{kind} needs i < dim = {K.dim}")
-    if kind in ("L_down", "Q_down") and i < 1:
+    down = kind == "L_down"
+    if down and i < 1:
         raise DimensionOutOfRange(f"{kind} needs i >= 1")
+    if not down and i >= K.dim:
+        raise DimensionOutOfRange(f"{kind} needs i < dim = {K.dim}")
     n_i = K.n_faces(i)
     if n_i > DENSE_LIMIT:
         raise TooLarge(f"dense form refused for shape {(n_i, n_i)}")
-    signed = kind.startswith("L")
-    flat, weights = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-    if not kind.endswith("down") and i < K.dim:
-        tab = boundary_index_table(K, i + 1)
-        s = _signs(i + 2, signed)
-        flat.append((tab[:, :, None] * n_i + tab[:, None, :]).ravel())
-        weights.append(np.tile(np.outer(s, s).ravel(), len(tab)))
-    if not kind.endswith("up") and i >= 1:
-        # pair the i-faces on each (i-1)-face
+    if down:  # pair the i-faces on each (i-1)-face
         ptr, face, j = coface_index(K, i - 1)
         degree = ptr[1:] - ptr[:-1]
         size = np.repeat(degree, degree)
         shift = np.repeat(ptr[:-1], degree) - np.cumsum(size) + size
-        s = _signs(i + 1, signed)[j]
+        s = _signs(i + 1, True)[j]
         other = np.repeat(shift, size) + np.arange(size.sum())
-        flat.append(np.repeat(face * n_i, size) + face[other])
-        weights.append(np.repeat(s, size) * s[other])
-    dense = np.bincount(np.concatenate(flat), np.concatenate(weights),
-                        minlength=n_i * n_i)
+        flat = np.repeat(face * n_i, size) + face[other]
+        weights = np.repeat(s, size) * s[other]
+    else:
+        tab = boundary_index_table(K, i + 1)
+        s = _signs(i + 2, kind == "L_up")
+        flat = (tab[:, :, None] * n_i + tab[:, None, :]).ravel()
+        weights = np.tile(np.outer(s, s).ravel(), len(tab))
+    dense = np.bincount(flat, weights, minlength=n_i * n_i)
     return dense.astype(np.float64, copy=False).reshape(n_i, n_i)
 
 
@@ -216,6 +213,13 @@ def apply_q_down(K: SimplicialComplex, i: int, g) -> np.ndarray:
     products."""
     tab = boundary_index_table(K, i)
     return _apply_bt(tab, _apply_b(tab, _as_vector(K, i, g), K.n_faces(i - 1)))
+
+
+def down_neighbor_sum(K: SimplicialComplex, i: int, x) -> np.ndarray:
+    """Sum of ``x`` over the down neighbours of each i-face: Q_down adds the
+    face itself i + 1 times. Exact on small integer vectors."""
+    v = _as_vector(K, i, x)
+    return apply_q_down(K, i, v) - (i + 1) * v
 
 
 def quadratic_form(K: SimplicialComplex, i: int, f, g) -> float:

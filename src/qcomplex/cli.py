@@ -70,12 +70,11 @@ def _cmd_betti(opt) -> int:
 
 def _cmd_spectra(opt) -> int:
     K = read_facets(opt["file"])
-    i, tol, seed = opt["dim"], opt["tol"], opt["seed"]
+    i, seed = opt["dim"], opt["seed"]
     if opt["perron"]:
-        res = spectra.perron_vector(K, i, opt["normalization"], tol=tol,
-                                    seed=seed)
+        res = spectra.perron_vector(K, i, opt["normalization"], seed=seed)
     else:
-        res = spectra.spectral_radius(K, i, tol=tol, seed=seed)
+        res = spectra.spectral_radius(K, i, seed=seed)
     lines = [f"value={_fmt(res.value)} residual={_fmt(res.residual)} "
              f"iterations={res.iterations}"]
     if res.degenerate:
@@ -140,13 +139,9 @@ def _cmd_check(opt) -> int:
 
 
 def _cmd_search(opt) -> int:
-    tol = opt["tol"]
-    if opt["mode"] == "facets" and tol is not None:
-        raise BadParams("--mode facets takes no --tol")
     search = (extremal.max_facets_search if opt["mode"] == "facets"
               else extremal.max_spectral_search)
-    report = search(opt["n"], opt["t"], **({} if tol is None else {"tol": tol}),
-                    full_skeleton=opt["full_skeleton"])
+    report = search(opt["n"], opt["t"], full_skeleton=opt["full_skeleton"])
     payload = {"schema": JSON_SCHEMA_VERSION, "mode": opt["mode"],
                **report.to_dict()}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", opt["output"])
@@ -163,7 +158,7 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 def _cmd_inspect(opt) -> int:
     K = read_facets(opt["file"])
-    report = extremal.proof_inspector(K, tol=opt["tol"], seed=opt["seed"])
+    report = extremal.proof_inspector(K, seed=opt["seed"])
     d = report.to_dict()
     if opt["format"] == "json":
         _emit(json.dumps({"schema": JSON_SCHEMA_VERSION, **d}, sort_keys=True,
@@ -182,7 +177,7 @@ def _cmd_inspect(opt) -> int:
 
 def _cmd_asymptotic(opt) -> int:
     rows = extremal.asymptotic_check(opt["t"], _ints(opt["n"], "--n"),
-                                     tol=opt["tol"], seed=opt["seed"])
+                                     seed=opt["seed"])
     if opt["format"] == "json":
         payload = {"schema": JSON_SCHEMA_VERSION, "t": opt["t"],
                    "rows": [{"n": r.n, "q1": r.q1, "excess": r.excess,
@@ -243,7 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         return parent
 
     seed = option("--seed", type=int, default=0)
-    tol = option("--tol", type=float, default=1e-10)
     text_or_json = option("--format", choices=("text", "json"), default="text")
     csv_or_json = option("--format", choices=("csv", "json"), default="csv")
     out = option("-o", "--output", default=None)
@@ -266,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="print Betti numbers and Euler characteristic")
     b.add_argument("file")
 
-    s = sub.add_parser("spectra", parents=[seed, tol, out],
+    s = sub.add_parser("spectra", parents=[seed, out],
                        help="largest eigenvalue of the up signless Laplacian")
     s.add_argument("file")
     s.add_argument("--dim", type=int, required=True)
@@ -284,17 +278,16 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--mode", choices=("facets", "spectral"), required=True)
     se.add_argument("--n", type=int, required=True)
     se.add_argument("--t", type=int, required=True)
-    se.add_argument("--tol", type=float, default=None)
     se.add_argument("--full-skeleton", dest="full_skeleton",
                     action="store_true", default=True)
     se.add_argument("--no-full-skeleton", dest="full_skeleton",
                     action="store_false")
 
-    ins = sub.add_parser("inspect", parents=[seed, tol, csv_or_json, out],
+    ins = sub.add_parser("inspect", parents=[seed, csv_or_json, out],
                          help="proof-quantity inspector (CSV)")
     ins.add_argument("file")
 
-    a = sub.add_parser("asymptotic", parents=[seed, tol, csv_or_json, out],
+    a = sub.add_parser("asymptotic", parents=[seed, csv_or_json, out],
                        help="normalized spectral excess of the tent family")
     a.add_argument("--t", type=int, required=True)
     a.add_argument("--n", required=True, help="comma-separated list, e.g. 60,120,240")

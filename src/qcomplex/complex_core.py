@@ -46,9 +46,13 @@ def require_int(**values) -> None:
 def face(vertices: Iterable[int]) -> Face:
     """Normalize an iterable of vertex ids into a face tuple.
 
-    Vertices are sorted; duplicates and negative ids are rejected.
+    Vertices are sorted; ids that are no integer (`bool` included), are
+    negative or repeat are rejected.
     """
-    vs = tuple(sorted(vertices))
+    vs = tuple(vertices)
+    if not all(map(is_integer, vs)):
+        raise BadVertexId(f"vertex ids in {vs!r} are not integers")
+    vs = tuple(sorted(vs))
     if not vs:
         raise BadParams("a face needs at least one vertex")
     if vs[0] < 0:
@@ -116,17 +120,6 @@ class SimplicialComplex:
         graph = coo_array((np.ones(len(links[0]), np.int8), links), shape=(n, n))
         return connected_components(graph, directed=False)[0] == 1
 
-    # -- derived complexes --------------------------------------------------
-
-    def skeleton(self, r: int) -> "SimplicialComplex":
-        """Subcomplex of all faces of dimension at most ``r``."""
-        if not (is_integer(r) and 0 <= r <= self.dim):
-            raise DimensionOutOfRange(f"skeleton order {r} outside [0, {self.dim}]")
-        if r == self.dim:
-            return self
-        return from_facets(self.n_vertices, arrays=[self._rows[r]] + [
-            m for m in self._maximal if m.shape[1] <= r])
-
     # -- dunder plumbing ----------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -158,11 +151,16 @@ def from_facets(n: int, facets: Iterable[Iterable[int]] = (), require_pure: bool
     groups: dict[int, list] = {}
     for f in map(tuple, facets):
         groups.setdefault(len(f), []).append(f)
-    try:  # operator.index and a safe cast refuse what int64 would truncate
+    arrays = [np.asarray(a) for a in arrays]
+    try:  # operator.index and a safe cast refuse what int64 would truncate,
+        # but let bool through, which is no vertex id either
+        if any(a.dtype == bool for a in arrays) or any(
+                bool in map(type, chain.from_iterable(g)) for g in groups.values()):
+            raise TypeError
         blocks = [np.fromiter(map(operator.index, chain.from_iterable(group)),
                               np.int64, size * len(group)).reshape(len(group), size)
                   for size, group in groups.items()] + [
-            np.asarray(a).astype(np.int64, casting="safe", copy=False) for a in arrays]
+            a.astype(np.int64, casting="safe", copy=False) for a in arrays]
     except (TypeError, OverflowError):
         bad = next((f for group in groups.values() for f in group if not all(
             is_integer(v) and -2 ** 63 <= v < 2 ** 63 for v in f)), "an array")

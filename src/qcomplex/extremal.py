@@ -33,21 +33,22 @@ among the 2^20 masks at n = 6):
 
 The proof inspectors read the incidence arrays only: the vertices closing
 the peak face's edges come from `chains.coface_index`, and down-neighbour
-counts from N x = Q_down x - 3x (`chains.apply_q_down`). The large-n
+counts from N x = Q_down x - 3x (`chains.down_neighbor_sum`). The large-n
 asymptotics go through the Lanczos top-two solve in `spectra`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import permutations
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import chains, homology, spectra
-from .complex_core import Face, SimplicialComplex, from_facets, require_int
+from .complex_core import Face, SimplicialComplex, require_int
 from .errors import (
     BadParams,
     NoApex,
@@ -119,35 +120,26 @@ class _Tables(NamedTuple):
     popcount: np.ndarray          # int8 facet count per orbit
 
 
-_SPACE_CACHE: dict[int, _TriangleSpace] = {}
-_TABLE_CACHE: dict[int, _Tables] = {}
-_PERM_MAP_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _triangle_space(n: int) -> _TriangleSpace:
-    space = _SPACE_CACHE.get(n)
-    if space is None:
-        S = simplex_skeleton(n, 2)
-        alive = [np.ones(S.n_faces(i), dtype=bool) for i in range(3)]
-        signed = homology._residual_boundary(S, alive, 2)
-        faces = (chains.boundary_index_table(simplex_skeleton(n, 3), 3)
-                 if n > 3 else np.empty((0, 4), dtype=np.int64))
-        space = _SPACE_CACHE[n] = _TriangleSpace(
-            S, tuple(map(tuple, S.rows(2).tolist())), signed,
-            np.abs(signed).astype(np.float64), (1 << faces).sum(axis=1))
-    return space
+    S = simplex_skeleton(n, 2)
+    alive = [np.ones(S.n_faces(i), dtype=bool) for i in range(3)]
+    signed = homology._residual_boundary(S, alive, 2)
+    faces = (chains.boundary_index_table(simplex_skeleton(n, 3), 3)
+             if n > 3 else np.empty((0, 4), dtype=np.int64))
+    return _TriangleSpace(S, tuple(map(tuple, S.rows(2).tolist())), signed,
+                          np.abs(signed).astype(np.float64),
+                          (1 << faces).sum(axis=1))
 
 
+@functools.cache
 def _perm_triangle_maps(n: int) -> np.ndarray:
     """(n!, triangles) table: where each vertex permutation sends each
     triangle index."""
-    maps = _PERM_MAP_CACHE.get(n)
-    if maps is None:
-        S = _triangle_space(n).skeleton
-        perms = np.array(list(permutations(range(n))), dtype=np.int64)
-        images = np.sort(perms[:, S.rows(2)], axis=2).reshape(-1, 3)
-        maps = _PERM_MAP_CACHE[n] = S.row_index(images).reshape(len(perms), -1)
-    return maps
+    S = _triangle_space(n).skeleton
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    images = np.sort(perms[:, S.rows(2)], axis=2).reshape(-1, 3)
+    return S.row_index(images).reshape(len(perms), -1)
 
 
 def _mask_bits(mask: int) -> list[int]:
@@ -167,6 +159,7 @@ def _image_table(weights: np.ndarray) -> np.ndarray:
     return table
 
 
+@functools.cache
 def _tables(n: int) -> _Tables:
     """Orbit id of every mask, and each orbit's rank, full-skeleton
     coverage and facet count.
@@ -175,44 +168,39 @@ def _tables(n: int) -> _Tables:
     orbit is its least; its images, one row of each half-mask image table
     OR-ed, are the orbit. Ranks follow the rules in the module docstring.
     """
-    tables = _TABLE_CACHE.get(n)
-    if tables is None:
-        space = _triangle_space(n)
-        weights = (1 << _perm_triangle_maps(n)).astype(np.int32)
-        m = weights.shape[1]
-        h = m // 2
-        low, high = _image_table(weights[:, :h]), _image_table(weights[:, h:])
-        orbit = np.full(1 << m, -1, dtype=np.int32)
-        reps: list[int] = []
-        for start in range(0, orbit.size, _SCAN_CHUNK):
-            unseen = np.flatnonzero(orbit[start:start + _SCAN_CHUNK] < 0)
-            for mask in (unseen + start).tolist():
-                if orbit[mask] < 0:
-                    orbit[low[mask & (1 << h) - 1] | high[mask >> h]] = len(reps)
-                    reps.append(mask)
-        least = np.array(reps, dtype=np.int64)
-        bits = (least[:, None] >> np.arange(m) & 1).astype(float)
-        degree = bits @ space.signless.T   # edge degrees per representative
-        # free[i, k] > 0: triangle k of representative i has an edge that
-        # no other of its triangles has, so it lies in no 2-cycle
-        free = ((degree == 1) @ space.signless) * bits
-        drop = free.argmax(axis=1).tolist()
-        tets = space.tetrahedra   # drop a face of a tetrahedron in the mask
-        full = least[:, None] & tets == tets
-        face = np.where(full, tets & -tets, 0).max(axis=1, initial=0).tolist()
-        rank = np.zeros(len(reps), dtype=np.int8)
-        for i, mask in enumerate(reps):
-            if free[i, drop[i]]:
-                rank[i] = rank[orbit[mask ^ (1 << drop[i])]] + 1
-            elif face[i]:
-                rank[i] = rank[orbit[mask ^ face[i]]]
-            elif mask:
-                rank[i] = homology.integer_rank(
-                    space.signed[:, _mask_bits(mask)])
-        tables = _TABLE_CACHE[n] = _Tables(
-            orbit, least, rank,
-            (degree > 0).all(axis=1), bits.sum(axis=1).astype(np.int8))
-    return tables
+    space = _triangle_space(n)
+    weights = (1 << _perm_triangle_maps(n)).astype(np.int32)
+    m = weights.shape[1]
+    h = m // 2
+    low, high = _image_table(weights[:, :h]), _image_table(weights[:, h:])
+    orbit = np.full(1 << m, -1, dtype=np.int32)
+    reps: list[int] = []
+    for start in range(0, orbit.size, _SCAN_CHUNK):
+        unseen = np.flatnonzero(orbit[start:start + _SCAN_CHUNK] < 0)
+        for mask in (unseen + start).tolist():
+            if orbit[mask] < 0:
+                orbit[low[mask & (1 << h) - 1] | high[mask >> h]] = len(reps)
+                reps.append(mask)
+    least = np.array(reps, dtype=np.int64)
+    bits = (least[:, None] >> np.arange(m) & 1).astype(float)
+    degree = bits @ space.signless.T   # edge degrees per representative
+    # free[i, k] > 0: triangle k of representative i has an edge that
+    # no other of its triangles has, so it lies in no 2-cycle
+    free = ((degree == 1) @ space.signless) * bits
+    drop = free.argmax(axis=1).tolist()
+    tets = space.tetrahedra   # drop a face of a tetrahedron in the mask
+    full = least[:, None] & tets == tets
+    face = np.where(full, tets & -tets, 0).max(axis=1, initial=0).tolist()
+    rank = np.zeros(len(reps), dtype=np.int8)
+    for i, mask in enumerate(reps):
+        if free[i, drop[i]]:
+            rank[i] = rank[orbit[mask ^ (1 << drop[i])]] + 1
+        elif face[i]:
+            rank[i] = rank[orbit[mask ^ face[i]]]
+        elif mask:
+            rank[i] = homology.integer_rank(space.signed[:, _mask_bits(mask)])
+    return _Tables(orbit, least, rank, (degree > 0).all(axis=1),
+                   bits.sum(axis=1).astype(np.int8))
 
 
 def _q_values(n: int, masks: np.ndarray) -> np.ndarray:
@@ -255,28 +243,12 @@ def _domain_orbits(n: int, full_skeleton: bool) -> np.ndarray:
     return _tables(n).cover if full_skeleton else _tables(n).popcount > 0
 
 
-def _domain_masks(n: int, full_skeleton: bool) -> np.ndarray:
-    return np.flatnonzero(_domain_orbits(n, full_skeleton)[_tables(n).orbit])
-
-
 def _hits(n: int, t: int, full_skeleton: bool) -> np.ndarray:
     """Masks of the domain with top Betti number t, ascending."""
     domain = _domain_orbits(n, full_skeleton)
     tables = _tables(n)
     return np.flatnonzero(
         (domain & (tables.popcount - tables.rank == t))[tables.orbit])
-
-
-def enumerate_pure2(n: int, full_skeleton: bool = True) -> Iterator[SimplicialComplex]:
-    """Stream every pure 2-complex in the search domain, in mask order.
-
-    With ``full_skeleton`` the domain is exactly the triangle subsets
-    covering all possible edges; otherwise every nonempty subset.
-    """
-    masks = _domain_masks(n, full_skeleton)
-    space = _triangle_space(n)
-    for mask in masks:
-        yield from_facets(n, _mask_faces(space, int(mask)), require_pure=True)
 
 
 @dataclass(frozen=True)
@@ -382,17 +354,16 @@ def max_facets_search(n: int, t: int,
                         tent_attains_max=tent_hit)
 
 
-def max_spectral_search(n: int, t: int, tol: float = EPS_MAXIMIZER,
+def max_spectral_search(n: int, t: int,
                         full_skeleton: bool = True) -> SearchReport:
     """Exhaustive spectral-radius maximization over the (n, t) domain.
 
-    Reports all maximizers within ``tol`` of the maximum (up to
+    Reports all maximizers within `EPS_MAXIMIZER` of the maximum (up to
     isomorphism), whether the tent family attains the maximum, and any
     violations of the closed-form bound. Tent extremality is recorded,
     not asserted: it is only guaranteed for large n.
     """
     _check_search_params(n, t)
-    spectra.check_tol(tol)
     hits = _hits(n, t, full_skeleton)
     if hits.size == 0:
         return _empty_report(n, t, full_skeleton)
@@ -402,7 +373,7 @@ def max_spectral_search(n: int, t: int, tol: float = EPS_MAXIMIZER,
     # the representative of an orbit is a hit, so rep_qs.max() is no
     # larger than the labeled maximum
     bound = spectral_bound(n, 2, t)
-    near = orbits[(rep_qs >= rep_qs.max() - tol - RESOLVE_MARGIN)
+    near = orbits[(rep_qs >= rep_qs.max() - EPS_MAXIMIZER - RESOLVE_MARGIN)
                   | (rep_qs > bound + BOUND_SLACK - RESOLVE_MARGIN)]
     members = hits[np.isin(tables.orbit[hits], near)]
     qs = _q_values(n, members)
@@ -414,7 +385,7 @@ def max_spectral_search(n: int, t: int, tol: float = EPS_MAXIMIZER,
         if q > bound + BOUND_SLACK
     ]
     best = float(qs.max())
-    witnesses = _dedup_canonical(n, members[qs >= best - tol])
+    witnesses = _dedup_canonical(n, members[qs >= best - EPS_MAXIMIZER])
     tent_hit = _tent_canonical(n, t) in witnesses
     return SearchReport(n, t, full_skeleton, int(hits.size),
                         max_q1=best, spectral_witnesses=witnesses,
@@ -487,14 +458,7 @@ class InspectorReport:
         }
 
 
-def _down_sum(K: SimplicialComplex, x: np.ndarray) -> np.ndarray:
-    """Sum of ``x`` over each triangle's down neighbours (Q_down adds the
-    triangle itself three times); exact on small integer vectors."""
-    return chains.apply_q_down(K, 2, x) - 3 * x
-
-
-def proof_inspector(K: SimplicialComplex, tol: float = 1e-10,
-                    seed: int = 0) -> InspectorReport:
+def proof_inspector(K: SimplicialComplex, seed: int = 0) -> InspectorReport:
     """Measure the counting quantities that control extremal structure.
 
     Locates the face maximizing the Perron boundary sum, partitions the
@@ -506,8 +470,7 @@ def proof_inspector(K: SimplicialComplex, tol: float = 1e-10,
     if not K.is_path_connected(1):
         raise NotPathConnected("proof inspector needs a 1-path-connected complex")
     t = homology.betti_profile(K).betti[2]
-    result = spectra.perron_vector(K, 1, "max_boundary_sum_one",
-                                   tol=tol, seed=seed)
+    result = spectra.perron_vector(K, 1, "max_boundary_sum_one", seed=seed)
     sums = chains.boundary_sums(K, 1, result.vector)
     top = float(sums.max())
     # faces are sorted, so the least index in the near window is the least face
@@ -542,7 +505,8 @@ def proof_inspector(K: SimplicialComplex, tol: float = 1e-10,
         missing & (rows == v).any(axis=1) & (rows == w).any(axis=1)].tolist()))
     n_missing = int(missing.sum())
 
-    pair_count = int(_down_sum(K, _down_sum(K, np.ones(len(rows))))[k0])
+    n_down = chains.down_neighbor_sum(K, 2, np.ones(len(rows)))
+    pair_count = int(chains.down_neighbor_sum(K, 2, n_down)[k0])
 
     weak = a_sizes[0] + a_sizes[1]
     closing = a_sizes[3]
@@ -633,7 +597,7 @@ def perron_profile(K: SimplicialComplex) -> PerronProfile:
 
     missing_rows = []
     sums = chains.boundary_sums(K, 1, f)
-    n_down = _down_sum(K, np.ones(len(rows)))
+    n_down = chains.down_neighbor_sum(K, 2, np.ones(len(rows)))
     for k in np.flatnonzero(missing).tolist():
         pred = 3.0 / (2 * n - 3) + 3.0 * n_down[k] / (4.0 * n * n)
         missing_rows.append(row(",".join(map(str, rows[k].tolist())), sums[k],
@@ -652,13 +616,12 @@ class AsymptoticRow:
     error_bound: float
 
 
-def asymptotic_check(t: int, n_list, tol: float = 1e-10,
-                     seed: int = 0) -> list[AsymptoticRow]:
+def asymptotic_check(t: int, n_list, seed: int = 0) -> list[AsymptoticRow]:
     """Normalized spectral excess of the tent-plus-common-edge family.
 
     For each n computes g(n) = (q1 - (2n-3)) * n^3 / (9t), where q1 comes
-    from `spectra.spectral_radius` at residual tolerance ``tol`` (one
-    number for every n) and ``seed``. Restricted to t in {1, 2}, where the
+    from `spectra.spectral_radius` at residual tolerance
+    `spectra.RESIDUAL_TOL` and ``seed``. Restricted to t in {1, 2}, where the
     extremal complex is identified. Raises if the measured gap to the
     second eigenvalue is below `spectra.DEGENERACY_GAP` or the eigenvalue
     error bound is not comfortably below the signal 9t/n^3.
@@ -675,13 +638,12 @@ def asymptotic_check(t: int, n_list, tol: float = 1e-10,
         raise BadParams(f"max n is 240, got {ns[-1]}")
     if ns and ns[0] < t + 3:
         raise BadParams(f"need n >= t+3, got {ns[0]}")
-    spectra.check_tol(tol)
     spectra.check_seed(seed)
     rows = []
     eps = np.finfo(np.float64).eps
     for n in ns:
         K = tent_plus_common_edge(n, t)
-        res = spectra.spectral_radius(K, 1, tol=tol, seed=seed)
+        res = spectra.spectral_radius(K, 1, seed=seed)
         if res.degenerate:
             raise PrecisionInsufficient(
                 f"top eigenvalue numerically multiple at n={n}")

@@ -7,7 +7,8 @@ implicitly restarted Lanczos (ARPACK, through
 Q_up = B B^T by `chains.apply_q_up`: gathers and one scatter over the
 cached boundary index table, with no matrix formed. On either path the
 gap between the top two eigenvalues is the measured gap behind
-``degenerate``, and a pair whose residual is above ``tol`` is refused.
+``degenerate``, and a pair whose residual is above `RESIDUAL_TOL` is
+refused.
 The final eigenvalue is always re-evaluated with compensated summation
 so that the asymptotic runs at n = 240 keep absolute accuracy near 1e-12.
 """
@@ -15,7 +16,6 @@ so that the asymptotic runs at n = 240 keep absolute accuracy near 1e-12.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +35,10 @@ DENSE_CUTOFF = 512
 
 #: Top eigenvalues closer than this are reported as numerically multiple.
 DEGENERACY_GAP = 1e-9
+
+#: A top eigenpair whose residual is above this is refused. Both solvers
+#: run to machine precision whatever its value, so it only gates.
+RESIDUAL_TOL = 1e-10
 
 #: Lanczos raises `NoConvergence` after max(LANCZOS_MIN_APPLICATIONS,
 #: LANCZOS_APPLICATIONS_PER_FACE * |S_i|) applications of Q_up.
@@ -60,12 +64,6 @@ class SpectralResult:
     iterations: int
     normalization: str
     degenerate: bool = False
-
-
-def check_tol(tol) -> None:
-    """Refuse a tolerance that is not a nonnegative number (NaN included)."""
-    if not (isinstance(tol, numbers.Real) and tol >= 0):
-        raise BadParams(f"tol must be a nonnegative number, got {tol!r}")
 
 
 def check_seed(seed) -> None:
@@ -110,20 +108,18 @@ def _lanczos_top2(K: SimplicialComplex, i: int, seed: int):
     return vecs[:, 1], float(ritz[1] - ritz[0]), applied
 
 
-def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
-                    seed: int = 0) -> SpectralResult:
+def spectral_radius(K: SimplicialComplex, i: int, seed: int = 0) -> SpectralResult:
     """Largest eigenvalue of the i-up signless Laplacian.
 
     Up to `DENSE_CUTOFF` faces this is a full eigensolve; above it, the
     top two Ritz pairs by restarted Lanczos from a seeded positive start.
     The value is the Rayleigh quotient of the returned vector, evaluated
-    in compensated summation. A pair whose residual exceeds ``tol``, or a
-    Lanczos run past its application cap, raises `NoConvergence`, with
-    ``iterations`` 0 for a dense solve. The returned vector has unit norm
+    in compensated summation. A pair whose residual exceeds `RESIDUAL_TOL`,
+    or a Lanczos run past its application cap, raises `NoConvergence`,
+    with ``iterations`` 0 for a dense solve. The returned vector has unit norm
     and entries summing to at least zero. ``degenerate`` is set when the
     measured gap to the second eigenvalue is below `DEGENERACY_GAP`.
     """
-    check_tol(tol)
     check_seed(seed)
     if not (is_integer(i) and 0 <= i < K.dim):
         raise DimensionOutOfRange(
@@ -142,32 +138,29 @@ def spectral_radius(K: SimplicialComplex, i: int, tol: float = 1e-10,
     # a dense pair's residual is taken at its eigh value, a Lanczos one at
     # the Rayleigh quotient
     residual = _residual(K, i, f, value if iterations else float(eigs[-1]))
-    if residual > tol:
+    if residual > RESIDUAL_TOL:
         raise NoConvergence(
-            f"residual {residual:.3e} above tol {tol:.1e} "
+            f"residual {residual:.3e} above tol {RESIDUAL_TOL:.1e} "
             f"({iterations} Lanczos operator applications)",
             iterations=iterations, residual=residual)
     return SpectralResult(value, f, residual, iterations, "unit_norm",
                           gap < DEGENERACY_GAP)
 
 
-def perron_vector(K: SimplicialComplex, i: int,
-                  normalization: str = "unit_norm", tol: float = 1e-10,
+def perron_vector(K: SimplicialComplex, i: int, normalization: str = "unit_norm",
                   seed: int = 0) -> SpectralResult:
     """Strictly positive top eigenvector of an i-path-connected complex."""
     if normalization not in NORMALIZATIONS:
         raise BadParams(f"normalization must be one of {NORMALIZATIONS}")
-    check_tol(tol)
     check_seed(seed)
     if not K.is_path_connected(i):
         raise NotPathConnected(f"complex is not {i}-path connected")
-    res = spectral_radius(K, i, tol=tol, seed=seed)
+    res = spectral_radius(K, i, seed=seed)
     f = res.vector
     if not res.degenerate and f.min() <= 0.0:
         raise NoConvergence(
-            "Perron vector has nonpositive entries despite connectivity; "
-            "tighten the tolerance", iterations=res.iterations,
-            residual=res.residual)
+            "Perron vector has nonpositive entries despite connectivity",
+            iterations=res.iterations, residual=res.residual)
     if normalization == "max_boundary_sum_one":
         f = f / chains.boundary_sums(K, i, f).max()
     else:
@@ -215,12 +208,8 @@ def second_order_identity_check(K: SimplicialComplex, i: int,
     _require_residual(result)
     g = chains.boundary_sums(K, i, result.vector)
     k = i + 2  # vertices per (i+1)-face
-
-    def down_neighbor_sum(x: np.ndarray) -> np.ndarray:
-        return chains.apply_q_down(K, i + 1, x) - k * x
-
-    ng = down_neighbor_sum(g)
-    nng = down_neighbor_sum(ng)
+    ng = chains.down_neighbor_sum(K, i + 1, g)
+    nng = chains.down_neighbor_sum(K, i + 1, ng)
     lhs = (result.value ** 2) * g
     rhs = (k * k) * g + 2 * k * ng + nng
     return float(np.abs(lhs - rhs).max())

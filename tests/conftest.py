@@ -86,6 +86,26 @@ def boundary_matrix(K, i, signed=True):
                          shape=(K.n_faces(i - 1), K.n_faces(i)))
 
 
+def full_laplacian(K, i):
+    """Oracle: the dense Hodge Laplacian L_up + L_down on the i-faces, from
+    the products of the signed boundaries (a part that does not exist at
+    the boundary dimensions is zero)."""
+    L = np.zeros((K.n_faces(i), K.n_faces(i)))
+    if i < K.dim:
+        B = boundary_matrix(K, i + 1)
+        L += (B @ B.T).toarray()
+    if i >= 1:
+        B = boundary_matrix(K, i)
+        L += (B.T @ B).toarray()
+    return L
+
+
+def q_down(K, i):
+    """Oracle: the dense i-down signless Laplacian B^T B, 1 <= i <= dim."""
+    B = boundary_matrix(K, i, signed=False)
+    return (B.T @ B).toarray()
+
+
 def has_face(K, F):
     """Oracle: whether the tuple ``F`` is a face of K."""
     return 0 < len(F) <= K.dim + 1 and tuple(F) in faces(K, len(F) - 1)

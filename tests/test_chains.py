@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +30,8 @@ from qcomplex.chains import LAPLACIAN_KINDS
 from qcomplex.errors import (BadParams, DimensionOutOfRange, LengthMismatch,
                              TooLarge)
 
-from conftest import (boundary_matrix, face_degree, faces, mixed_complexes,
-                      pure2_complexes, suspension)
+from conftest import (boundary_matrix, face_degree, faces, full_laplacian,
+                      mixed_complexes, pure2_complexes, q_down, suspension)
 
 
 def fraction_rank(M):
@@ -157,7 +156,7 @@ class TestLaplacian:
                     assert Q[a, b] == (1 if spans_facet else 0)
 
     def test_connected_graph_laplacian_kernel(self):
-        K = tented(5, 2).skeleton(1)
+        K = from_facets(5, arrays=[tented(5, 2).rows(1)])
         L0 = laplacian(K, 0, "L_up")
         eigs = np.linalg.eigvalsh(L0)
         assert (np.abs(eigs) < 1e-9).sum() == 1
@@ -170,7 +169,10 @@ class TestLaplacian:
         with pytest.raises(DimensionOutOfRange):
             laplacian(triangle, 2, "Q_up")
         with pytest.raises(DimensionOutOfRange):
-            laplacian(triangle, 0, "Q_down")
+            laplacian(triangle, 0, "L_down")
+        for kind in ("L_full", "Q_down"):  # test oracles only
+            with pytest.raises(BadParams):
+                laplacian(triangle, 1, kind)
 
     def test_q_up_diagonal_is_degree(self, delta4):
         Q = laplacian(delta4, 1, "Q_up")
@@ -181,7 +183,7 @@ class TestLaplacian:
     @settings(max_examples=20, deadline=None)
     def test_nonzero_spectra_up_down_agree(self, K):
         up = np.linalg.eigvalsh(laplacian(K, 1, "Q_up"))
-        down = np.linalg.eigvalsh(laplacian(K, 2, "Q_down"))
+        down = np.linalg.eigvalsh(q_down(K, 2))
         nz_up = sorted(x for x in up if x > 1e-8)
         nz_down = sorted(x for x in down if x > 1e-8)
         assert len(nz_up) == len(nz_down)
@@ -190,7 +192,7 @@ class TestLaplacian:
     @given(pure2_complexes())
     @settings(max_examples=20, deadline=None)
     def test_symmetry_and_psd(self, K):
-        for kind in ("Q_up", "L_full"):
+        for kind in LAPLACIAN_KINDS:
             M = laplacian(K, 1, kind)
             assert np.allclose(M, M.T)
             assert np.linalg.eigvalsh(M)[0] > -1e-9
@@ -200,25 +202,11 @@ def sparse_laplacian(K, i, kind):
     """The sparse product of the boundaries (test oracle for the dense
     `laplacian` scatter)."""
     signed = kind.startswith("L")
-
-    def up():
-        B = boundary_matrix(K, i + 1, signed)
-        return (B @ B.T).tocsr()
-
-    def down():
+    if kind.endswith("down"):
         B = boundary_matrix(K, i, signed)
         return (B.T @ B).tocsr()
-
-    if kind.endswith("up"):
-        return up()
-    if kind.endswith("down"):
-        return down()
-    M = sp.csr_matrix((K.n_faces(i), K.n_faces(i)), dtype=np.float64)
-    if i < K.dim:
-        M = M + up()
-    if i >= 1:
-        M = M + down()
-    return M.tocsr()
+    B = boundary_matrix(K, i + 1, signed)
+    return (B @ B.T).tocsr()
 
 
 def valid_operators(K):
@@ -241,8 +229,13 @@ class TestLaplacianForms:
             assert dense.tobytes() == oracle.tobytes()
 
     def test_vertex_only_complex(self):
+        # no kind exists on the vertices of a 0-complex; the Hodge oracle
+        # there is the 2 x 2 zero matrix
         K = from_facets(2, [(0,), (1,)])
-        L = laplacian(K, 0, "L_full")
+        for kind in LAPLACIAN_KINDS:
+            with pytest.raises(DimensionOutOfRange):
+                laplacian(K, 0, kind)
+        L = full_laplacian(K, 0)
         assert L.dtype == np.float64 and not L.any() and L.shape == (2, 2)
 
     def test_too_large_refused_before_scatter(self, monkeypatch):
@@ -280,7 +273,7 @@ class TestApplyQUp:
     @given(pure2_complexes())
     @settings(max_examples=20, deadline=None)
     def test_q_down_matches_explicit(self, K):
-        Qd = laplacian(K, 2, "Q_down")
+        Qd = q_down(K, 2)
         rng = np.random.default_rng(0)
         g = rng.standard_normal(K.n_faces(2))
         assert np.abs(apply_q_down(K, 2, g) - Qd @ g).max() <= 1e-12

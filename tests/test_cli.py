@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from qcomplex import (delta_sphere, from_facets, max_spectral_search, perron_vector,
-                      read_facets, tent_plus_common_edge, tented, write_facets)
-from qcomplex import cli
+from qcomplex import (delta_sphere, from_facets, perron_vector, read_facets,
+                      tent_plus_common_edge, tented, write_facets)
+from qcomplex import cli, spectra
 from qcomplex.cli import main
 
 from conftest import faces
@@ -113,11 +113,13 @@ class TestBettiAndSpectra:
 
     @pytest.mark.parametrize("command", [("spectra", "--dim", "1"),
                                          ("inspect",)])
-    def test_tol_zero_is_honoured(self, command, tmp_path, capsys):
-        # a zero tolerance is never met, so the solver must refuse
+    def test_tol_zero_is_honoured(self, command, tmp_path, capsys,
+                                  monkeypatch):
+        # a zero residual gate is never met, so the solver must refuse
         f = tmp_path / "t.facets"
         run_cli("gen", "tented", "--n", "8", "--r", "2", "-o", str(f))
-        assert run_cli(command[0], str(f), *command[1:], "--tol", "0") == 1
+        monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
+        assert run_cli(command[0], str(f), *command[1:]) == 1
         assert "error no_convergence:" in capsys.readouterr().err
 
     def test_round_trip_gen_betti_never_errors(self, tmp_path):
@@ -187,25 +189,6 @@ class TestSearch:
             run_cli("search", "--mode", "facets", "--n", "5", "--t", "1",
                     "--workers", "2")
         assert exc.value.code == 2
-
-    def test_spectral_tol_passed_on(self, tmp_path):
-        out = tmp_path / "rep.json"
-        assert run_cli("search", "--mode", "spectral", "--n", "5", "--t", "1",
-                       "--tol", "0.5", "-o", str(out)) == 0
-        want = max_spectral_search(5, 1, tol=0.5).to_dict()
-        assert want != max_spectral_search(5, 1).to_dict()
-        assert json.loads(out.read_text()) == {"schema": 1, "mode": "spectral",
-                                               **want}
-
-    def test_spectral_nan_tol_refused(self, capsys):
-        assert run_cli("search", "--mode", "spectral", "--n", "5", "--t", "1",
-                       "--tol", "nan") == 2
-        assert "error bad_params:" in capsys.readouterr().err
-
-    def test_facets_tol_refused(self, capsys):
-        assert run_cli("search", "--mode", "facets", "--n", "5", "--t", "1",
-                       "--tol", "1e-9") == 2
-        assert "error bad_params:" in capsys.readouterr().err
 
     def test_usage_error_on_bad_t(self):
         assert run_cli("search", "--mode", "facets", "--n", "5", "--t", "9") == 2
@@ -297,12 +280,12 @@ class TestInspectAndAsymptotic:
         assert err.rstrip().endswith(token)
 
 
-#: Of --seed, --tol, --format and -o, the options each subcommand reads.
+#: Of --seed, --tol, --format and -o, the options each subcommand reads;
+#: none reads --tol, so every subcommand refuses it.
 READS = {"gen": {"--seed", "-o"}, "betti": {"--format", "-o"},
-         "spectra": {"--seed", "--tol", "-o"}, "check": {"--seed", "-o"},
-         "search": {"--tol", "-o"},
-         "inspect": {"--seed", "--tol", "--format", "-o"},
-         "asymptotic": {"--seed", "--tol", "--format", "-o"},
+         "spectra": {"--seed", "-o"}, "check": {"--seed", "-o"},
+         "search": {"-o"}, "inspect": {"--seed", "--format", "-o"},
+         "asymptotic": {"--seed", "--format", "-o"},
          "acceptance": {"-o"}}
 REQUIRED = {"gen": ["tented"], "betti": ["k.facets"],
             "spectra": ["k.facets", "--dim", "1"], "check": ["k.facets"],

@@ -29,7 +29,7 @@ from qcomplex import (
     tented,
     write_facets,
 )
-from qcomplex import cli, complex_core, extremal, families
+from qcomplex import cli, complex_core, families
 from qcomplex.errors import (
     BadParams,
     BadVertexId,
@@ -80,6 +80,22 @@ class TestFromFacets:
         K = from_facets(np.int64(5), [(np.int64(0), 1, np.int32(2)),
                                       (np.uint8(2), 3, 4)])
         assert K == from_facets(5, [(0, 1, 2), (2, 3, 4)])
+
+    @pytest.mark.parametrize("build", [
+        lambda: from_facets(3, [(False, True, 2)]),
+        lambda: from_facets(3, arrays=[np.array([[False, True]])]),
+        lambda: face([False, True, 2]),
+        lambda: tent_plus_faces(5, [(True, 2, 3)]),
+        lambda: face([np.True_, 2]),
+        lambda: face([0.5, 1]),
+        lambda: face(["1", 2]),
+    ], ids=["tuples", "bool_array", "face", "tent_plus_faces", "face_np_bool",
+            "face_float", "face_str"])
+    def test_vertex_id_that_is_no_integer_refused(self, build):
+        # bool is an int subclass and a bool array casts safely to int64,
+        # but True is no vertex id
+        with pytest.raises(BadVertexId):
+            build()
 
     def test_empty_facets(self):
         with pytest.raises(BadParams):
@@ -220,7 +236,7 @@ class TestConstructionAgainstSetOracle:
 
         monkeypatch.setattr(SimplicialComplex, "facets", property(
             counted("facets", SimplicialComplex.facets.fget)))
-        for mod in (complex_core, families, extremal):
+        for mod in (complex_core, families):
             def from_rows_only(n, facets=(), *args, _build=mod.from_facets, **kw):
                 if facets:
                     calls.append("from_facets with Python facets")
@@ -462,35 +478,15 @@ class TestPathConnected:
         self._check_deletions(hung, 1)
 
 
-class TestSkeleton:
-    def test_delta4_one_skeleton_is_k4(self, delta4):
-        K1 = delta4.skeleton(1)
-        assert K1.dim == 1
-        assert faces(K1, 1) == tuple(combinations(range(4), 2))
-
-    def test_tent_one_skeleton_is_complete(self):
-        for n in (5, 7):
-            K1 = tented(n, 2).skeleton(1)
-            assert faces(K1, 1) == tuple(combinations(range(n), 2))
-
-    def test_full_skeleton_is_identity(self, delta4):
-        assert delta4.skeleton(2) is delta4
-
-    def test_out_of_range(self, delta4):
-        with pytest.raises(DimensionOutOfRange):
-            delta4.skeleton(3)
-
-
 class TestDimensionIndex:
     ENTRY_POINTS = {
         "rows": lambda K, i: K.rows(i),
         "n_faces": lambda K, i: K.n_faces(i),
         "faces": faces,
-        "skeleton": lambda K, i: K.skeleton(i),
         "is_path_connected": lambda K, i: K.is_path_connected(i),
         "boundary_index_table": boundary_index_table,
         "coface_index": coface_index,
-        "laplacian": lambda K, i: laplacian(K, i, "L_full"),
+        "laplacian": lambda K, i: laplacian(K, i, "L_up"),
         "hodge_betti": hodge_betti,
         "spectral_radius": spectral_radius,
     }

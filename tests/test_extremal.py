@@ -11,7 +11,6 @@ from qcomplex import (
     betti_profile,
     canonical_form,
     detect_apex,
-    enumerate_pure2,
     facet_bound,
     from_facets,
     max_facets_search,
@@ -31,7 +30,7 @@ from qcomplex.errors import (
 from qcomplex.chains import boundary_sums
 from qcomplex.extremal import (
     EPS_MAXIMIZER, RESOLVE_MARGIN, InspectorReport, PerronProfile, ProfileRow,
-    _dedup_canonical, _domain_masks, _mask_faces, _q_values, _tables,
+    _dedup_canonical, _domain_orbits, _mask_faces, _q_values, _tables,
     _triangle_space)
 
 from conftest import (down_neighbors, down_neighbors_via_vertex, face_index,
@@ -70,29 +69,39 @@ def brute_force_covering_count(n):
     return count
 
 
+def domain_masks(n, full_skeleton):
+    """The masks of the search domain, ascending."""
+    return np.flatnonzero(_domain_orbits(n, full_skeleton)[_tables(n).orbit])
+
+
 class TestEnumeration:
     def test_n4_five_complexes(self):
-        got = list(enumerate_pure2(4))
+        space = _triangle_space(4)
+        got = [from_facets(4, _mask_faces(space, mask), require_pure=True)
+               for mask in domain_masks(4, True).tolist()]
         assert len(got) == 5 == brute_force_covering_count(4)
         sizes = sorted(len(K.facets) for K in got)
         assert sizes == [3, 3, 3, 3, 4]
 
     def test_n5_golden_count(self):
-        got = sum(1 for _ in enumerate_pure2(5))
+        got = domain_masks(5, True).size
         assert got == 388  # frozen from the brute-force oracle
         assert got == brute_force_covering_count(5)
 
     def test_unrestricted_counts_all_nonempty_subsets(self):
-        got = sum(1 for _ in enumerate_pure2(4, full_skeleton=False))
+        got = domain_masks(4, False).size
         assert got == 2 ** 4 - 1
 
-    def test_too_large(self):
-        with pytest.raises(TooLarge):
-            next(enumerate_pure2(7))
-        with pytest.raises(TooLarge):
-            next(enumerate_pure2(6, full_skeleton=False))
-        with pytest.raises(TooLarge):  # refused before any triangle table
-            next(enumerate_pure2(10))
+    def test_too_large(self, monkeypatch):
+        def build(n):  # refused before any triangle table
+            raise AssertionError(f"tables built for n={n}")
+        monkeypatch.setattr(extremal, "_tables", build)
+        for n, full_skeleton in ((7, True), (6, False), (10, True)):
+            with pytest.raises(TooLarge):
+                _domain_orbits(n, full_skeleton)
+            for search in (max_facets_search, max_spectral_search):
+                with pytest.raises(TooLarge):
+                    search(n, 1, full_skeleton=full_skeleton)
 
     def test_search_betti_matches_exact_profile(self):
         # dual route: the orbit rank table against coreduced Betti numbers
@@ -240,7 +249,7 @@ class TestOrbits:
     @pytest.mark.parametrize("n,sample", [(5, None), (6, 3000)])
     def test_members_solve_within_margin(self, n, sample):
         tables = _tables(n)
-        masks = _domain_masks(n, True)
+        masks = domain_masks(n, True)
         orbits = tables.orbit[masks]
         hits = masks[tables.popcount[orbits] - tables.rank[orbits] <= 2]
         if sample is not None:
@@ -277,8 +286,9 @@ class TestRankTable:
         rank = homology.integer_rank
         monkeypatch.setattr(homology, "integer_rank",
                             lambda A: calls.append(A.shape) or rank(A))
-        for cache in ("_SPACE_CACHE", "_TABLE_CACHE", "_PERM_MAP_CACHE"):
-            monkeypatch.setattr(extremal, cache, {})
+        for build in (extremal._triangle_space, extremal._perm_triangle_maps,
+                      extremal._tables):
+            build.cache_clear()
         tables = _tables(n)
         assert len(calls) == eliminations
         assert tables.rank[0] == 0 and tables.reps[0] == 0
@@ -299,7 +309,7 @@ class TestDedup:
     @pytest.mark.parametrize("t", [0, 1, 2])
     def test_n5_witness_sets_match_canonical_form(self, t):
         tables = _tables(5)
-        masks = _domain_masks(5, True)
+        masks = domain_masks(5, True)
         popcount = tables.popcount[tables.orbit]
         hits = masks[popcount[masks] - tables.rank[tables.orbit[masks]] == t]
         qs = _q_values(5, hits)
@@ -334,22 +344,17 @@ class TestSearchParamGuards:
         calls = [(max_facets_search, (5, 1.5)), (max_facets_search, (5.0, 1)),
                  (max_spectral_search, (5, 1.5)),
                  (max_spectral_search, (5.0, 1)),
-                 (lambda *a: next(enumerate_pure2(*a)), (5.0,))]
+                 (_domain_orbits, (5.0, True))]
         for fn, args in calls:
             with pytest.raises(BadParams):
                 fn(*args)
-
-    @pytest.mark.parametrize("tol", [math.nan, -1e-12, "0"])
-    def test_bad_spectral_tol_refused(self, tol):
-        with pytest.raises(BadParams):
-            max_spectral_search(5, 1, tol=tol)
 
 
 def per_mask_search(n, t):
     """Oracle: the hits with beta_2 = t of the n-vertex domain and their top
     eigenvalues, each solved on its own."""
     tables = _tables(n)
-    masks = _domain_masks(n, True)
+    masks = domain_masks(n, True)
     orbits = tables.orbit[masks]
     hits = masks[tables.popcount[orbits] - tables.rank[orbits] == t]
     space = _triangle_space(n)
@@ -360,9 +365,11 @@ def per_mask_search(n, t):
 class TestOrbitResolve:
     @pytest.mark.parametrize("t", [0, 1, 2])
     @pytest.mark.parametrize("tol", [EPS_MAXIMIZER, 0.0, 0.5])
-    def test_maximum_and_witnesses_match_per_mask_search(self, t, tol):
+    def test_maximum_and_witnesses_match_per_mask_search(self, t, tol,
+                                                         monkeypatch):
+        monkeypatch.setattr(extremal, "EPS_MAXIMIZER", tol)
         hits, qs = per_mask_search(5, t)
-        rep = max_spectral_search(5, t, tol=tol)
+        rep = max_spectral_search(5, t)
         assert rep.max_q1 == float(qs.max())
         assert rep.spectral_witnesses == canonical_oracle(
             5, hits[qs >= qs.max() - tol])
@@ -448,9 +455,10 @@ class TestMaxSpectralSearch:
             rep = max_spectral_search(n, t)
             assert rep.max_q1 > 2 * n - 3
 
-    def test_cold_and_warm_cache_reports_equal(self, monkeypatch):
-        for cache in ("_SPACE_CACHE", "_TABLE_CACHE", "_PERM_MAP_CACHE"):
-            monkeypatch.setattr(extremal, cache, {})
+    def test_cold_and_warm_cache_reports_equal(self):
+        for build in (extremal._triangle_space, extremal._perm_triangle_maps,
+                      extremal._tables):
+            build.cache_clear()
         cold = max_spectral_search(5, 1), max_facets_search(5, 2)
         warm = max_spectral_search(5, 1), max_facets_search(5, 2)
         assert cold == warm
@@ -672,16 +680,6 @@ class TestAsymptoticCheck:
     def test_n_cap(self):
         with pytest.raises(BadParams):
             asymptotic_check(1, [300])
-
-    @pytest.mark.parametrize("tols", [math.nan, -1.0, [1e-10, 1e-10]])
-    def test_bad_tol_refused(self, tols, monkeypatch):
-        # one number for every n, checked before the first solve: a per-n
-        # list is refused
-        def solve(*args, **kwargs):
-            raise AssertionError("solved before the tolerance was checked")
-        monkeypatch.setattr(spectra, "spectral_radius", solve)
-        with pytest.raises(BadParams):
-            asymptotic_check(1, [40, 80], tol=tols)
 
     @pytest.mark.parametrize("seed", [-3, 1.5])
     def test_bad_seed_refused(self, seed, monkeypatch):

@@ -30,8 +30,8 @@ from qcomplex.errors import (
     TooLarge,
 )
 
-from conftest import (boundary_matrix, face_degree, faces, mixed_complexes,
-                      pure2_complexes, suspension)
+from conftest import (boundary_matrix, face_degree, faces, full_laplacian,
+                      mixed_complexes, pure2_complexes, suspension)
 from test_chains import fraction_rank
 
 
@@ -455,7 +455,7 @@ class TestHodgeBetti:
             assert hodge_betti(K, i) == dense_hodge_betti(K, i)
             # thresholds whose guard band edges sit away from every
             # eigenvalue refuse in both paths or in neither, else agree
-            eigs = np.linalg.eigvalsh(chains.laplacian(K, i, "L_full"))
+            eigs = np.linalg.eigvalsh(full_laplacian(K, i))
             for zero_tol in (1e-3, 0.0173, 0.31, 1.37):
                 edges = np.array([zero_tol, 100 * zero_tol])
                 if np.abs(eigs[:, None] - edges).min() < 1e-6:
@@ -506,7 +506,7 @@ def dense_hodge_betti(K, i, zero_tol=1e-8):
     """Oracle for hodge_betti: the eigenvalues of the full Laplacian
     L_down + L_up on the i-faces, below the threshold, with the same
     guard band."""
-    eigs = np.linalg.eigvalsh(chains.laplacian(K, i, "L_full"))
+    eigs = np.linalg.eigvalsh(full_laplacian(K, i))
     band = eigs[(eigs >= zero_tol) & (eigs < 100 * zero_tol)]
     if band.size:
         raise SpectrumAmbiguous(f"eigenvalue {band[0]:.3e} in the guard band")

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 import qcomplex
@@ -13,7 +15,7 @@ def test_public_names_are_pinned():
         "apply_q_down", "apply_q_up", "asymptotic_check", "betti_profile",
         "boundary_sums", "canonical_form", "check_basic_hole_properties",
         "delta_sphere", "detect_apex",
-        "enumerate_pure2", "errors", "euler_characteristic", "face",
+        "errors", "euler_characteristic", "face",
         "facet_bound", "from_facets", "hodge_betti", "integer_rank",
         "is_basic_hole", "laplacian", "max_facets_search",
         "max_spectral_search", "perron_profile", "perron_vector",
@@ -47,7 +49,6 @@ BOOL_ARGUMENTS = {
     "spectral_bound": lambda: qcomplex.spectral_bound(True, 2, 1),
     "max_facets_search": lambda: qcomplex.max_facets_search(5, True),
     "max_spectral_search": lambda: qcomplex.max_spectral_search(6, True),
-    "enumerate_pure2": lambda: next(qcomplex.enumerate_pure2(True)),
     "asymptotic_check t": lambda: qcomplex.asymptotic_check(True, [60]),
     "asymptotic_check n": lambda: qcomplex.asymptotic_check(1, [True]),
     "simplex_skeleton": lambda: qcomplex.simplex_skeleton(6, True),
@@ -71,3 +72,12 @@ def test_bool_is_not_an_integer_parameter(call):
     # like any other non-integer, before numpy sees it
     with pytest.raises(errors.BadParams, match="True"):
         call()
+
+
+def test_no_entry_point_takes_a_tolerance():
+    # the residual gate and the witness window are fixed constants
+    # (spectra.RESIDUAL_TOL, extremal.EPS_MAXIMIZER), not parameters
+    for name in qcomplex.__all__:
+        obj = getattr(qcomplex, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            assert "tol" not in inspect.signature(obj).parameters, name

@@ -28,7 +28,7 @@ from qcomplex.errors import (
 from qcomplex import spectra
 from qcomplex.spectra import DEGENERACY_GAP, DENSE_CUTOFF, SpectralResult
 
-from conftest import dense_q_up_spectrum, pure2_complexes
+from conftest import dense_q_up_spectrum, pure2_complexes, q_down
 
 
 def twin_tents(n, extra_face):
@@ -70,8 +70,8 @@ class TestSpectralRadius:
 
     def test_residual_bound_respected(self, monkeypatch):
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
-        res = spectral_radius(tented(12, 2), 1, tol=1e-8)
-        assert res.iterations > 0 and res.residual <= 1e-8
+        res = spectral_radius(tented(12, 2), 1)
+        assert res.iterations > 0 and res.residual <= spectra.RESIDUAL_TOL
 
     def test_no_convergence(self, monkeypatch):
         monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
@@ -98,12 +98,6 @@ class TestSpectralRadius:
             assert exc.value.iterations == cap
             assert math.isfinite(exc.value.residual)
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-10"])
-    def test_bad_tol_refused(self, tol):
-        # before any solve: -1 used to run 21 operator applications
-        with pytest.raises(BadParams):
-            spectral_radius(tented(8, 2), 1, tol=tol)
-
     @pytest.mark.parametrize("method", ["dense", "lanczos"])
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None])
     def test_bad_seed_refused(self, seed, method, monkeypatch):
@@ -121,8 +115,9 @@ class TestSpectralRadius:
         def lanczos(*args, **kwargs):
             raise AssertionError("Lanczos ran on a dense-size complex")
         monkeypatch.setattr(spectra, "_lanczos_top2", lanczos)
+        monkeypatch.setattr(spectra, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NoConvergence) as exc:
-            spectral_radius(tented(8, 2), 1, tol=0.0)
+            spectral_radius(tented(8, 2), 1)
         assert exc.value.iterations == 0
         assert 0 < exc.value.residual <= 1e-10
 
@@ -211,12 +206,6 @@ class TestPerronVector:
         res = perron_vector(tent_plus_common_edge(7, 2), 1)
         assert res.vector.min() > 0
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0])
-    def test_bad_tol_refused(self, tol, two_triangles):
-        # refused before the connectivity check
-        with pytest.raises(BadParams):
-            perron_vector(two_triangles, 1, tol=tol)
-
     @pytest.mark.parametrize("seed", [-1, 2.0])
     def test_bad_seed_refused(self, seed, two_triangles):
         # refused before the connectivity check
@@ -242,8 +231,7 @@ class TestTransferToDown:
         res = spectral_radius(delta4, 1)
         g = transfer_to_down(delta4, 1, res)
         # oracle: explicit 4x4 down operator via the dense boundary
-        from qcomplex import laplacian
-        Qd = laplacian(delta4, 2, "Q_down")
+        Qd = q_down(delta4, 2)
         assert np.abs(Qd @ g - 6.0 * g).max() <= 1e-9
         assert np.allclose(g, g[0])
 
