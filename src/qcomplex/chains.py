@@ -11,10 +11,14 @@ no face tuple is made) and its transpose `coface_index`, the signed coface
 lists that the down operators, the deletion connectivity test, `homology`
 and the proof inspector read. On top of them sit
 
-* operator applications (`apply_q_up`, `apply_q_down`, `boundary_sums`)
-  that never form a matrix: gathers and one `np.bincount` scatter of the
-  index table. The eigensolvers and the check battery run on these;
-* the dense `laplacian` for desk-scale instances, one scatter of either.
+* up-connectivity of the i-faces: `is_path_connected`, and
+  `up_connected_after_deletion` with each (i+1)-face left out;
+* operator applications (`boundary_sums`, `apply_q_up`, `apply_q_down`)
+  that never form a matrix: B^T f is `boundary_sums`, a gather per table
+  column, and B s one `np.bincount` scatter of the table. The eigensolvers
+  and the check battery run on these;
+* the dense `laplacian`, one scatter of either table, up to `DENSE_LIMIT`
+  faces: the one size limit of every dense solve (`spectra`, `homology`).
 
 The dense boundary itself is scattered from the table in `homology`, and
 the check battery composes two tables for d_(j-1) d_j (`acceptance`).
@@ -23,12 +27,15 @@ the check battery composes two tables for d_(j-1) d_j (`acceptance`).
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_array
 
 from .complex_core import SimplicialComplex, is_integer
 from .errors import DimensionOutOfRange, LengthMismatch, TooLarge, BadParams
 
-#: Explicit dense matrices are only materialized up to this side length.
-DENSE_LIMIT = 4096
+#: Dense matrices are formed, and dense eigensolves run, only on at most
+#: this many faces: `laplacian` and `homology.hodge_betti` refuse above
+#: it, and `spectra.spectral_radius` takes Lanczos instead.
+DENSE_LIMIT = 512
 
 LAPLACIAN_KINDS = ("L_up", "L_down", "Q_up")
 
@@ -113,6 +120,22 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
     return dense.astype(np.float64, copy=False).reshape(n_i, n_i)
 
 
+# -- up-connectivity ----------------------------------------------------------
+
+
+def is_path_connected(K: SimplicialComplex, i: int) -> bool:
+    """Connectivity of the up-neighbor graph on the i-faces, in which
+    each (i+1)-face links its first boundary face to its others."""
+    from scipy.sparse.csgraph import connected_components
+
+    if not (is_integer(i) and 0 <= i < K.dim):
+        raise DimensionOutOfRange(f"path connectivity needs 0 <= i < dim, got {i}")
+    tab, n = boundary_index_table(K, i + 1), K.n_faces(i)
+    links = (np.repeat(tab[:, 0], i + 1), tab[:, 1:].ravel())
+    graph = coo_array((np.ones(len(links[0]), np.int8), links), shape=(n, n))
+    return connected_components(graph, directed=False)[0] == 1
+
+
 def up_connected_after_deletion(K: SimplicialComplex, i: int) -> np.ndarray:
     """Boolean vector over S_{i+1}: whether the i-faces stay connected
     through shared (i+1)-faces once that (i+1)-face is left out.
@@ -166,20 +189,16 @@ def _as_vector(K: SimplicialComplex, i: int, f) -> np.ndarray:
 
 
 def boundary_sums(K: SimplicialComplex, i: int, f) -> np.ndarray:
-    """Vector over S_{i+1} of boundary sums: entry F-bar is sum of f over
-    the i-faces of F-bar."""
+    """Vector over S_{i+1} of boundary sums, B^T f for the signless
+    boundary: entry F-bar is the sum of f over the i-faces of F-bar.
+
+    Column j of the boundary index table omits vertex j, so the columns
+    run in descending face order; they are added from the last, so that
+    each sum runs in ascending face order as in the CSR product
+    ``B.T @ f``, bit for bit.
+    """
     v = _as_vector(K, i, f)
     tab = boundary_index_table(K, i + 1)
-    return v[tab].sum(axis=1)
-
-
-def _apply_bt(tab: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """B^T v for the boundary with index table ``tab``: entry k sums v over
-    row k of ``tab``. Column j omits vertex j, so the columns run in
-    descending face order; they are added from the last, so that each sum
-    runs in ascending face order as in the CSC product ``B.T @ v``, bit
-    for bit. (`boundary_sums` keeps the order of ``v[tab].sum(axis=1)``.)
-    """
     s = v[tab[:, -1]]
     for j in range(tab.shape[1] - 2, -1, -1):
         s += v[tab[:, j]]
@@ -203,16 +222,16 @@ def apply_q_up(K: SimplicialComplex, i: int, f) -> np.ndarray:
     of the boundary sum of ``f`` on that coface. Bit-identical to the CSR
     products with the signless boundary.
     """
-    tab = boundary_index_table(K, i + 1)
-    return _apply_b(tab, _apply_bt(tab, _as_vector(K, i, f)), K.n_faces(i))
+    return _apply_b(boundary_index_table(K, i + 1), boundary_sums(K, i, f),
+                    K.n_faces(i))
 
 
 def apply_q_down(K: SimplicialComplex, i: int, g) -> np.ndarray:
     """Application of the i-down signless Laplace operator as B^T (B g),
     straight from the boundary index table; bit-identical to the CSR
     products."""
-    tab = boundary_index_table(K, i)
-    return _apply_bt(tab, _apply_b(tab, _as_vector(K, i, g), K.n_faces(i - 1)))
+    s = _apply_b(boundary_index_table(K, i), _as_vector(K, i, g), K.n_faces(i - 1))
+    return boundary_sums(K, i - 1, s)
 
 
 def down_neighbor_sum(K: SimplicialComplex, i: int, x) -> np.ndarray:

@@ -24,7 +24,6 @@ __all__ = [
     "BadParams",
     "FaceContainsApex",
     "DuplicateFace",
-    "BettiMismatch",
     "BudgetExhausted",
     "NoApex",
     "PrecisionInsufficient",
@@ -109,15 +108,6 @@ class FaceContainsApex(QComplexError):
 
 class DuplicateFace(QComplexError):
     code = "duplicate_face"
-
-
-class BettiMismatch(QComplexError):
-    """Internal assertion: a generated complex has the wrong Betti number.
-
-    Signals a bug in the generator, not a user error.
-    """
-
-    code = "betti_mismatch"
 
 
 class BudgetExhausted(QComplexError):

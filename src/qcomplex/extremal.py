@@ -52,7 +52,6 @@ from .complex_core import Face, SimplicialComplex, require_int
 from .errors import (
     BadParams,
     NoApex,
-    NotPathConnected,
     NotPure,
     PrecisionInsufficient,
     TooLarge,
@@ -467,8 +466,8 @@ def proof_inspector(K: SimplicialComplex, seed: int = 0) -> InspectorReport:
     the counting inequalities that pin down the maximizers.
     """
     apex = detect_apex(K).vertex  # refuses a complex that is not pure of dim 2
-    if not K.is_path_connected(1):
-        raise NotPathConnected("proof inspector needs a 1-path-connected complex")
+    # exact Betti numbers before the eigensolve, so that `TooLarge` comes
+    # first; `perron_vector` refuses a complex that is not 1-path connected
     t = homology.betti_profile(K).betti[2]
     result = spectra.perron_vector(K, 1, "max_boundary_sum_one", seed=seed)
     sums = chains.boundary_sums(K, 1, result.vector)

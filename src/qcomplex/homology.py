@@ -416,7 +416,7 @@ def check_basic_hole_properties(K: SimplicialComplex) -> BasicHoleReport:
     if not is_basic_hole(K):
         raise NotBasicHole("input is not a basic hole")
     r = K.dim
-    connected = K.is_path_connected(r - 1)
+    connected = chains.is_path_connected(K, r - 1)
     degrees_ok = bool(np.bincount(chains.boundary_index_table(K, r).ravel(),
                                   minlength=K.n_faces(r - 1)).min() >= 2)
     deletion_ok = bool(chains.up_connected_after_deletion(K, r - 1).all())

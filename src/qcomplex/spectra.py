@@ -1,14 +1,15 @@
 """Largest eigenvalue and Perron vector of the up signless Laplacian.
 
 The face count alone picks the solver. Instances with at most
-`DENSE_CUTOFF` faces take a full symmetric eigensolve. Larger ones take
-implicitly restarted Lanczos (ARPACK, through
+`chains.DENSE_LIMIT` faces, the one dense-size limit of the package, take
+a full symmetric eigensolve of the dense `chains.laplacian`. Larger ones
+take implicitly restarted Lanczos (ARPACK, through
 ``scipy.sparse.linalg.eigsh``) for the top two Ritz pairs, applying
 Q_up = B B^T by `chains.apply_q_up`: gathers and one scatter over the
 cached boundary index table, with no matrix formed. On either path the
 gap between the top two eigenvalues is the measured gap behind
 ``degenerate``, and a pair whose residual is above `RESIDUAL_TOL` is
-refused.
+refused; the eigenpair checks downstream of it read the same gate.
 The final eigenvalue is always re-evaluated with compensated summation
 so that the asymptotic runs at n = 240 keep absolute accuracy near 1e-12.
 """
@@ -29,9 +30,6 @@ from .errors import (
     NotPathConnected,
     ResidualTooLarge,
 )
-
-#: Full eigensolve up to this face count; Lanczos above.
-DENSE_CUTOFF = 512
 
 #: Top eigenvalues closer than this are reported as numerically multiple.
 DEGENERACY_GAP = 1e-9
@@ -111,8 +109,8 @@ def _lanczos_top2(K: SimplicialComplex, i: int, seed: int):
 def spectral_radius(K: SimplicialComplex, i: int, seed: int = 0) -> SpectralResult:
     """Largest eigenvalue of the i-up signless Laplacian.
 
-    Up to `DENSE_CUTOFF` faces this is a full eigensolve; above it, the
-    top two Ritz pairs by restarted Lanczos from a seeded positive start.
+    Up to `chains.DENSE_LIMIT` faces this is a full eigensolve; above it,
+    the top two Ritz pairs by restarted Lanczos from a seeded positive start.
     The value is the Rayleigh quotient of the returned vector, evaluated
     in compensated summation. A pair whose residual exceeds `RESIDUAL_TOL`,
     or a Lanczos run past its application cap, raises `NoConvergence`,
@@ -126,7 +124,7 @@ def spectral_radius(K: SimplicialComplex, i: int, seed: int = 0) -> SpectralResu
             f"q_{i} needs 0 <= i < dim = {K.dim} so that S_(i+1) is nonempty")
     n_i = K.n_faces(i)
 
-    if n_i <= DENSE_CUTOFF:
+    if n_i <= chains.DENSE_LIMIT:
         eigs, vecs = np.linalg.eigh(chains.laplacian(K, i, "Q_up"))
         f, iterations = vecs[:, -1], 0
         gap = float(eigs[-1] - eigs[-2]) if n_i >= 2 else math.inf
@@ -153,7 +151,7 @@ def perron_vector(K: SimplicialComplex, i: int, normalization: str = "unit_norm"
     if normalization not in NORMALIZATIONS:
         raise BadParams(f"normalization must be one of {NORMALIZATIONS}")
     check_seed(seed)
-    if not K.is_path_connected(i):
+    if not chains.is_path_connected(K, i):
         raise NotPathConnected(f"complex is not {i}-path connected")
     res = spectral_radius(K, i, seed=seed)
     f = res.vector
@@ -179,10 +177,10 @@ def rayleigh_quotient(K: SimplicialComplex, i: int, f) -> float:
     return math.fsum((s * s).tolist()) / norm
 
 
-def _require_residual(result: SpectralResult, bound: float = 1e-8) -> None:
-    if not result.residual <= bound:
-        raise ResidualTooLarge(
-            f"eigenpair residual {result.residual:.3e} exceeds {bound:.1e}")
+def _require_residual(result: SpectralResult) -> None:
+    if not result.residual <= RESIDUAL_TOL:
+        raise ResidualTooLarge(f"eigenpair residual {result.residual:.3e} "
+                               f"exceeds {RESIDUAL_TOL:.1e}")
 
 
 def transfer_to_down(K: SimplicialComplex, i: int,

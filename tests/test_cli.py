@@ -4,8 +4,9 @@ import json
 import pytest
 
 from qcomplex import (delta_sphere, from_facets, perron_vector, read_facets,
-                      tent_plus_common_edge, tented, write_facets)
-from qcomplex import cli, spectra
+                      simplex_skeleton, tent_plus_common_edge, tented,
+                      write_facets)
+from qcomplex import chains, cli, spectra
 from qcomplex.cli import main
 
 from conftest import faces
@@ -160,6 +161,26 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "chain_identity_d1d2: pass\n" in out
         assert "FAIL" not in out
+
+    def test_hodge_skipped_exactly_above_the_dense_limit(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # 21 edges and 35 triangles: the eigensolve on the edges stays dense
+        # at both limits, so only the Hodge line may change
+        f = tmp_path / "s7.facets"
+        write_facets(simplex_skeleton(7, 2), f)
+        outputs = []
+        for limit in (35, 34):
+            monkeypatch.setattr(chains, "DENSE_LIMIT", limit)
+            assert run_cli("check", str(f)) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+        hodge = [k for k, line in enumerate(outputs[0])
+                 if line.startswith("hodge_vs_betti")]
+        assert len(hodge) == 1
+        assert outputs[0][hodge[0]] == "hodge_vs_betti: pass (betti=1,0,20)"
+        assert outputs[1][hodge[0]] == ("hodge_vs_betti: skipped "
+                                        "(too large for dense solve)")
+        del outputs[0][hodge[0]], outputs[1][hodge[0]]
+        assert outputs[0] == outputs[1]
 
 
 class TestSearch:

@@ -2,6 +2,8 @@ import math
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcomplex import (
     betti_profile,
@@ -126,6 +128,19 @@ class TestTentPlusFaces:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateFace):
             tent_plus_faces(6, [(1, 2, 3), (3, 2, 1)])
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_betti_numbers_without_a_recount(self, data):
+        # the generator counts on beta = (1, 0, k) for k added faces; the
+        # exact profile is the oracle
+        n = data.draw(st.integers(4, 9))
+        pool = list(combinations(range(1, n), 3))
+        picks = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                   max_size=len(pool)))
+        added = [data.draw(st.permutations(f)) for f in picks]
+        K = tent_plus_faces(n, added)
+        assert betti_profile(K).betti == (1, 0, len(added))
 
 
 class TestRandomPure2:

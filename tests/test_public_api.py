@@ -30,7 +30,7 @@ def test_public_names_are_pinned():
 def test_error_names_are_pinned():
     # the error set, and which errors are usage errors (CLI exit code 2)
     assert sorted(errors.__all__) == [
-        "BadParams", "BadVertexId", "BettiMismatch", "BudgetExhausted",
+        "BadParams", "BadVertexId", "BudgetExhausted",
         "DimensionOutOfRange", "DuplicateFace", "FaceContainsApex",
         "LengthMismatch", "NoApex", "NoConvergence", "NotBasicHole",
         "NotPathConnected", "NotPure", "PrecisionInsufficient",

@@ -25,8 +25,8 @@ from qcomplex.errors import (
     NotPathConnected,
     ResidualTooLarge,
 )
-from qcomplex import spectra
-from qcomplex.spectra import DEGENERACY_GAP, DENSE_CUTOFF, SpectralResult
+from qcomplex import chains, spectra
+from qcomplex.spectra import DEGENERACY_GAP, SpectralResult
 
 from conftest import dense_q_up_spectrum, pure2_complexes, q_down
 
@@ -60,7 +60,7 @@ class TestSpectralRadius:
 
     def test_lanczos_matches_dense(self):
         K = tent_plus_common_edge(40, 2)
-        assert K.n_faces(1) > DENSE_CUTOFF
+        assert K.n_faces(1) > chains.DENSE_LIMIT
         lanczos = spectral_radius(K, 1)
         assert lanczos.value == pytest.approx(dense_q_up_spectrum(K, 1)[-1],
                                               abs=1e-9)
@@ -69,12 +69,12 @@ class TestSpectralRadius:
         assert not lanczos.degenerate
 
     def test_residual_bound_respected(self, monkeypatch):
-        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(chains, "DENSE_LIMIT", 0)
         res = spectral_radius(tented(12, 2), 1)
         assert res.iterations > 0 and res.residual <= spectra.RESIDUAL_TOL
 
     def test_no_convergence(self, monkeypatch):
-        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(chains, "DENSE_LIMIT", 0)
         monkeypatch.setattr(spectra, "LANCZOS_MIN_APPLICATIONS", 2)
         monkeypatch.setattr(spectra, "LANCZOS_APPLICATIONS_PER_FACE", 0)
         with pytest.raises(NoConvergence) as exc:
@@ -90,7 +90,7 @@ class TestSpectralRadius:
                 v0 = A.matvec(v0)
                 v0 /= np.linalg.norm(v0)
 
-        monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
+        monkeypatch.setattr(chains, "DENSE_LIMIT", 0)
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", endless)
         for K, cap in ((tented(4, 2), 100), (tented(10, 2), 450)):
             with pytest.raises(NoConvergence) as exc:
@@ -105,7 +105,7 @@ class TestSpectralRadius:
         monkeypatch.setattr(np.linalg, "eigh", None)
         monkeypatch.setattr(spectra, "_lanczos_top2", None)
         if method == "lanczos":
-            monkeypatch.setattr(spectra, "DENSE_CUTOFF", 0)
+            monkeypatch.setattr(chains, "DENSE_LIMIT", 0)
         with pytest.raises(BadParams):
             spectral_radius(tent_plus_common_edge(8, 1), 1, seed=seed)
 
@@ -244,9 +244,12 @@ class TestTransferToDown:
         assert resid <= 1e-7
 
     def test_rejects_sloppy_eigenpair(self, delta4):
-        sloppy = SpectralResult(6.0, np.ones(6), 1e-3, 1, "unit_norm")
-        with pytest.raises(ResidualTooLarge):
-            transfer_to_down(delta4, 1, sloppy)
+        # the gate is the solver's RESIDUAL_TOL (1e-10), for both identities
+        for residual in (1e-3, 1e-9):
+            sloppy = SpectralResult(6.0, np.ones(6), residual, 1, "unit_norm")
+            for check in (transfer_to_down, second_order_identity_check):
+                with pytest.raises(ResidualTooLarge):
+                    check(delta4, 1, sloppy)
 
 
 class TestSecondOrderIdentity:
