@@ -181,7 +181,10 @@ def up_connected_after_deletion(K: SimplicialComplex, i: int) -> np.ndarray:
 
 
 def _as_vector(K: SimplicialComplex, i: int, f) -> np.ndarray:
-    v = np.asarray(f, dtype=np.float64)
+    try:
+        v = np.asarray(f, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # a ragged or non-numeric f
+        raise BadParams(f"expected a real vector over S_{i}: {exc}") from None
     want = K.n_faces(i)
     if v.shape != (want,):
         raise LengthMismatch(f"expected length {want} over S_{i}, got {v.shape}")

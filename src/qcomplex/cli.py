@@ -10,6 +10,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import acceptance, extremal, families, homology, spectra
 from .complex_core import open_for_writing, read_facets, write_facets
-from .errors import USAGE_ERRORS, BadParams, QComplexError, TooLarge
+from .errors import BadParams, NotBasicHole, QComplexError, TooLarge, UsageError
 
 JSON_SCHEMA_VERSION = 1
 
@@ -128,11 +129,12 @@ def _cmd_check(opt) -> int:
                f"max_error={_fmt(ids.second_order_error)}")
 
     if K.is_pure() and K.dim >= 1:
-        if homology.is_basic_hole(K):
+        try:
             rep = homology.check_basic_hole_properties(K)
-            record("basic_hole_properties", rep.all_pass)
-        else:
+        except NotBasicHole:
             lines.append("basic_hole: no")
+        else:
+            record("basic_hole_properties", rep.all_pass)
 
     _emit("\n".join(lines) + "\n", opt["output"])
     return 1 if failures else 0
@@ -143,7 +145,7 @@ def _cmd_search(opt) -> int:
               else extremal.max_spectral_search)
     report = search(opt["n"], opt["t"], full_skeleton=opt["full_skeleton"])
     payload = {"schema": JSON_SCHEMA_VERSION, "mode": opt["mode"],
-               **report.to_dict()}
+               **vars(report)}
     _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", opt["output"])
     return 1 if report.bound_violations else 0
 
@@ -180,14 +182,13 @@ def _cmd_asymptotic(opt) -> int:
                                      seed=opt["seed"])
     if opt["format"] == "json":
         payload = {"schema": JSON_SCHEMA_VERSION, "t": opt["t"],
-                   "rows": [{"n": r.n, "q1": r.q1, "excess": r.excess,
-                             "g": r.g, "error_bound": r.error_bound}
-                            for r in rows]}
+                   "rows": [vars(r) for r in rows]}
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n",
               opt["output"])
         return 0
-    table = [[r.n, r.q1, r.excess, r.g, r.error_bound] for r in rows]
-    _emit(_csv(table, ["n", "q1", "excess", "g", "error_bound"]), opt["output"])
+    header = [f.name for f in dataclasses.fields(extremal.AsymptoticRow)]
+    table = [[getattr(r, k) for k in header] for r in rows]
+    _emit(_csv(table, header), opt["output"])
     return 0
 
 
@@ -201,8 +202,7 @@ def _cmd_acceptance(opt) -> int:
         payload = {
             "schema": JSON_SCHEMA_VERSION,
             "passed": n_pass == len(results),
-            "criteria": [{"id": r.cid, "name": r.name, "passed": r.passed,
-                          "details": r.details} for r in results],
+            "criteria": [vars(r) for r in results],
         }
         json.dump(payload, fh, sort_keys=True, indent=2, default=float)
         fh.write("\n")
@@ -228,7 +228,7 @@ def run(subcommand: str, options: dict) -> int:
         return _DISPATCH[subcommand](options)
     except QComplexError as exc:
         sys.stderr.write(f"error {exc.code}: {exc}\n")
-        return 2 if isinstance(exc, USAGE_ERRORS) else 1
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     se.add_argument("--mode", choices=("facets", "spectral"), required=True)
     se.add_argument("--n", type=int, required=True)
     se.add_argument("--t", type=int, required=True)
-    se.add_argument("--full-skeleton", dest="full_skeleton",
-                    action="store_true", default=True)
     se.add_argument("--no-full-skeleton", dest="full_skeleton",
                     action="store_false")
 

@@ -138,7 +138,10 @@ def from_facets(n: int, facets: Iterable[Iterable[int]] = (), require_pure: bool
     groups: dict[int, list] = {}
     for f in map(tuple, facets):
         groups.setdefault(len(f), []).append(f)
-    arrays = [np.asarray(a) for a in arrays]
+    try:
+        arrays = [np.asarray(a) for a in arrays]
+    except ValueError as exc:  # a ragged nesting
+        raise BadParams(f"candidate arrays must be 2-D: {exc}") from None
     try:  # operator.index and a safe cast refuse what int64 would truncate,
         # but let bool through, which is no vertex id either
         if any(a.dtype == bool for a in arrays) or any(

@@ -2,15 +2,16 @@
 
 Every error carries a stable ``code`` string used by the CLI to render
 machine-readable diagnostics. Errors split into two groups: usage errors
-(bad input, out-of-range parameters) and computation errors (convergence,
-precision, internal contract failures); the CLI maps them to exit codes
-2 and 1 respectively.
+(bad input, out-of-range parameters), the subclasses of `UsageError`, and
+computation errors (convergence, precision, internal contract failures);
+the CLI maps them to exit codes 2 and 1 respectively.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "QComplexError",
+    "UsageError",
     "NotPure",
     "BadVertexId",
     "TooLarge",
@@ -27,7 +28,6 @@ __all__ = [
     "BudgetExhausted",
     "NoApex",
     "PrecisionInsufficient",
-    "USAGE_ERRORS",
 ]
 
 
@@ -37,29 +37,33 @@ class QComplexError(Exception):
     code = "error"
 
 
-class NotPure(QComplexError):
+class UsageError(QComplexError):
+    """Invalid usage rather than a failed computation (CLI exit code 2)."""
+
+
+class NotPure(UsageError):
     """Facets of mixed dimension where a pure complex is required."""
 
     code = "not_pure"
 
 
-class BadVertexId(QComplexError):
+class BadVertexId(UsageError):
     """Vertex id negative or outside [0, n_vertices)."""
 
     code = "bad_vertex_id"
 
 
-class TooLarge(QComplexError):
+class TooLarge(UsageError):
     """Instance exceeds the documented brute-force/desk-scale limits."""
 
     code = "too_large"
 
 
-class DimensionOutOfRange(QComplexError):
+class DimensionOutOfRange(UsageError):
     code = "dimension_out_of_range"
 
 
-class LengthMismatch(QComplexError):
+class LengthMismatch(UsageError):
     """Vector length does not match the face-space dimension."""
 
     code = "length_mismatch"
@@ -76,7 +80,7 @@ class NoConvergence(QComplexError):
         self.residual = residual
 
 
-class NotPathConnected(QComplexError):
+class NotPathConnected(UsageError):
     code = "not_path_connected"
 
 
@@ -92,21 +96,21 @@ class SpectrumAmbiguous(QComplexError):
     code = "spectrum_ambiguous"
 
 
-class NotBasicHole(QComplexError):
+class NotBasicHole(UsageError):
     code = "not_basic_hole"
 
 
-class BadParams(QComplexError):
+class BadParams(UsageError):
     """Parameter outside its documented range."""
 
     code = "bad_params"
 
 
-class FaceContainsApex(QComplexError):
+class FaceContainsApex(UsageError):
     code = "face_contains_apex"
 
 
-class DuplicateFace(QComplexError):
+class DuplicateFace(UsageError):
     code = "duplicate_face"
 
 
@@ -116,7 +120,7 @@ class BudgetExhausted(QComplexError):
     code = "budget_exhausted"
 
 
-class NoApex(QComplexError):
+class NoApex(UsageError):
     code = "no_apex"
 
 
@@ -124,19 +128,3 @@ class PrecisionInsufficient(QComplexError):
     """Eigenvalue error bound too large for the quantity being measured."""
 
     code = "precision_insufficient"
-
-
-#: Errors that indicate invalid usage rather than a failed computation.
-USAGE_ERRORS = (
-    NotPure,
-    BadVertexId,
-    TooLarge,
-    DimensionOutOfRange,
-    LengthMismatch,
-    NotPathConnected,
-    NotBasicHole,
-    BadParams,
-    FaceContainsApex,
-    DuplicateFace,
-    NoApex,
-)

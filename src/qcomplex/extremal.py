@@ -265,21 +265,6 @@ class SearchReport:
     bound_violations: tuple[dict, ...] = ()
     tent_attains_max: bool | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "t": self.t,
-            "restricted_to_full_skeleton": self.restricted_to_full_skeleton,
-            "enumerated_count": self.enumerated_count,
-            "max_facets": self.max_facets,
-            "facet_witnesses": [[list(f) for f in w] for w in self.facet_witnesses],
-            "max_q1": self.max_q1,
-            "spectral_witnesses": [[list(f) for f in w]
-                                   for w in self.spectral_witnesses],
-            "bound_violations": list(self.bound_violations),
-            "tent_attains_max": self.tent_attains_max,
-        }
-
 
 def _tent_canonical(n: int, t: int) -> tuple[Face, ...]:
     K = tented(n, 2) if t == 0 else tent_plus_common_edge(n, t)

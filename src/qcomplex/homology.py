@@ -68,8 +68,12 @@ ZERO_TOL = 1e-8
 
 def _integer_matrix(A) -> np.ndarray:
     """A as an int64 array, or as an object array of Python ints when
-    some entry lies outside int64; refuses any non-integral entry."""
-    M = np.asarray(A)
+    some entry lies outside int64; refuses a ragged A and any
+    non-integral entry."""
+    try:
+        M = np.asarray(A)
+    except ValueError as exc:
+        raise BadParams(f"integer_rank needs a rectangular matrix: {exc}") from None
     if M.dtype.kind in "ib":
         return M.astype(np.int64)
     if M.dtype.kind == "f":

@@ -17,7 +17,7 @@ so that the asymptotic runs at n = 240 keep absolute accuracy near 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class SpectralResult:
     vector: np.ndarray
     residual: float
     iterations: int
-    normalization: str
     degenerate: bool = False
 
 
@@ -141,8 +140,7 @@ def spectral_radius(K: SimplicialComplex, i: int, seed: int = 0) -> SpectralResu
             f"residual {residual:.3e} above tol {RESIDUAL_TOL:.1e} "
             f"({iterations} Lanczos operator applications)",
             iterations=iterations, residual=residual)
-    return SpectralResult(value, f, residual, iterations, "unit_norm",
-                          gap < DEGENERACY_GAP)
+    return SpectralResult(value, f, residual, iterations, gap < DEGENERACY_GAP)
 
 
 def perron_vector(K: SimplicialComplex, i: int, normalization: str = "unit_norm",
@@ -163,8 +161,7 @@ def perron_vector(K: SimplicialComplex, i: int, normalization: str = "unit_norm"
         f = f / chains.boundary_sums(K, i, f).max()
     else:
         f = f / np.linalg.norm(f)
-    return SpectralResult(res.value, f, res.residual, res.iterations,
-                          normalization, res.degenerate)
+    return replace(res, vector=f)
 
 
 def rayleigh_quotient(K: SimplicialComplex, i: int, f) -> float:
@@ -178,6 +175,8 @@ def rayleigh_quotient(K: SimplicialComplex, i: int, f) -> float:
 
 
 def _require_residual(result: SpectralResult) -> None:
+    if not isinstance(result, SpectralResult):
+        raise BadParams(f"need a SpectralResult, got {type(result).__name__}")
     if not result.residual <= RESIDUAL_TOL:
         raise ResidualTooLarge(f"eigenpair residual {result.residual:.3e} "
                                f"exceeds {RESIDUAL_TOL:.1e}")

@@ -6,7 +6,7 @@ import pytest
 from qcomplex import (delta_sphere, from_facets, perron_vector, read_facets,
                       simplex_skeleton, tent_plus_common_edge, tented,
                       write_facets)
-from qcomplex import chains, cli, spectra
+from qcomplex import chains, cli, errors, homology, spectra
 from qcomplex.cli import main
 
 from conftest import faces
@@ -151,6 +151,21 @@ class TestCheck:
         assert run_cli("check", str(f)) == 0
         assert "basic_hole: no" in capsys.readouterr().out
 
+    def test_one_basic_hole_decision(self, tmp_path, capsys, monkeypatch):
+        # the suspension of a 1,000-gon, a basic hole: the property check
+        # decides whether it is one, and nothing decides it again
+        m = 1000
+        f = tmp_path / "susp.facets"
+        write_facets(from_facets(m + 2, [(min(i, (i + 1) % m),
+                                          max(i, (i + 1) % m), m + s)
+                                         for i in range(m) for s in (0, 1)]), f)
+        calls = []
+        decide = homology.is_basic_hole
+        monkeypatch.setattr(homology, "is_basic_hole",
+                            lambda K: calls.append(K) or decide(K))
+        assert run_cli("check", str(f)) == 0
+        assert "basic_hole_properties: pass" in capsys.readouterr().out
+        assert len(calls) == 1
 
     def test_check_beyond_dense_limit(self, tmp_path, capsys):
         # 4,950 edges: past the dense-matrix limit of the chain identity
@@ -187,7 +202,7 @@ class TestSearch:
     def test_facets_report(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run_cli("search", "--mode", "facets", "--n", "5", "--t", "1",
-                       "--full-skeleton", "-o", str(out))
+                       "-o", str(out))
         assert code == 0
         rep = json.loads(out.read_text())
         assert rep["schema"] == 1
@@ -214,6 +229,13 @@ class TestSearch:
     def test_usage_error_on_bad_t(self):
         assert run_cli("search", "--mode", "facets", "--n", "5", "--t", "9") == 2
 
+    def test_full_skeleton_flag_removed(self):
+        # the full-skeleton domain is the default; only its negation is a flag
+        with pytest.raises(SystemExit) as exc:
+            run_cli("search", "--mode", "spectral", "--n", "5", "--t", "1",
+                    "--full-skeleton")
+        assert exc.value.code == 2
+
 
 #: SHA-256 of the `search` JSON reports, facets mode then spectral mode.
 SEARCH_DIGESTS = {
@@ -238,11 +260,11 @@ SEARCH_DIGESTS = {
 class TestSearchGoldenBytes:
     @pytest.mark.parametrize("n,t,full", sorted(SEARCH_DIGESTS))
     def test_report_digests(self, n, t, full, tmp_path):
-        skeleton = "--full-skeleton" if full else "--no-full-skeleton"
+        skeleton = [] if full else ["--no-full-skeleton"]
         for mode, want in zip(("facets", "spectral"), SEARCH_DIGESTS[n, t, full]):
             out = tmp_path / f"{mode}.json"
             assert run_cli("search", "--mode", mode, "--n", str(n),
-                           "--t", str(t), skeleton, "-o", str(out)) == 0
+                           "--t", str(t), *skeleton, "-o", str(out)) == 0
             assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
@@ -386,3 +408,17 @@ def test_each_subcommand_takes_only_the_formats_it_renders(sub, value,
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_exit_code_follows_the_error_class(name, monkeypatch, capsys):
+    # exit 2 for a usage error, 1 for any other refusal
+    cls = getattr(errors, name)
+
+    def refuse(options):
+        raise cls("refused")
+
+    monkeypatch.setitem(cli._DISPATCH, "refuse", refuse)
+    want = 2 if issubclass(cls, errors.UsageError) else 1
+    assert cli.run("refuse", {}) == want
+    assert capsys.readouterr().err == f"error {cls.code}: refused\n"

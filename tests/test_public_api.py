@@ -35,9 +35,10 @@ def test_error_names_are_pinned():
         "LengthMismatch", "NoApex", "NoConvergence", "NotBasicHole",
         "NotPathConnected", "NotPure", "PrecisionInsufficient",
         "QComplexError", "ResidualTooLarge", "SpectrumAmbiguous", "TooLarge",
-        "USAGE_ERRORS",
+        "UsageError",
     ]
-    assert sorted(e.__name__ for e in errors.USAGE_ERRORS) == [
+    assert sorted(name for name in errors.__all__ if name != "UsageError"
+                  and issubclass(getattr(errors, name), errors.UsageError)) == [
         "BadParams", "BadVertexId", "DimensionOutOfRange", "DuplicateFace",
         "FaceContainsApex", "LengthMismatch", "NoApex", "NotBasicHole",
         "NotPathConnected", "NotPure", "TooLarge",
@@ -71,6 +72,26 @@ def test_bool_is_not_an_integer_parameter(call):
     # bool is an int subclass; as a count or a Betti number it is refused
     # like any other non-integer, before numpy sees it
     with pytest.raises(errors.BadParams, match="True"):
+        call()
+
+
+_TENT = qcomplex.tented(5)
+#: Array arguments numpy cannot cast: a string, or a ragged nesting.
+MALFORMED_ARRAYS = {
+    "apply_q_up": lambda: qcomplex.apply_q_up(_TENT, 1, "abc"),
+    "apply_q_down": lambda: qcomplex.apply_q_down(_TENT, 1, [[1.0], [2.0, 3.0]]),
+    "boundary_sums": lambda: qcomplex.boundary_sums(_TENT, 1, "abc"),
+    "quadratic_form": lambda: qcomplex.quadratic_form(_TENT, 1, "abc", "abc"),
+    "rayleigh_quotient": lambda: qcomplex.rayleigh_quotient(_TENT, 1, [[1.0], []]),
+    "integer_rank": lambda: qcomplex.integer_rank([[1, 2], [3]]),
+    "from_facets": lambda: qcomplex.from_facets(3, arrays=[[[0, 1, 2], [0, 1]]]),
+}
+
+
+@pytest.mark.parametrize("call", MALFORMED_ARRAYS.values(), ids=MALFORMED_ARRAYS)
+def test_malformed_array_is_refused(call):
+    # numpy's ValueError on the cast becomes a typed refusal
+    with pytest.raises(errors.BadParams):
         call()
 
 

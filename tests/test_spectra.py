@@ -246,10 +246,17 @@ class TestTransferToDown:
     def test_rejects_sloppy_eigenpair(self, delta4):
         # the gate is the solver's RESIDUAL_TOL (1e-10), for both identities
         for residual in (1e-3, 1e-9):
-            sloppy = SpectralResult(6.0, np.ones(6), residual, 1, "unit_norm")
+            sloppy = SpectralResult(6.0, np.ones(6), residual, 1)
             for check in (transfer_to_down, second_order_identity_check):
                 with pytest.raises(ResidualTooLarge):
                     check(delta4, 1, sloppy)
+
+    def test_refuses_what_is_not_a_spectral_result(self, delta4):
+        # the eigenpair gate reads .residual only after checking the type
+        for result in (None, 6.0, (6.0, np.ones(6), 0.0, 0)):
+            for check in (transfer_to_down, second_order_identity_check):
+                with pytest.raises(BadParams, match="SpectralResult"):
+                    check(delta4, 1, result)
 
 
 class TestSecondOrderIdentity:
