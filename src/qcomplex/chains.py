@@ -188,6 +188,8 @@ def _as_vector(K: SimplicialComplex, i: int, f) -> np.ndarray:
     want = K.n_faces(i)
     if v.shape != (want,):
         raise LengthMismatch(f"expected length {want} over S_{i}, got {v.shape}")
+    if not np.isfinite(v).all():
+        raise BadParams(f"expected finite entries over S_{i}")
     return v
 
 

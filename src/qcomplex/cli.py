@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import acceptance, extremal, families, homology, spectra
-from .complex_core import open_for_writing, read_facets, write_facets
+from .complex_core import check_seed, open_for_writing, read_facets, write_facets
 from .errors import BadParams, NotBasicHole, QComplexError, TooLarge, UsageError
 
 JSON_SCHEMA_VERSION = 1
@@ -91,7 +91,7 @@ def _cmd_spectra(opt) -> int:
 
 def _cmd_check(opt) -> int:
     seed = opt["seed"]
-    spectra.check_seed(seed)
+    check_seed(seed)
     K = read_facets(opt["file"])
     failures = 0
     lines = []

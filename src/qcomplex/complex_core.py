@@ -44,6 +44,12 @@ def require_int(**values) -> None:
             raise BadParams(f"{name} must be an integer, got {value!r}")
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not a nonnegative integer."""
+    if not (is_integer(seed) and seed >= 0):
+        raise BadParams(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def face(vertices: Iterable[int]) -> Face:
     """Normalize an iterable of vertex ids into a face tuple.
 

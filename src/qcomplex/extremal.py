@@ -1,11 +1,11 @@
 """Exhaustive extremal search over pure 2-complexes and proof inspectors.
 
-The search domain at a given vertex count is the set of triangle subsets,
-encoded as bitmasks over the lexicographic triangle list. Relabeling the
-vertices permutes the triangles and so acts on the masks; the boundary
-rank, the edge coverage, the facet count and the spectrum are constant
-on each orbit. The search therefore works once per orbit (2,136 orbits
-among the 2^20 masks at n = 6):
+The triangle subsets at a given vertex count are encoded as bitmasks over
+the lexicographic triangle list. Relabeling the vertices permutes the
+triangles and so acts on the masks; the boundary rank, the edge coverage,
+the facet count and the spectrum are constant on each orbit. The search
+therefore works on orbit ids (2,136 orbits among the 2^20 masks at n = 6),
+and a search domain is the ascending array of the ids of its orbits:
 
 - One ascending scan of the masks gives every mask an orbit id. The
   first mask met in an orbit, its least, is the orbit's representative;
@@ -26,10 +26,13 @@ among the 2^20 masks at n = 6):
   are solved first. A member's Q_up is its representative's in permuted
   order, and its computed eigenvalue can differ in the last bits, so the
   members of every orbit within `RESOLVE_MARGIN` of the witness window
-  or of the bound are re-solved one by one. The maximum, the witnesses
-  and the bound violations are read from those labeled values.
+  or of the bound are listed and re-solved one by one, in ascending mask
+  order. The maximum, the witnesses and the bound violations are read
+  from those labeled values.
 - Witness orbits take their canonical form from the same permutation
-  tables.
+  tables. The tent plus t faces on the edge {1, 2} is the first
+  C(n-1, 2) + t triangles in lexicographic order, so its orbit is that
+  of the mask of those low bits.
 
 The proof inspectors read the incidence arrays only: the vertices closing
 the peak face's edges come from `chains.coface_index`, and down-neighbour
@@ -48,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import chains, homology, spectra
-from .complex_core import Face, SimplicialComplex, require_int
+from .complex_core import Face, SimplicialComplex, check_seed, require_int
 from .errors import (
     BadParams,
     NoApex,
@@ -56,17 +59,15 @@ from .errors import (
     PrecisionInsufficient,
     TooLarge,
 )
-from .families import simplex_skeleton, tent_plus_common_edge, tented
+from .families import simplex_skeleton, tent_plus_common_edge
 
 #: Masks per step of the ascending orbit scan.
 _SCAN_CHUNK = 4096
 #: Masks per batched eigensolve.
 _Q_CHUNK = 1024
 
-#: Exhaustive full-skeleton enumeration limit (2^C(n,3) masks get filtered).
-FULL_SKELETON_MAX_N = 6
-#: Unrestricted enumeration limit.
-UNRESTRICTED_MAX_N = 5
+#: Exhaustive enumeration limit, with or without the full-skeleton filter.
+SEARCH_MAX_N = 6
 
 #: Window for reporting near-ties with the spectral maximum.
 EPS_MAXIMIZER = 1e-8
@@ -225,29 +226,30 @@ def _q_values(n: int, masks: np.ndarray) -> np.ndarray:
 # -- enumeration and searches -------------------------------------------------
 
 
-def _check_domain(n: int, full_skeleton: bool) -> None:
-    require_int(n=n)
-    if n < 3:
-        raise BadParams(f"need n >= 3, got {n}")
-    limit = FULL_SKELETON_MAX_N if full_skeleton else UNRESTRICTED_MAX_N
-    if n > limit:
-        raise TooLarge(
-            f"enumeration with full_skeleton={full_skeleton} is limited to "
-            f"n <= {limit}, got {n}")
-
-
-def _domain_orbits(n: int, full_skeleton: bool) -> np.ndarray:
-    """Whether each orbit lies in the search domain."""
-    _check_domain(n, full_skeleton)
-    return _tables(n).cover if full_skeleton else _tables(n).popcount > 0
-
-
-def _hits(n: int, t: int, full_skeleton: bool) -> np.ndarray:
-    """Masks of the domain with top Betti number t, ascending."""
-    domain = _domain_orbits(n, full_skeleton)
+def _domain(n: int, t: int, full_skeleton: bool) -> np.ndarray:
+    """Ascending ids of the domain's orbits with top Betti number t."""
+    require_int(n=n, t=t)
+    if not 0 <= t <= n - 3:
+        raise BadParams(f"need 0 <= t <= n-3, got n={n}, t={t}")
+    if n > SEARCH_MAX_N:
+        raise TooLarge(f"enumeration is limited to n <= {SEARCH_MAX_N}, got {n}")
     tables = _tables(n)
-    return np.flatnonzero(
-        (domain & (tables.popcount - tables.rank == t))[tables.orbit])
+    inside = tables.cover if full_skeleton else tables.popcount > 0
+    return np.flatnonzero(inside & (tables.popcount - tables.rank == t))
+
+
+def _in_orbits(n: int, orbits: np.ndarray) -> np.ndarray:
+    """Whether each mask lies in one of the orbits."""
+    tables = _tables(n)
+    chosen = np.zeros(len(tables.reps), dtype=bool)
+    chosen[orbits] = True
+    return chosen[tables.orbit]
+
+
+def _tent_orbit(n: int, t: int) -> int:
+    """Orbit of the tent plus t faces on {1, 2}: the first C(n-1, 2) + t
+    triangles in lexicographic order."""
+    return int(_tables(n).orbit[(1 << math.comb(n - 1, 2) + t) - 1])
 
 
 @dataclass(frozen=True)
@@ -266,18 +268,6 @@ class SearchReport:
     tent_attains_max: bool | None = None
 
 
-def _tent_canonical(n: int, t: int) -> tuple[Face, ...]:
-    K = tented(n, 2) if t == 0 else tent_plus_common_edge(n, t)
-    bits = _triangle_space(n).skeleton.row_index(K.rows(2)).tolist()
-    return _dedup_canonical(n, [sum(1 << k for k in bits)])[0]
-
-
-def _check_search_params(n: int, t: int) -> None:
-    require_int(n=n, t=t)
-    if not 0 <= t <= n - 3:
-        raise BadParams(f"need 0 <= t <= n-3, got n={n}, t={t}")
-
-
 def _empty_report(n: int, t: int, full_skeleton: bool) -> SearchReport:
     return SearchReport(n, t, full_skeleton, 0,
                         bound_violations=(
@@ -285,25 +275,22 @@ def _empty_report(n: int, t: int, full_skeleton: bool) -> SearchReport:
                              "detail": f"no complex with beta_2={t}"},))
 
 
-def _dedup_canonical(n: int, masks) -> tuple[tuple[Face, ...], ...]:
-    """Canonical facet list of each isomorphism class among the masks.
+def _canonical_forms(n: int, orbits) -> tuple[tuple[Face, ...], ...]:
+    """Canonical facet list of each orbit, sorted.
 
-    Runs once per orbit of the vertex-permutation action, from the orbit
-    tables. Images of one mask have one size, and for equal sizes the
-    sorted facet lists order like the bit-reversed masks (the least
-    triangle of a symmetric difference is its highest reversed bit). So
-    the least facet list in the orbit is the image with the largest
-    reversed mask. It uses only vertex ids below the number of used
-    vertices (moving a used id onto a lower unused one lowers every facet
-    it touches), so it is the least facet list over all relabellings of
-    the mask's complex.
+    Images of one mask have one size, and for equal sizes the sorted
+    facet lists order like the bit-reversed masks (the least triangle of
+    a symmetric difference is its highest reversed bit). So the least
+    facet list in the orbit is the image with the largest reversed mask.
+    It uses only vertex ids below the number of used vertices (moving a
+    used id onto a lower unused one lowers every facet it touches), so it
+    is the least facet list over all relabellings of the orbit's complex.
     """
-    tables = _tables(n)
     space = _triangle_space(n)
     maps = _perm_triangle_maps(n)
     reversed_weights = 1 << (maps.shape[1] - 1 - maps)
     forms = []
-    for rep in tables.reps[np.unique(tables.orbit[masks])].tolist():
+    for rep in _tables(n).reps[orbits].tolist():
         bits = _mask_bits(rep)
         least = maps[reversed_weights[:, bits].sum(axis=1).argmax(), bits]
         forms.append(tuple(space.triangles[k] for k in sorted(least.tolist())))
@@ -317,23 +304,23 @@ def max_facets_search(n: int, t: int,
     Checks the closed-form bound and that the tent family attains it;
     discrepancies are recorded in ``bound_violations``.
     """
-    _check_search_params(n, t)
-    hits = _hits(n, t, full_skeleton)
-    if hits.size == 0:
+    orbits = _domain(n, t, full_skeleton)
+    if orbits.size == 0:
         return _empty_report(n, t, full_skeleton)
-    counts = _tables(n).popcount[_tables(n).orbit[hits]]
+    counts = _tables(n).popcount[orbits]
     best = int(counts.max())
-    witnesses = _dedup_canonical(n, hits[counts == best])
+    top = orbits[counts == best]
     violations: list[dict] = []
     bound = facet_bound(n, 2, t)
     if best != bound:
         violations.append({"kind": "facet_max_mismatch",
                            "max_facets": best, "bound": bound})
-    tent_hit = _tent_canonical(n, t) in witnesses
+    tent_hit = _tent_orbit(n, t) in top
     if not tent_hit:
         violations.append({"kind": "tent_not_witness", "t": t})
-    return SearchReport(n, t, full_skeleton, int(hits.size),
-                        max_facets=best, facet_witnesses=witnesses,
+    return SearchReport(n, t, full_skeleton,
+                        int(np.count_nonzero(_in_orbits(n, orbits))),
+                        max_facets=best, facet_witnesses=_canonical_forms(n, top),
                         bound_violations=tuple(violations),
                         tent_attains_max=tent_hit)
 
@@ -347,19 +334,17 @@ def max_spectral_search(n: int, t: int,
     violations of the closed-form bound. Tent extremality is recorded,
     not asserted: it is only guaranteed for large n.
     """
-    _check_search_params(n, t)
-    hits = _hits(n, t, full_skeleton)
-    if hits.size == 0:
+    orbits = _domain(n, t, full_skeleton)
+    if orbits.size == 0:
         return _empty_report(n, t, full_skeleton)
     tables = _tables(n)
-    orbits = np.unique(tables.orbit[hits])
     rep_qs = _q_values(n, tables.reps[orbits])
-    # the representative of an orbit is a hit, so rep_qs.max() is no
+    # the representative of an orbit is in it, so rep_qs.max() is no
     # larger than the labeled maximum
     bound = spectral_bound(n, 2, t)
     near = orbits[(rep_qs >= rep_qs.max() - EPS_MAXIMIZER - RESOLVE_MARGIN)
                   | (rep_qs > bound + BOUND_SLACK - RESOLVE_MARGIN)]
-    members = hits[np.isin(tables.orbit[hits], near)]
+    members = np.flatnonzero(_in_orbits(n, near))
     qs = _q_values(n, members)
     space = _triangle_space(n)
     violations = [
@@ -369,12 +354,12 @@ def max_spectral_search(n: int, t: int,
         if q > bound + BOUND_SLACK
     ]
     best = float(qs.max())
-    witnesses = _dedup_canonical(n, members[qs >= best - EPS_MAXIMIZER])
-    tent_hit = _tent_canonical(n, t) in witnesses
-    return SearchReport(n, t, full_skeleton, int(hits.size),
-                        max_q1=best, spectral_witnesses=witnesses,
+    top = np.unique(tables.orbit[members[qs >= best - EPS_MAXIMIZER]])
+    return SearchReport(n, t, full_skeleton,
+                        int(np.count_nonzero(_in_orbits(n, orbits))),
+                        max_q1=best, spectral_witnesses=_canonical_forms(n, top),
                         bound_violations=tuple(violations),
-                        tent_attains_max=tent_hit)
+                        tent_attains_max=_tent_orbit(n, t) in top)
 
 
 # -- structure inspectors -------------------------------------------------------
@@ -622,7 +607,7 @@ def asymptotic_check(t: int, n_list, seed: int = 0) -> list[AsymptoticRow]:
         raise BadParams(f"max n is 240, got {ns[-1]}")
     if ns and ns[0] < t + 3:
         raise BadParams(f"need n >= t+3, got {ns[0]}")
-    spectra.check_seed(seed)
+    check_seed(seed)
     rows = []
     eps = np.finfo(np.float64).eps
     for n in ns:

@@ -12,15 +12,14 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import homology
-from .complex_core import (Face, SimplicialComplex, face, from_facets, is_integer,
-                           require_int)
+from .complex_core import (Face, SimplicialComplex, check_seed, face, from_facets,
+                           is_integer, require_int)
 from .errors import (
     BadParams,
     BudgetExhausted,
     DuplicateFace,
     FaceContainsApex,
 )
-from .spectra import check_seed
 
 #: Per family: its generator over the given parameters, the parameters it
 #: needs, and those it also reads.

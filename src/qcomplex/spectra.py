@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import chains
-from .complex_core import SimplicialComplex, is_integer
+from .complex_core import SimplicialComplex, check_seed, is_integer
 from .errors import (
     BadParams,
     DimensionOutOfRange,
@@ -61,12 +61,6 @@ class SpectralResult:
     residual: float
     iterations: int
     degenerate: bool = False
-
-
-def check_seed(seed) -> None:
-    """Refuse a seed that is not a nonnegative integer."""
-    if not (is_integer(seed) and seed >= 0):
-        raise BadParams(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _residual(K: SimplicialComplex, i: int, f: np.ndarray, value: float) -> float:

@@ -30,7 +30,7 @@ from qcomplex.errors import (
 from qcomplex.chains import boundary_sums, is_path_connected
 from qcomplex.extremal import (
     EPS_MAXIMIZER, RESOLVE_MARGIN, InspectorReport, PerronProfile, ProfileRow,
-    _dedup_canonical, _domain_orbits, _mask_faces, _q_values, _tables,
+    _canonical_forms, _domain, _mask_faces, _q_values, _tables,
     _triangle_space)
 
 from conftest import (down_neighbors, down_neighbors_via_vertex, face_index,
@@ -71,7 +71,9 @@ def brute_force_covering_count(n):
 
 def domain_masks(n, full_skeleton):
     """The masks of the search domain, ascending."""
-    return np.flatnonzero(_domain_orbits(n, full_skeleton)[_tables(n).orbit])
+    tables = _tables(n)
+    inside = tables.cover if full_skeleton else tables.popcount > 0
+    return np.flatnonzero(inside[tables.orbit])
 
 
 class TestEnumeration:
@@ -96,9 +98,9 @@ class TestEnumeration:
         def build(n):  # refused before any triangle table
             raise AssertionError(f"tables built for n={n}")
         monkeypatch.setattr(extremal, "_tables", build)
-        for n, full_skeleton in ((7, True), (6, False), (10, True)):
+        for n, full_skeleton in ((7, True), (7, False), (10, True)):
             with pytest.raises(TooLarge):
-                _domain_orbits(n, full_skeleton)
+                _domain(n, 1, full_skeleton)
             for search in (max_facets_search, max_spectral_search):
                 with pytest.raises(TooLarge):
                     search(n, 1, full_skeleton=full_skeleton)
@@ -315,7 +317,7 @@ class TestDedup:
         qs = _q_values(5, hits)
         for witnesses in (hits[popcount[hits] == popcount[hits].max()],
                           hits[qs >= qs.max() - EPS_MAXIMIZER]):
-            assert (_dedup_canonical(5, witnesses)
+            assert (_canonical_forms(5, np.unique(tables.orbit[witnesses]))
                     == canonical_oracle(5, witnesses))
 
     def test_n6_sample_of_classes(self):
@@ -327,13 +329,27 @@ class TestDedup:
         for pool in (np.flatnonzero(tables.cover[tables.orbit]),
                      np.flatnonzero((popcount > 0) & (popcount <= 4))):
             masks = rng.choice(pool, 30, replace=False)
-            assert _dedup_canonical(6, masks) == canonical_oracle(6, masks)
+            assert (_canonical_forms(6, np.unique(tables.orbit[masks]))
+                    == canonical_oracle(6, masks))
 
     @pytest.mark.parametrize("n,t", [(4, 0), (4, 1), (5, 0), (5, 1), (5, 2),
                                      (6, 0), (6, 1), (6, 2), (6, 3)])
     def test_tent_form_from_the_orbit_tables(self, n, t):
+        # the tent plus t faces on {1, 2} is the lexicographic prefix of
+        # C(n-1, 2) + t triangles
         tent = tented(n, 2) if t == 0 else tent_plus_common_edge(n, t)
-        assert extremal._tent_canonical(n, t) == canonical_form(tent)
+        assert (_canonical_forms(n, [extremal._tent_orbit(n, t)])
+                == (canonical_form(tent),))
+
+    def test_tent_verdict_reads_the_witness_orbits(self, monkeypatch):
+        # the tent is a witness at every n <= 6; an orbit of the domain
+        # that is none stands in for it
+        orbits = extremal._domain(5, 1, True)
+        fewest = int(orbits[_tables(5).popcount[orbits].argmin()])
+        monkeypatch.setattr(extremal, "_tent_orbit", lambda n, t: fewest)
+        facets, spectral = max_facets_search(5, 1), max_spectral_search(5, 1)
+        assert not facets.tent_attains_max and not spectral.tent_attains_max
+        assert {"kind": "tent_not_witness", "t": 1} in facets.bound_violations
 
 
 class TestSearchParamGuards:
@@ -344,7 +360,7 @@ class TestSearchParamGuards:
         calls = [(max_facets_search, (5, 1.5)), (max_facets_search, (5.0, 1)),
                  (max_spectral_search, (5, 1.5)),
                  (max_spectral_search, (5.0, 1)),
-                 (_domain_orbits, (5.0, True))]
+                 (_domain, (5.0, 1, True))]
         for fn, args in calls:
             with pytest.raises(BadParams):
                 fn(*args)
@@ -428,6 +444,21 @@ class TestMaxFacetsSearch:
     def test_t_range_guard(self):
         with pytest.raises(BadParams):
             max_facets_search(5, 3)
+
+
+class TestUnrestrictedN6:
+    @pytest.mark.parametrize("t,count", [(0, 358_884), (1, 313_650),
+                                         (2, 199_645)])
+    @pytest.mark.parametrize("search", [max_facets_search, max_spectral_search])
+    def test_same_maximizers_as_full_skeleton(self, search, t, count):
+        # over every set of triangles at n = 6 the maximum, its witnesses
+        # and the tent verdict are those of the full-skeleton domain
+        full, free = search(6, t), search(6, t, full_skeleton=False)
+        assert free.enumerated_count == count
+        assert free.enumerated_count > full.enumerated_count
+        assert dataclasses.replace(
+            free, restricted_to_full_skeleton=True,
+            enumerated_count=full.enumerated_count) == full
 
 
 class TestMaxSpectralSearch:

@@ -1,5 +1,6 @@
 import inspect
 
+import numpy as np
 import pytest
 
 import qcomplex
@@ -102,3 +103,32 @@ def test_no_entry_point_takes_a_tolerance():
         obj = getattr(qcomplex, name)
         if inspect.isfunction(obj) or inspect.isclass(obj):
             assert "tol" not in inspect.signature(obj).parameters, name
+
+
+def _with_entry(i, x):
+    """A vector over the i-faces of the tent, 1.0 but for its last entry x."""
+    v = np.ones(_TENT.n_faces(i))
+    v[-1] = x
+    return v
+
+
+#: Every entry point whose vector argument goes through `chains._as_vector`.
+VECTOR_CALLS = {
+    "apply_q_up": lambda x: qcomplex.apply_q_up(_TENT, 1, _with_entry(1, x)),
+    "apply_q_down": lambda x: qcomplex.apply_q_down(_TENT, 1, _with_entry(1, x)),
+    "boundary_sums": lambda x: qcomplex.boundary_sums(_TENT, 1, _with_entry(1, x)),
+    "quadratic_form": lambda x: qcomplex.quadratic_form(
+        _TENT, 1, _with_entry(1, x), np.zeros(_TENT.n_faces(1))),
+    "rayleigh_quotient": lambda x: qcomplex.rayleigh_quotient(
+        _TENT, 1, _with_entry(1, x)),
+    "down_neighbor_sum": lambda x: qcomplex.chains.down_neighbor_sum(
+        _TENT, 2, _with_entry(2, x)),
+}
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("call", VECTOR_CALLS.values(), ids=VECTOR_CALLS)
+def test_non_finite_vector_is_refused(call, x):
+    # a NaN or an infinity would answer NaN, not a number
+    with pytest.raises(errors.BadParams, match="finite"):
+        call(x)
