@@ -161,7 +161,7 @@ def _csv(rows: list[list], header: list[str]) -> str:
 def _cmd_inspect(opt) -> int:
     K = read_facets(opt["file"])
     report = extremal.proof_inspector(K, seed=opt["seed"])
-    d = report.to_dict()
+    d = vars(report)
     if opt["format"] == "json":
         _emit(json.dumps({"schema": JSON_SCHEMA_VERSION, **d}, sort_keys=True,
                          indent=2) + "\n", opt["output"])

@@ -25,6 +25,13 @@ from .errors import BadParams, BadVertexId, DimensionOutOfRange, NotPure, TooLar
 
 Face = tuple[int, ...]
 
+#: Most faces a construction may list before duplicates are dropped: the
+#: closure of its candidate facets, 2^w - 1 faces for each one on w
+#: vertices. `from_facets` and `families.subset_rows` refuse more with
+#: `TooLarge` before they build anything. The two disjoint copies of the
+#: 59-simplex's 2-skeleton list about 4.8e5 faces.
+FACE_BUDGET = 1 << 24
+
 #: Brute-force canonical form limit: the permutation search takes about
 #: 0.7 s at 8 vertices and grows by a factor n with each vertex.
 ISO_MAX_VERTICES = 8
@@ -163,6 +170,9 @@ def from_facets(n: int, facets: Iterable[Iterable[int]] = (), require_pure: bool
         raise BadVertexId(f"vertex ids in {bad!r} are not int64 integers") from None
     if any(a.ndim != 2 for a in blocks):
         raise BadParams("candidate arrays must be 2-D, one candidate per row")
+    if sum(len(a) * ((1 << a.shape[1]) - 1) for a in blocks) > FACE_BUDGET:
+        raise TooLarge("the closure of the facets lists more faces than the "
+                       f"face budget of {FACE_BUDGET}")
     sizes = sorted({a.shape[1] for a in blocks if len(a)})
     if not sizes or sizes[0] == 0:
         raise BadParams("a face needs at least one vertex" if sizes

@@ -1,13 +1,18 @@
 """Exception types shared across the package.
 
 Every error carries a stable ``code`` string used by the CLI to render
-machine-readable diagnostics. Errors split into two groups: usage errors
-(bad input, out-of-range parameters), the subclasses of `UsageError`, and
-computation errors (convergence, precision, internal contract failures);
-the CLI maps them to exit codes 2 and 1 respectively.
+machine-readable diagnostics. A subclass's code is its class name in
+snake case, set when the class is defined (``BadVertexId`` has the code
+``bad_vertex_id``); the base class has the code ``error``. Errors split
+into two groups: usage errors (bad input, out-of-range parameters), the
+subclasses of `UsageError`, and computation errors (convergence,
+precision, internal contract failures); the CLI maps them to exit codes
+2 and 1 respectively.
 """
 
 from __future__ import annotations
+
+import re
 
 __all__ = [
     "QComplexError",
@@ -36,6 +41,10 @@ class QComplexError(Exception):
 
     code = "error"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+
 
 class UsageError(QComplexError):
     """Invalid usage rather than a failed computation (CLI exit code 2)."""
@@ -44,35 +53,25 @@ class UsageError(QComplexError):
 class NotPure(UsageError):
     """Facets of mixed dimension where a pure complex is required."""
 
-    code = "not_pure"
-
 
 class BadVertexId(UsageError):
     """Vertex id negative or outside [0, n_vertices)."""
-
-    code = "bad_vertex_id"
 
 
 class TooLarge(UsageError):
     """Instance exceeds the documented brute-force/desk-scale limits."""
 
-    code = "too_large"
-
 
 class DimensionOutOfRange(UsageError):
-    code = "dimension_out_of_range"
+    """A dimension index that is no integer or names no faces."""
 
 
 class LengthMismatch(UsageError):
     """Vector length does not match the face-space dimension."""
 
-    code = "length_mismatch"
-
 
 class NoConvergence(QComplexError):
     """Iterative eigensolve failed to reach the requested residual."""
-
-    code = "no_convergence"
 
     def __init__(self, message: str, iterations: int = 0, residual: float = float("nan")):
         super().__init__(message)
@@ -81,50 +80,40 @@ class NoConvergence(QComplexError):
 
 
 class NotPathConnected(UsageError):
-    code = "not_path_connected"
+    """A complex whose i-faces are not linked through shared (i+1)-faces."""
 
 
 class ResidualTooLarge(QComplexError):
     """Input eigenpair residual above the documented threshold."""
 
-    code = "residual_too_large"
-
 
 class SpectrumAmbiguous(QComplexError):
     """An eigenvalue fell inside the zero-test guard band."""
 
-    code = "spectrum_ambiguous"
-
 
 class NotBasicHole(UsageError):
-    code = "not_basic_hole"
+    """A complex that is not a basic hole."""
 
 
 class BadParams(UsageError):
     """Parameter outside its documented range."""
 
-    code = "bad_params"
-
 
 class FaceContainsApex(UsageError):
-    code = "face_contains_apex"
+    """An added face that contains the apex of the tent."""
 
 
 class DuplicateFace(UsageError):
-    code = "duplicate_face"
+    """A face listed twice."""
 
 
 class BudgetExhausted(QComplexError):
     """Rejection sampling ran out of attempts."""
 
-    code = "budget_exhausted"
-
 
 class NoApex(UsageError):
-    code = "no_apex"
+    """No vertex is joined to every pair of the other vertices."""
 
 
 class PrecisionInsufficient(QComplexError):
     """Eigenvalue error bound too large for the quantity being measured."""
-
-    code = "precision_insufficient"

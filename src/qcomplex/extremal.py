@@ -387,7 +387,8 @@ def detect_apex(K: SimplicialComplex) -> ApexResult:
 
 @dataclass(frozen=True)
 class InspectorReport:
-    """Counting quantities around the face with the largest boundary sum.
+    """Counting quantities around the face with the largest boundary sum,
+    one row of the `inspect` table with its fields in column order.
 
     The inequality verdicts are only expected to hold when the input is a
     global spectral maximizer on many vertices; the report records them
@@ -395,36 +396,26 @@ class InspectorReport:
     """
 
     peak_face: Face
-    apex: int | None
-    roles: tuple[int, int, int]           # peak-face vertices ordered (u, v, w)
     betti_top: int
-    n_outside: int                        # vertices outside the peak face
-    outside_by_count: tuple[int, int, int, int]  # grouped by down neighbors made
-    n_weak_outside: int                   # those making at most one
-    two_class_split: tuple[int, int, int]  # two-neighbor class per role, descending
-    n_apex_missing: int                   # facets avoiding the apex vertex
+    apex: int | None
+    u: int                  # the peak-face vertices in role order: the apex
+    v: int                  # first when it is on the face, then by
+    w: int                  # descending two-neighbor class
+    n_outside: int          # vertices outside the peak face, by the number
+    outside_0: int          # of the peak face's down neighbors each makes
+    outside_1: int
+    outside_2: int
+    outside_3: int
+    n_weak_outside: int     # those making at most one
+    two_class_u: int        # the two-neighbor class, split by the role
+    two_class_v: int        # vertex whose face is missing
+    two_class_w: int
+    n_apex_missing: int     # facets avoiding the apex vertex
+    n_shared_edge_missing: int
     shared_edge_missing: tuple[Face, ...]  # those through the peak edge {v, w}
-    down_pair_count: int                  # paths of two down-neighbor steps
+    down_pair_count: int    # paths of two down-neighbor steps
     verdicts: dict = field(default_factory=dict)
     caveat: str = "hypothesis: K is a global maximizer"
-
-    def to_dict(self) -> dict:
-        return {
-            "peak_face": list(self.peak_face),
-            "betti_top": self.betti_top,
-            "apex": self.apex,
-            **dict(zip("uvw", self.roles)),
-            "n_outside": self.n_outside,
-            **{f"outside_{k}": c for k, c in enumerate(self.outside_by_count)},
-            "n_weak_outside": self.n_weak_outside,
-            **{f"two_class_{r}": c for r, c in zip("uvw", self.two_class_split)},
-            "n_apex_missing": self.n_apex_missing,
-            "n_shared_edge_missing": len(self.shared_edge_missing),
-            "shared_edge_missing": [list(f) for f in self.shared_edge_missing],
-            "down_pair_count": self.down_pair_count,
-            "verdicts": dict(self.verdicts),
-            "caveat": self.caveat,
-        }
 
 
 def proof_inspector(K: SimplicialComplex, seed: int = 0) -> InspectorReport:
@@ -457,7 +448,7 @@ def proof_inspector(K: SimplicialComplex, seed: int = 0) -> InspectorReport:
     count = closes.sum(axis=0)  # |N^d(F0, x)| for each vertex x outside F0
     a = K.n_faces(0) - 3
     made = np.bincount(count, minlength=4)[1:].tolist()
-    a_sizes = (a - sum(made), *made)
+    outside = (a - sum(made), *made)
 
     # split the |N^d(F0, .)| = 2 class by which face is missing
     split = dict(zip(f0, ((count == 2) & (closes == 0)).sum(axis=1).tolist()))
@@ -466,7 +457,6 @@ def proof_inspector(K: SimplicialComplex, seed: int = 0) -> InspectorReport:
         v, w = sorted((x for x in f0 if x != u), key=lambda x: (-split[x], x))
     else:
         u, v, w = sorted(f0, key=lambda x: (-split[x], x))
-    a2_split = (split[u], split[v], split[w])
 
     base_vertex = apex if apex is not None else u
     missing = ~(rows == base_vertex).any(axis=1)
@@ -477,55 +467,48 @@ def proof_inspector(K: SimplicialComplex, seed: int = 0) -> InspectorReport:
     n_down = chains.down_neighbor_sum(K, 2, np.ones(len(rows)))
     pair_count = int(chains.down_neighbor_sum(K, 2, n_down)[k0])
 
-    weak = a_sizes[0] + a_sizes[1]
-    closing = a_sizes[3]
+    weak = outside[0] + outside[1]
+    closing = outside[3]
     upper = 4 * a * a - 2 * a * weak + closing * (closing + 2 * weak) + 4 * t
     verdicts = {
         "pair_count_lower": pair_count > 4 * a * a - 6 * t,
         "pair_count_upper": pair_count <= upper,
         "apex_missing_bound": n_missing < 5 * t * t + 10 * t,
     }
-    if a2_split[1] > 0:
+    if split[v] > 0:
         verdicts["pair_count_upper_refined"] = (
-            pair_count <= upper - 2 * (a_sizes[2] - 1))
+            pair_count <= upper - 2 * (outside[2] - 1))
 
     return InspectorReport(
-        peak_face=f0, apex=apex, roles=(u, v, w), betti_top=t, n_outside=a,
-        outside_by_count=a_sizes, n_weak_outside=weak,
-        two_class_split=a2_split, n_apex_missing=n_missing,
-        shared_edge_missing=through_edge, down_pair_count=pair_count,
-        verdicts=verdicts)
+        f0, t, apex, u, v, w, a, *outside, weak, split[u], split[v], split[w],
+        n_missing, len(through_edge), through_edge, pair_count, verdicts)
 
 
 # -- Perron profile and asymptotics ------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProfileRow:
-    label: str
-    measured: float
-    predicted: float
-    rel_dev: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerronProfile:
-    """Measured Perron-vector entries against their asymptotic predictions."""
+    """Measured Perron-vector entries against their asymptotic predictions.
+
+    Each group is a (measured, predicted) pair of float64 arrays in face
+    order: the edges off the apex, the edges through it, and the boundary
+    sums of the facets that avoid it.
+    """
 
     n: int
     t: int
-    non_apex_edges: tuple[ProfileRow, ...]
-    apex_edges: tuple[ProfileRow, ...]
-    missing_apex_faces: tuple[ProfileRow, ...]
+    non_apex_edges: tuple[np.ndarray, np.ndarray]
+    apex_edges: tuple[np.ndarray, np.ndarray]
+    missing_apex_faces: tuple[np.ndarray, np.ndarray]
 
     @property
     def max_rel_dev(self) -> dict[str, float]:
-        return {
-            "non_apex_edges": max(r.rel_dev for r in self.non_apex_edges),
-            "apex_edges": max(r.rel_dev for r in self.apex_edges),
-            "missing_apex_faces": max(
-                (r.rel_dev for r in self.missing_apex_faces), default=0.0),
-        }
+        devs = {}
+        for group in ("non_apex_edges", "apex_edges", "missing_apex_faces"):
+            m, p = getattr(self, group)
+            devs[group] = float(np.max(np.abs(m - p) / np.abs(p), initial=0.0))
+        return devs
 
     @property
     def overall_max_rel_dev(self) -> float:
@@ -547,33 +530,18 @@ def perron_profile(K: SimplicialComplex) -> PerronProfile:
     f = spectra.perron_vector(K, 1, "max_boundary_sum_one").vector
     rows = K.rows(2)
     missing = ~(rows == u).any(axis=1)
-    t = int(missing.sum())
     edge_missing_count = np.bincount(
         chains.boundary_index_table(K, 2)[missing].ravel(),
-        minlength=K.n_faces(1)).tolist()
-
-    def row(label, measured, predicted):
-        m, p = float(measured), float(predicted)
-        return ProfileRow(label, m, p, abs(m - p) / abs(p))
-
-    non_apex, apex_rows = [], []
-    for k, e in enumerate(K.rows(1).tolist()):
-        if u in e:
-            apex_rows.append(row(f"{e[0]},{e[1]}", f[k], 0.5 - 1.0 / (4 * n)))
-        else:
-            non_apex.append(row(f"{e[0]},{e[1]}", f[k], 1.0 / (2 * n - 3)
-                                + 3.0 * edge_missing_count[k] / (4.0 * n * n)))
-
-    missing_rows = []
-    sums = chains.boundary_sums(K, 1, f)
+        minlength=K.n_faces(1))
+    on_apex = (K.rows(1) == u).any(axis=1)
     n_down = chains.down_neighbor_sum(K, 2, np.ones(len(rows)))
-    for k in np.flatnonzero(missing).tolist():
-        pred = 3.0 / (2 * n - 3) + 3.0 * n_down[k] / (4.0 * n * n)
-        missing_rows.append(row(",".join(map(str, rows[k].tolist())), sums[k],
-                                pred))
-
-    return PerronProfile(n, t, tuple(non_apex), tuple(apex_rows),
-                         tuple(missing_rows))
+    return PerronProfile(
+        n, int(missing.sum()),
+        (f[~on_apex], 1.0 / (2 * n - 3)
+         + 3.0 * edge_missing_count[~on_apex] / (4.0 * n * n)),
+        (f[on_apex], np.full(int(on_apex.sum()), 0.5 - 1.0 / (4 * n))),
+        (chains.boundary_sums(K, 1, f)[missing],
+         3.0 / (2 * n - 3) + 3.0 * n_down[missing] / (4.0 * n * n)))
 
 
 @dataclass(frozen=True)

@@ -7,18 +7,20 @@ the tent-plus-common-edge family is always {1, 2}.
 
 from __future__ import annotations
 
+import math
 from itertools import chain, combinations
 
 import numpy as np
 
 from . import homology
-from .complex_core import (Face, SimplicialComplex, check_seed, face, from_facets,
-                           is_integer, require_int)
+from .complex_core import (FACE_BUDGET, Face, SimplicialComplex, check_seed, face,
+                           from_facets, is_integer, require_int)
 from .errors import (
     BadParams,
     BudgetExhausted,
     DuplicateFace,
     FaceContainsApex,
+    TooLarge,
 )
 
 #: Per family: its generator over the given parameters, the parameters it
@@ -45,7 +47,14 @@ MAX_ATTEMPTS = 500
 
 
 def subset_rows(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n), one row each, in lexicographic order."""
+    """The k-subsets of range(n), one row each, in lexicographic order.
+    Rows whose closure lists more than `FACE_BUDGET` faces are refused with
+    `TooLarge`, as `from_facets` would refuse them, before any is listed;
+    a k-subset alone lists 2^k - 1, so k is tested first."""
+    if (k > FACE_BUDGET.bit_length()
+            or math.comb(n, k) * ((1 << k) - 1) > FACE_BUDGET):
+        raise TooLarge(f"the closure of the {k}-subsets of {n} vertices lists "
+                       f"more faces than the face budget of {FACE_BUDGET}")
     flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64)
     return flat.reshape(-1, k)
 
@@ -84,9 +93,10 @@ def rhombic(r: int) -> SimplicialComplex:
     require_int(r=r)
     if r < 1:
         raise BadParams(f"need r >= 1, got {r}")
-    facets = [base + (apex,) for apex in (r + 1, r + 2)
-              for base in combinations(range(r + 1), r)]
-    return from_facets(r + 3, facets, require_pure=True)
+    base = subset_rows(r + 1, r)
+    facets = [np.pad(base, ((0, 0), (0, 1)), constant_values=apex)
+              for apex in (r + 1, r + 2)]
+    return from_facets(r + 3, arrays=facets, require_pure=True)
 
 
 def tent_plus_common_edge(n: int, t: int) -> SimplicialComplex:

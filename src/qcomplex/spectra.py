@@ -63,10 +63,6 @@ class SpectralResult:
     degenerate: bool = False
 
 
-def _residual(K: SimplicialComplex, i: int, f: np.ndarray, value: float) -> float:
-    return float(np.linalg.norm(chains.apply_q_up(K, i, f) - value * f))
-
-
 def _lanczos_top2(K: SimplicialComplex, i: int, seed: int):
     """Top Ritz vector (unit norm), the gap between the top two Ritz
     values, and the number of applications of `chains.apply_q_up`, which
@@ -126,9 +122,7 @@ def spectral_radius(K: SimplicialComplex, i: int, seed: int = 0) -> SpectralResu
     if f.sum() < 0:
         f = -f
     value = rayleigh_quotient(K, i, f)
-    # a dense pair's residual is taken at its eigh value, a Lanczos one at
-    # the Rayleigh quotient
-    residual = _residual(K, i, f, value if iterations else float(eigs[-1]))
+    residual = float(np.linalg.norm(chains.apply_q_up(K, i, f) - value * f))
     if residual > RESIDUAL_TOL:
         raise NoConvergence(
             f"residual {residual:.3e} above tol {RESIDUAL_TOL:.1e} "

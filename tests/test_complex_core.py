@@ -1,4 +1,5 @@
 import io
+import math
 import numbers
 import re
 import warnings
@@ -110,6 +111,53 @@ class TestFromFacets:
     def test_unsorted_input_normalized(self):
         K = from_facets(3, [(2, 0, 1)])
         assert K.facets == ((0, 1, 2),)
+
+
+def _reached(*args, **kwargs):
+    raise AssertionError("construction started over the face budget")
+
+
+class TestFaceBudget:
+    """A construction over `FACE_BUDGET` listed faces is refused before
+    the closure or the subset listing starts."""
+
+    # 30 vertices: 85 bytes whose closure lists 2^30 - 1 faces; 15,000:
+    # a count with more digits than an int may print
+    @pytest.mark.parametrize("width", [30, 15_000])
+    def test_one_wide_facet(self, monkeypatch, tmp_path, width):
+        monkeypatch.setattr(complex_core, "_prefix_keys", _reached)
+        path = tmp_path / "wide.facets"
+        path.write_text(f"n {width}\n" + " ".join(map(str, range(width))) + "\n")
+        with pytest.raises(TooLarge, match="face budget"):
+            read_facets(path)
+
+    @pytest.mark.parametrize("build", [
+        lambda: delta_sphere(30), lambda: simplex_skeleton(200, 4),
+        # 20,001 rows of 20,000 vertices: 3.2 GB had they been listed
+        lambda: delta_sphere(19_999), lambda: rhombic(20_000),
+        # C(10^6, 5 * 10^5) alone takes seconds to compute
+        lambda: simplex_skeleton(10 ** 6, 5 * 10 ** 5 - 1),
+    ], ids=["delta_sphere_30", "skeleton_200_4", "delta_sphere_19999",
+            "rhombic_20000", "skeleton_half"])
+    def test_subset_listing(self, monkeypatch, build):
+        monkeypatch.setattr(complex_core, "_prefix_keys", _reached)
+        monkeypatch.setattr(families, "combinations", _reached)
+        comb = math.comb
+        monkeypatch.setattr(math, "comb",
+                            lambda n, k: comb(n, k) if k < 64 else _reached())
+        with pytest.raises(TooLarge, match="face budget"):
+            build()
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        # a triangle lists 7 faces, two triangles 14
+        monkeypatch.setattr(complex_core, "FACE_BUDGET", 7)
+        monkeypatch.setattr(families, "FACE_BUDGET", 7)
+        assert from_facets(3, [(0, 1, 2)]).n_faces(1) == 3
+        assert families.subset_rows(3, 3).tolist() == [[0, 1, 2]]
+        with pytest.raises(TooLarge):
+            from_facets(4, [(0, 1, 2), (1, 2, 3)])
+        with pytest.raises(TooLarge):
+            families.subset_rows(4, 3)
 
 
 def oracle_from_facets(n, facets):

@@ -29,9 +29,8 @@ from qcomplex.errors import (
     BadParams, NoApex, NotPure, PrecisionInsufficient, TooLarge)
 from qcomplex.chains import boundary_sums, is_path_connected
 from qcomplex.extremal import (
-    EPS_MAXIMIZER, RESOLVE_MARGIN, InspectorReport, PerronProfile, ProfileRow,
-    _canonical_forms, _domain, _mask_faces, _q_values, _tables,
-    _triangle_space)
+    EPS_MAXIMIZER, RESOLVE_MARGIN, InspectorReport, _canonical_forms, _domain,
+    _mask_faces, _q_values, _tables, _triangle_space)
 
 from conftest import (down_neighbors, down_neighbors_via_vertex, face_index,
                       faces, has_face, pure2_complexes)
@@ -531,7 +530,7 @@ class TestProofInspector:
         assert rep.betti_top == 1
         assert rep.apex == 0
         assert rep.peak_face == (0, 1, 2)
-        assert rep.outside_by_count[3] == 1  # vertex 3 closes all three faces
+        assert rep.outside_3 == 1  # vertex 3 closes all three faces
         assert rep.n_weak_outside == 0
         assert rep.n_apex_missing == 1
         assert rep.shared_edge_missing == ((1, 2, 3),)
@@ -540,10 +539,10 @@ class TestProofInspector:
     def test_partition_sums(self):
         for K in (tent_plus_common_edge(7, 2), tent_plus_common_edge(9, 3)):
             rep = proof_inspector(K)
-            counts = rep.outside_by_count
-            assert rep.n_weak_outside + counts[2] + counts[3] == rep.n_outside
-            assert sum(rep.two_class_split) == counts[2]
-            split = rep.two_class_split
+            assert (rep.n_weak_outside + rep.outside_2 + rep.outside_3
+                    == rep.n_outside)
+            split = (rep.two_class_u, rep.two_class_v, rep.two_class_w)
+            assert sum(split) == rep.outside_2
             assert split[0] >= split[1] >= split[2]
             assert rep.n_outside == K.n_vertices - 3
 
@@ -556,7 +555,7 @@ class TestProofInspector:
     def test_delta4_all_three_neighbors(self, delta4):
         rep = proof_inspector(delta4)
         assert rep.n_outside == 1
-        assert rep.outside_by_count[3] == 1
+        assert rep.outside_3 == 1
         assert rep.down_pair_count == 9  # 3 down neighbors with 3 each
 
     def test_disconnected_rejected(self, two_triangles):
@@ -600,10 +599,10 @@ def inspector_recount(K):
     if split[v] > 0:
         verdicts["pair_count_upper_refined"] = (
             pairs <= upper - 2 * (sizes[2] - 1))
+    shared = tuple(F for F in missing if v in F and w in F)
     return InspectorReport(
-        f0, apex, (u, v, w), t, a, sizes, weak, (split[u], split[v], split[w]),
-        len(missing), tuple(F for F in missing if v in F and w in F), pairs,
-        verdicts)
+        f0, t, apex, u, v, w, a, *sizes, weak, split[u], split[v], split[w],
+        len(missing), len(shared), shared, pairs, verdicts)
 
 
 class TestInspectorRecount:
@@ -630,31 +629,30 @@ class TestInspectorRecount:
 
 
 def profile_recount(K):
-    """Oracle: the Perron profile recounted face by face with the tuple
-    oracles (`faces`, `face_index`, `down_neighbors`)."""
+    """Oracle: the Perron profile's (measured, predicted) lists in face
+    order, recounted face by face with the tuple oracles (`faces`,
+    `face_index`, `down_neighbors`)."""
     u, n = detect_apex(K).vertex, K.n_vertices
     f = perron_vector(K, 1, "max_boundary_sum_one").vector
     missing = [F for F in faces(K, 2) if u not in F]
     on_edge = Counter(e for F in missing for e in combinations(F, 2))
-
-    def row(label, measured, predicted):
-        m, p = float(measured), float(predicted)
-        return ProfileRow(label, m, p, abs(m - p) / abs(p))
-
-    non_apex, apex_rows = [], []
+    groups = {"non_apex_edges": ([], []), "apex_edges": ([], []),
+              "missing_apex_faces": ([], [])}
     for k, e in enumerate(faces(K, 1)):
         if u in e:
-            apex_rows.append(row(f"{e[0]},{e[1]}", f[k], 0.5 - 1.0 / (4 * n)))
+            m, p = groups["apex_edges"]
+            p.append(0.5 - 1.0 / (4 * n))
         else:
-            non_apex.append(row(f"{e[0]},{e[1]}", f[k], 1.0 / (2 * n - 3)
-                                + 3.0 * on_edge[e] / (4.0 * n * n)))
+            m, p = groups["non_apex_edges"]
+            p.append(1.0 / (2 * n - 3) + 3.0 * on_edge[e] / (4.0 * n * n))
+        m.append(float(f[k]))
     sums = boundary_sums(K, 1, f)
-    missing_rows = [
-        row(",".join(map(str, F)), sums[face_index(K, F)],
-            3.0 / (2 * n - 3) + 3.0 * len(down_neighbors(K, F)) / (4.0 * n * n))
-        for F in missing]
-    return PerronProfile(n, len(missing), tuple(non_apex), tuple(apex_rows),
-                         tuple(missing_rows))
+    m, p = groups["missing_apex_faces"]
+    for F in missing:
+        m.append(float(sums[face_index(K, F)]))
+        p.append(3.0 / (2 * n - 3)
+                 + 3.0 * len(down_neighbors(K, F)) / (4.0 * n * n))
+    return len(missing), groups
 
 
 class TestPerronProfile:
@@ -664,7 +662,15 @@ class TestPerronProfile:
         tent_plus_faces(24, [(1, 2, 3), (1, 2, 4), (2, 3, 4), (5, 6, 7)])],
         ids=["tent20_1", "tent31_2", "tent40_3", "tent24_faces"])
     def test_matches_recount(self, K):
-        assert perron_profile(K) == profile_recount(K)
+        prof = perron_profile(K)
+        t, groups = profile_recount(K)
+        assert (prof.n, prof.t) == (K.n_vertices, t)
+        for name, want in groups.items():
+            got = getattr(prof, name)
+            assert all(a.dtype == np.float64 for a in got)
+            assert [a.tolist() for a in got] == list(want)
+            assert prof.max_rel_dev[name] == max(
+                (abs(m - p) / abs(p) for m, p in zip(*want)), default=0.0)
 
     def test_t1_n30_classes(self):
         prof = perron_profile(tent_plus_common_edge(30, 1))
@@ -672,7 +678,7 @@ class TestPerronProfile:
         assert dev["apex_edges"] < 0.01
         assert dev["non_apex_edges"] < 0.05
         assert dev["missing_apex_faces"] < 0.05
-        assert len(prof.missing_apex_faces) == 1
+        assert len(prof.missing_apex_faces[0]) == 1
 
     def test_deviation_shrinks_with_n(self):
         small = perron_profile(tent_plus_common_edge(20, 2))

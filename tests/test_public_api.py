@@ -46,6 +46,25 @@ def test_error_names_are_pinned():
     ]
 
 
+
+def test_error_code_is_the_snake_case_class_name():
+    # set by QComplexError.__init_subclass__; the base class keeps "error"
+    assert {name: getattr(errors, name).code for name in errors.__all__} == {
+        "QComplexError": "error", "UsageError": "usage_error",
+        "NotPure": "not_pure", "BadVertexId": "bad_vertex_id",
+        "TooLarge": "too_large",
+        "DimensionOutOfRange": "dimension_out_of_range",
+        "LengthMismatch": "length_mismatch", "NoConvergence": "no_convergence",
+        "NotPathConnected": "not_path_connected",
+        "ResidualTooLarge": "residual_too_large",
+        "SpectrumAmbiguous": "spectrum_ambiguous",
+        "NotBasicHole": "not_basic_hole", "BadParams": "bad_params",
+        "FaceContainsApex": "face_contains_apex",
+        "DuplicateFace": "duplicate_face",
+        "BudgetExhausted": "budget_exhausted", "NoApex": "no_apex",
+        "PrecisionInsufficient": "precision_insufficient",
+    }
+
 BOOL_ARGUMENTS = {
     "facet_bound": lambda: qcomplex.facet_bound(6, 2, True),
     "spectral_bound": lambda: qcomplex.spectral_bound(True, 2, 1),

@@ -109,6 +109,19 @@ class TestSpectralRadius:
         with pytest.raises(BadParams):
             spectral_radius(tent_plus_common_edge(8, 1), 1, seed=seed)
 
+    @pytest.mark.parametrize("method", ["dense", "lanczos"])
+    def test_residual_is_taken_at_the_value(self, method, monkeypatch):
+        # ||Q f - value f|| at the reported value on both paths; at the
+        # dense eigh value it differs in the last bits on this tent
+        if method == "lanczos":
+            monkeypatch.setattr(chains, "DENSE_LIMIT", 0)
+        K = tented(12, 2)
+        res = spectral_radius(K, 1)
+        assert (res.iterations > 0) == (method == "lanczos")
+        f = res.vector
+        assert res.residual == float(np.linalg.norm(apply_q_up(K, 1, f)
+                                                    - res.value * f))
+
     def test_dense_residual_above_tol_refused(self, monkeypatch):
         # no eigensolve reaches a zero residual; the dense pair is refused
         # as it stands, with no Lanczos solve after it
