@@ -8,8 +8,8 @@ Each complex holds one incidence per dimension, cached on it, and no other
 form of the boundary maps: the face-index table `boundary_index_table`
 (one `SimplicialComplex.row_index` search of the vertex-omitted face rows;
 no face tuple is made) and its transpose `coface_index`, the signed coface
-lists that the down operators, the deletion connectivity test, `homology`
-and the proof inspector read. On top of them sit
+lists that the deletion connectivity test, `homology` and the proof
+inspector read. On top of them sit
 
 * up-connectivity of the i-faces: `is_path_connected`, and
   `up_connected_after_deletion` with each (i+1)-face left out;
@@ -17,11 +17,11 @@ and the proof inspector read. On top of them sit
   that never form a matrix: B^T f is `boundary_sums`, a gather per table
   column, and B s one `np.bincount` scatter of the table. The eigensolvers
   and the check battery run on these;
-* the dense `laplacian`, one scatter of either table, up to `DENSE_LIMIT`
-  faces: the one size limit of every dense solve (`spectra`, `homology`).
-
-The dense boundary itself is scattered from the table in `homology`, and
-the check battery composes two tables for d_(j-1) d_j (`acceptance`).
+* the dense `laplacian`, up to `DENSE_LIMIT` faces: the one size limit of
+  every dense solve (`spectra`, `homology`). ``L_down`` is D^T D for the
+  dense boundary D of `dense_boundary`, which the exact ranks and the
+  search's triangle space read too; the check battery composes two
+  tables for d_(j-1) d_j (`acceptance`).
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
     """Array of shape (|S_i|, i+1): row k lists the indices (in S_{i-1})
     of the boundary faces of the k-th i-face, in vertex-omission order.
 
-    Cached on the complex; `coface_index`, the operator applications, the
-    dense `laplacian`, the dense boundary and the chain identity read it.
+    Cached on the complex; `coface_index`, the operator applications,
+    `dense_boundary`, the dense `laplacian` and the chain identity read it.
     """
     if not (is_integer(i) and 1 <= i <= K.dim):
         raise DimensionOutOfRange(f"boundary map needs 1 <= i <= {K.dim}, got {i}")
@@ -75,9 +75,22 @@ def coface_index(K: SimplicialComplex, i: int) -> tuple[np.ndarray, ...]:
     return index
 
 
-def _signs(width: int, signed: bool) -> np.ndarray:
-    """Boundary coefficients by omitted position j: (-1)^j, or all 1."""
-    return (-1) ** np.arange(width) if signed else np.ones(width, np.int64)
+def dense_boundary(K: SimplicialComplex, i: int, keep=None) -> np.ndarray:
+    """Dense signed int64 i-th boundary, one scatter of the index table.
+    With ``keep`` (a bool mask per dimension) its columns and rows are the
+    marked i- and (i-1)-faces; without, all i-faces and the (i-1)-faces
+    that bound one of them: the rows left out are zero, so the rank, the
+    kernel and D^T D are the whole boundary's."""
+    tab = boundary_index_table(K, i)
+    if keep is None:
+        rows_kept = np.bincount(tab.ravel(), minlength=K.n_faces(i - 1)) > 0
+    else:
+        tab, rows_kept = tab[keep[i]], keep[i - 1]
+    rows = np.cumsum(rows_kept) - 1
+    cols, js = np.nonzero(rows_kept[tab])
+    D = np.zeros((int(rows_kept.sum()), tab.shape[0]), dtype=np.int64)
+    D[rows[tab[cols, js]], cols] = 1 - 2 * (js & 1)
+    return D
 
 
 def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
@@ -85,10 +98,10 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
     Laplacian ``L_up`` and the down Laplacian ``L_down`` of the signed
     boundary, or the up signless Laplacian ``Q_up``.
 
-    Each pair of i-faces in one (i+1)-face (up), or on one (i-1)-face
-    (down), adds its sign product in one `np.bincount` of the boundary
-    index table or of the coface index (exact: small integer sums). More
-    than `DENSE_LIMIT` i-faces raise `TooLarge`.
+    ``L_down`` is D^T D for D = `dense_boundary`(K, i). For the up kinds
+    each pair of i-faces in one (i+1)-face adds its sign product in one
+    `np.bincount` of the boundary index table. Both are exact: small
+    integer sums. More than `DENSE_LIMIT` i-faces raise `TooLarge`.
     """
     if kind not in LAPLACIAN_KINDS:
         raise BadParams(f"kind must be one of {LAPLACIAN_KINDS}, got {kind!r}")
@@ -102,20 +115,13 @@ def laplacian(K: SimplicialComplex, i: int, kind: str) -> np.ndarray:
     n_i = K.n_faces(i)
     if n_i > DENSE_LIMIT:
         raise TooLarge(f"dense form refused for shape {(n_i, n_i)}")
-    if down:  # pair the i-faces on each (i-1)-face
-        ptr, face, j = coface_index(K, i - 1)
-        degree = ptr[1:] - ptr[:-1]
-        size = np.repeat(degree, degree)
-        shift = np.repeat(ptr[:-1], degree) - np.cumsum(size) + size
-        s = _signs(i + 1, True)[j]
-        other = np.repeat(shift, size) + np.arange(size.sum())
-        flat = np.repeat(face * n_i, size) + face[other]
-        weights = np.repeat(s, size) * s[other]
-    else:
-        tab = boundary_index_table(K, i + 1)
-        s = _signs(i + 2, kind == "L_up")
-        flat = (tab[:, :, None] * n_i + tab[:, None, :]).ravel()
-        weights = np.tile(np.outer(s, s).ravel(), len(tab))
+    if down:
+        D = dense_boundary(K, i).astype(np.float64)
+        return D.T @ D
+    tab = boundary_index_table(K, i + 1)
+    s = (-1) ** np.arange(i + 2) if kind == "L_up" else np.ones(i + 2, np.int64)
+    flat = (tab[:, :, None] * n_i + tab[:, None, :]).ravel()
+    weights = np.tile(np.outer(s, s).ravel(), len(tab))
     dense = np.bincount(flat, weights, minlength=n_i * n_i)
     return dense.astype(np.float64, copy=False).reshape(n_i, n_i)
 
@@ -183,7 +189,7 @@ def up_connected_after_deletion(K: SimplicialComplex, i: int) -> np.ndarray:
 def _as_vector(K: SimplicialComplex, i: int, f) -> np.ndarray:
     try:
         v = np.asarray(f, dtype=np.float64)
-    except (TypeError, ValueError) as exc:  # a ragged or non-numeric f
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, text, 10**400
         raise BadParams(f"expected a real vector over S_{i}: {exc}") from None
     want = K.n_faces(i)
     if v.shape != (want,):
@@ -227,8 +233,8 @@ def apply_q_up(K: SimplicialComplex, i: int, f) -> np.ndarray:
     of the boundary sum of ``f`` on that coface. Bit-identical to the CSR
     products with the signless boundary.
     """
-    return _apply_b(boundary_index_table(K, i + 1), boundary_sums(K, i, f),
-                    K.n_faces(i))
+    s = boundary_sums(K, i, f)  # checks i before i + 1 is taken
+    return _apply_b(boundary_index_table(K, i + 1), s, K.n_faces(i))
 
 
 def apply_q_down(K: SimplicialComplex, i: int, g) -> np.ndarray:

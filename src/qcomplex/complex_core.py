@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import os
 import re
 import warnings
 from itertools import chain, combinations, permutations
@@ -25,12 +26,13 @@ from .errors import BadParams, BadVertexId, DimensionOutOfRange, NotPure, TooLar
 
 Face = tuple[int, ...]
 
-#: Most faces a construction may list before duplicates are dropped: the
-#: closure of its candidate facets, 2^w - 1 faces for each one on w
-#: vertices. `from_facets` and `families.subset_rows` refuse more with
-#: `TooLarge` before they build anything. The two disjoint copies of the
-#: 59-simplex's 2-skeleton list about 4.8e5 faces.
-FACE_BUDGET = 1 << 24
+#: Most int64 cells a construction may list before duplicates are dropped:
+#: the closure of its candidate facets, whose faces on k of a facet's w
+#: vertices are rows of k cells, w * 2^(w-1) cells in all. `from_facets`
+#: and `families.subset_rows` refuse more with `TooLarge`
+#: (`require_cells_fit`) before they build anything. 12 * floor(2^24 / 7):
+#: the 2,190-vertex tent, 2,394,766 triangles, lists 28,737,192 cells.
+CELL_BUDGET = 12 * ((1 << 24) // 7)
 
 #: Brute-force canonical form limit: the permutation search takes about
 #: 0.7 s at 8 vertices and grows by a factor n with each vertex.
@@ -57,13 +59,26 @@ def check_seed(seed) -> None:
         raise BadParams(f"seed must be a nonnegative integer, got {seed!r}")
 
 
+def require_cells_fit(shapes: Iterable[tuple[int, int]], what: str) -> None:
+    """Refuse with `TooLarge` candidate facets, given as (count, width)
+    pairs, whose closure lists more than `CELL_BUDGET` cells: count * w *
+    2^(w-1) for each pair."""
+    # one facet on 64 vertices is over it: capping w keeps the shift small
+    if sum(count * min(w, 64) << min(w, 64) for count, w in shapes) >> 1 > CELL_BUDGET:
+        raise TooLarge(f"the closure of {what} lists more int64 cells than "
+                       f"the cell budget of {CELL_BUDGET}")
+
+
 def face(vertices: Iterable[int]) -> Face:
     """Normalize an iterable of vertex ids into a face tuple.
 
     Vertices are sorted; ids that are no integer (`bool` included), are
     negative or repeat are rejected.
     """
-    vs = tuple(vertices)
+    try:
+        vs = tuple(vertices)
+    except TypeError:
+        raise BadParams(f"a face is an iterable of vertex ids, got {vertices!r}") from None
     if not all(map(is_integer, vs)):
         raise BadVertexId(f"vertex ids in {vs!r} are not integers")
     vs = tuple(sorted(vs))
@@ -148,13 +163,17 @@ def from_facets(n: int, facets: Iterable[Iterable[int]] = (), require_pure: bool
     """
     if not (is_integer(n) and n > 0):
         raise BadParams(f"n_vertices must be a positive integer, got {n!r}")
+    if n >= 2 ** 63:
+        raise TooLarge("n_vertices must be below 2^63, the range of the int64 "
+                       "face keys")
     groups: dict[int, list] = {}
-    for f in map(tuple, facets):
-        groups.setdefault(len(f), []).append(f)
     try:
+        for f in map(tuple, facets):
+            groups.setdefault(len(f), []).append(f)
         arrays = [np.asarray(a) for a in arrays]
-    except ValueError as exc:  # a ragged nesting
-        raise BadParams(f"candidate arrays must be 2-D: {exc}") from None
+    except (TypeError, ValueError) as exc:  # no iterable, or a ragged nesting
+        raise BadParams("candidate facets must be iterables of vertex ids and "
+                        f"candidate arrays 2-D: {exc}") from None
     try:  # operator.index and a safe cast refuse what int64 would truncate,
         # but let bool through, which is no vertex id either
         if any(a.dtype == bool for a in arrays) or any(
@@ -170,9 +189,7 @@ def from_facets(n: int, facets: Iterable[Iterable[int]] = (), require_pure: bool
         raise BadVertexId(f"vertex ids in {bad!r} are not int64 integers") from None
     if any(a.ndim != 2 for a in blocks):
         raise BadParams("candidate arrays must be 2-D, one candidate per row")
-    if sum(len(a) * ((1 << a.shape[1]) - 1) for a in blocks) > FACE_BUDGET:
-        raise TooLarge("the closure of the facets lists more faces than the "
-                       f"face budget of {FACE_BUDGET}")
+    require_cells_fit(((len(a), a.shape[1]) for a in blocks), "the facets")
     sizes = sorted({a.shape[1] for a in blocks if len(a)})
     if not sizes or sizes[0] == 0:
         raise BadParams("a face needs at least one vertex" if sizes
@@ -245,21 +262,25 @@ def read_facets(path) -> SimplicialComplex:
     """Load a complex from the ``.facets`` text format.
 
     Lines starting with '#' are comments; the first content line is
-    ``n <count>``; every following non-empty line is one facet of int64
-    labels in signed ASCII decimal, parsed by `np.loadtxt`. Labels already
+    ``n <count>``; every following non-empty line is one facet, parsed by
+    `np.loadtxt`. The count and the labels are int64 in signed ASCII
+    decimal, and a path that is no path is refused. Labels already
     inside [0, n) are kept verbatim (so written files round-trip
     byte-identically); otherwise the distinct labels are remapped onto
     0..k-1 in sorted order.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    path = _as_path(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise BadParams(f"{path}: not UTF-8 text") from None
     content = [ln for ln in map(str.strip, lines) if ln and ln[0] != "#"]
     if not content or not content[0].startswith("n "):
         raise BadParams(f"{path}: expected leading 'n <integer>' line")
-    try:
-        n = int(content[0].split()[1])
-    except (IndexError, ValueError):
-        raise BadParams(f"{path}: malformed header {content[0]!r}") from None
+    head = content[0].split()
+    if len(head) != 2 or (n := _label(head[1])) is None:
+        raise BadParams(f"{path}: malformed header {content[0]!r}")
     if not (body := content[1:]):
         raise BadParams(f"{path}: no facets")
     by_width: dict[int, list[str]] = {}
@@ -271,9 +292,8 @@ def read_facets(path) -> SimplicialComplex:
             arrays = [np.loadtxt(group, np.int64, comments=None, ndmin=2)
                       for group in by_width.values()]
     except ValueError:  # name the first line with a token that is no int64 label
-        bad = next((ln for ln in body for t in ln.split() if not (
-            (m := re.fullmatch(r"([+-]?)0*([0-9]{1,19})", t))
-            and -2 ** 63 <= int(m[1] + m[2]) < 2 ** 63)), None)
+        bad = next((ln for ln in body for t in ln.split() if _label(t) is None),
+                   None)
         raise BadParams(f"{path}: malformed facet line {bad!r}") from None
     if (low := min(int(a.min()) for a in arrays)) < 0:
         raise BadVertexId(f"{path}: negative vertex label {low}")
@@ -285,8 +305,30 @@ def read_facets(path) -> SimplicialComplex:
     return from_facets(n, arrays=arrays)
 
 
+def _label(token: str) -> int | None:
+    """The value of a `.facets` label, an int64 in signed ASCII decimal, or
+    None when ``token`` is none."""
+    m = re.fullmatch(r"([+-]?)0*([0-9]{1,19})", token)
+    if m and -2 ** 63 <= (value := int(m[1] + m[2])) < 2 ** 63:
+        return value
+    return None
+
+
+def _as_path(path):
+    """``path`` as a file system path, or refused with `BadParams`: an
+    object that is no path (an int would name a file descriptor), or a
+    name that no file can have."""
+    try:
+        if b"\0" not in os.fsencode(path):
+            return os.fspath(path)
+    except (TypeError, ValueError):
+        pass
+    raise BadParams(f"expected a file system path, got {path!r}")
+
+
 def open_for_writing(path):
     """``path`` opened to write UTF-8 text, or refused with `BadParams`."""
+    path = _as_path(path)
     try:
         return open(path, "w", encoding="utf-8")
     except OSError as exc:

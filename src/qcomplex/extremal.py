@@ -92,7 +92,11 @@ def facet_bound(n: int, r: int, t: int) -> int:
 def spectral_bound(n: int, r: int, t: int) -> float:
     """Closed-form upper bound on the top spectral radius."""
     _check_bound_params(n, r, t)
-    return float(r * n - r * r + t + 1)
+    try:
+        return float(r * n - r * r + t + 1)
+    except OverflowError:
+        raise TooLarge(f"the bound at n={n}, r={r}, t={t} is past the float "
+                       "range") from None
 
 
 def _check_bound_params(n: int, r: int, t: int) -> None:
@@ -123,8 +127,7 @@ class _Tables(NamedTuple):
 @functools.cache
 def _triangle_space(n: int) -> _TriangleSpace:
     S = simplex_skeleton(n, 2)
-    alive = [np.ones(S.n_faces(i), dtype=bool) for i in range(3)]
-    signed = homology._residual_boundary(S, alive, 2)
+    signed = chains.dense_boundary(S, 2)
     faces = (chains.boundary_index_table(simplex_skeleton(n, 3), 3)
              if n > 3 else np.empty((0, 4), dtype=np.int64))
     return _TriangleSpace(S, tuple(map(tuple, S.rows(2).tolist())), signed,
@@ -566,7 +569,11 @@ def asymptotic_check(t: int, n_list, seed: int = 0) -> list[AsymptoticRow]:
     require_int(t=t)
     if t not in (1, 2):
         raise BadParams(f"asymptotic check is defined for t in {{1, 2}}, got {t}")
-    ns = list(n_list)
+    try:
+        ns = list(n_list)
+    except TypeError:
+        raise BadParams(f"n_list must be an iterable of integers, got {n_list!r}"
+                        ) from None
     for n in ns:
         require_int(n=n)
     if ns != sorted(ns) or len(set(ns)) != len(ns):

@@ -13,14 +13,13 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import homology
-from .complex_core import (FACE_BUDGET, Face, SimplicialComplex, check_seed, face,
-                           from_facets, is_integer, require_int)
+from .complex_core import (CELL_BUDGET, Face, SimplicialComplex, check_seed, face,
+                           from_facets, is_integer, require_cells_fit, require_int)
 from .errors import (
     BadParams,
     BudgetExhausted,
     DuplicateFace,
     FaceContainsApex,
-    TooLarge,
 )
 
 #: Per family: its generator over the given parameters, the parameters it
@@ -48,13 +47,11 @@ MAX_ATTEMPTS = 500
 
 def subset_rows(n: int, k: int) -> np.ndarray:
     """The k-subsets of range(n), one row each, in lexicographic order.
-    Rows whose closure lists more than `FACE_BUDGET` faces are refused with
-    `TooLarge`, as `from_facets` would refuse them, before any is listed;
-    a k-subset alone lists 2^k - 1, so k is tested first."""
-    if (k > FACE_BUDGET.bit_length()
-            or math.comb(n, k) * ((1 << k) - 1) > FACE_BUDGET):
-        raise TooLarge(f"the closure of the {k}-subsets of {n} vertices lists "
-                       f"more faces than the face budget of {FACE_BUDGET}")
+    Rows over the cell budget are refused with `TooLarge`, as `from_facets`
+    would refuse them, before any is listed. C(n, k) is taken only for k
+    below the budget's bit length: one k-subset alone is over it above."""
+    count = math.comb(n, k) if k < CELL_BUDGET.bit_length() else 1
+    require_cells_fit([(count, k)], f"the {k}-subsets of {n} vertices")
     flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64)
     return flat.reshape(-1, k)
 
@@ -121,7 +118,10 @@ def tent_plus_faces(n: int, added) -> SimplicialComplex:
     require_int(n=n)
     if n < 4:
         raise BadParams(f"need n >= 4, got {n}")
-    added_faces = [face(f) for f in added]
+    try:
+        added_faces = [face(f) for f in added]
+    except TypeError:
+        raise BadParams(f"added must be an iterable of faces, got {added!r}") from None
     seen: set[Face] = set()
     for f in added_faces:
         if len(f) != 3:

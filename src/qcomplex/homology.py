@@ -8,12 +8,13 @@ where the face has no other coface left. When none is left it removes the
 least vertex, which lowers beta_0 by one, and goes on. The remaining faces
 form an S-complex with the homology of the complex, except that beta_0 is
 lower by the number of vertices so removed. The ranks of its boundary
-matrices, and the residual kernel vector from which `is_basic_hole` builds
-the top cycle, come from one fraction-free (Bareiss) integer elimination,
-`_bareiss` (Bareiss, Math. Comp. 22, 1968): no tolerance and no rational
-arithmetic. It runs in int64 and turns the matrix into Python integers in
-place once an entry nears overflow. The reduction is cached on the
-complex, so `betti_profile` and `is_basic_hole` share one.
+matrices (`chains.dense_boundary` on the faces left), and the residual
+kernel vector from which `is_basic_hole` builds the top cycle, come from
+one fraction-free (Bareiss) integer elimination, `_bareiss` (Bareiss,
+Math. Comp. 22, 1968): no tolerance and no rational arithmetic. It runs
+in int64 and turns the matrix into Python integers in place once an
+entry nears overflow. The reduction is cached on the complex, so
+`betti_profile` and `is_basic_hole` share one.
 
 The floating-point `hodge_betti` is the independent cross-check: beta_i
 is the kernel dimension of the full Laplacian d_i^T d_i + d_{i+1} d_{i+1}^T.
@@ -68,12 +69,14 @@ ZERO_TOL = 1e-8
 
 def _integer_matrix(A) -> np.ndarray:
     """A as an int64 array, or as an object array of Python ints when
-    some entry lies outside int64; refuses a ragged A and any
-    non-integral entry."""
+    some entry lies outside int64; refuses a ragged A, an A that is not
+    2-D and any non-integral entry."""
     try:
         M = np.asarray(A)
     except ValueError as exc:
         raise BadParams(f"integer_rank needs a rectangular matrix: {exc}") from None
+    if M.ndim != 2:
+        raise BadParams(f"integer_rank needs a 2-D matrix, got shape {M.shape}")
     if M.dtype.kind in "ib":
         return M.astype(np.int64)
     if M.dtype.kind == "f":
@@ -98,10 +101,7 @@ def integer_rank(A) -> int:
     when an entry lies outside int64. Integral floats are accepted; any
     other non-integral entry, or an A that is not 2-D, raises `BadParams`.
     """
-    M = _integer_matrix(A)
-    if M.ndim != 2:
-        raise BadParams(f"integer_rank needs a 2-D matrix, got shape {M.shape}")
-    return len(_bareiss(M)[1])
+    return len(_bareiss(_integer_matrix(A))[1])
 
 
 def _bareiss(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -158,15 +158,6 @@ class BettiProfile:
     betti: tuple[int, ...]
     euler: int
     ranks: tuple[int, ...]  # ranks[i] = rank of the i-th boundary map
-
-
-def _require_dense_fits(n_rows: int, n_cols: int) -> None:
-    nbytes = 8 * n_rows * n_cols
-    if nbytes > DENSE_BYTES_LIMIT:
-        raise TooLarge(
-            f"dense {n_rows} x {n_cols} residual boundary needs "
-            f"{nbytes / 2**20:.0f} MiB, above the {DENSE_BYTES_LIMIT // 2**20} "
-            f"MiB limit")
 
 
 def _coreduce(K: SimplicialComplex
@@ -255,23 +246,6 @@ def _coreduce(K: SimplicialComplex
     return cached
 
 
-def _residual_boundary(K: SimplicialComplex, alive: list[np.ndarray],
-                       i: int) -> np.ndarray:
-    """Dense signed i-th boundary restricted to the surviving faces.
-
-    Columns are the surviving i-faces and rows the surviving (i-1)-faces;
-    entries on removed rows are dropped.
-    """
-    tab = chains.boundary_index_table(K, i)[alive[i]]
-    n_rows = int(alive[i - 1].sum())
-    _require_dense_fits(n_rows, tab.shape[0])
-    rows = np.cumsum(alive[i - 1]) - 1
-    cols, js = np.nonzero(alive[i - 1][tab])
-    A = np.zeros((n_rows, tab.shape[0]), dtype=np.int64)
-    A[rows[tab[cols, js]], cols] = 1 - 2 * (js & 1)
-    return A
-
-
 def betti_profile(K: SimplicialComplex) -> BettiProfile:
     """Exact Betti numbers over the rationals: reduce, then eliminate.
     Cached on the complex."""
@@ -281,10 +255,13 @@ def betti_profile(K: SimplicialComplex) -> BettiProfile:
     alive, starts, _ = _coreduce(K)
     sizes = [int(mask.sum()) for mask in alive]
     for i in range(1, K.dim + 1):  # refuse before any allocation or elimination
-        _require_dense_fits(sizes[i - 1], sizes[i])
+        if (nbytes := 8 * sizes[i - 1] * sizes[i]) > DENSE_BYTES_LIMIT:
+            raise TooLarge(f"dense {sizes[i - 1]} x {sizes[i]} residual boundary "
+                           f"needs {nbytes / 2**20:.0f} MiB, above the "
+                           f"{DENSE_BYTES_LIMIT // 2**20} MiB limit")
     residual = [0]
     for i in range(1, K.dim + 1):
-        A = _residual_boundary(K, alive, i)
+        A = chains.dense_boundary(K, i, alive)
         residual.append(integer_rank(A) if A.any() else 0)
     residual.append(0)
     betti = [sizes[i] - residual[i] - residual[i + 1] for i in range(K.dim + 1)]
@@ -385,7 +362,7 @@ def is_basic_hole(K: SimplicialComplex) -> bool:
         return False
     left, _, pairs = _coreduce(K)
     z = np.zeros(K.n_faces(r), dtype=object)
-    z[left[r]] = _kernel_vector(_residual_boundary(K, left, r))
+    z[left[r]] = _kernel_vector(chains.dense_boundary(K, r, left))
     ptr, cof, pos = chains.coface_index(K, r - 1)
     signs = 1 - 2 * (pos & 1)
     for a, b in zip(*pairs[::-1].T.tolist()):

@@ -195,9 +195,12 @@ def read_facets_oracle(path, token=int):
     content = [ln for ln in map(str.strip, lines) if ln and not ln.startswith("#")]
     if not content or not content[0].startswith("n "):
         raise BadParams(f"{path}: expected leading 'n <integer>' line")
-    try:
-        n = int(content[0].split()[1])
-    except (IndexError, ValueError):
+    head = content[0].split()
+    try:  # the count is one label, in the grammar of the facet lines
+        if len(head) != 2:
+            raise ValueError
+        n = token(head[1])
+    except ValueError:
         raise BadParams(f"{path}: malformed header {content[0]!r}") from None
     raw = []
     for ln in content[1:]:

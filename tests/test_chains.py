@@ -248,8 +248,39 @@ class TestLaplacianForms:
             raise AssertionError("scatter reached past the size check")
 
         monkeypatch.setattr(np, "bincount", no_scatter)
-        with pytest.raises(TooLarge):
-            laplacian(K, 1, "Q_up")
+        monkeypatch.setattr(chains, "dense_boundary", no_scatter)
+        for kind in ("Q_up", "L_down"):
+            with pytest.raises(TooLarge):
+                laplacian(K, 1, kind)
+
+
+class TestDenseBoundary:
+    @given(mixed_complexes(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_oracle(self, K, seed):
+        # without a mask: the oracle's rows that bound some column; with
+        # one: the marked rows and columns
+        rng = np.random.default_rng(seed)
+        keep = [rng.random(K.n_faces(j)) < 0.6 for j in range(K.dim + 1)]
+        for i in range(1, K.dim + 1):
+            oracle = boundary_matrix(K, i).toarray().astype(np.int64)
+            D = chains.dense_boundary(K, i)
+            assert D.dtype == np.int64
+            assert np.array_equal(D, oracle[oracle.any(axis=1)])
+            masked = chains.dense_boundary(K, i, keep)
+            assert masked.dtype == np.int64
+            assert np.array_equal(masked, oracle[np.ix_(keep[i - 1], keep[i])])
+
+    def test_rows_are_the_faces_on_a_column(self):
+        # one triangle and 10^5 bare edges: no row for a bare edge, so
+        # L_down needs no 100,003 x 1 boundary
+        m = 10 ** 5
+        path = np.stack([np.arange(3, m + 3), np.arange(4, m + 4)], axis=1)
+        K = from_facets(m + 4, [(0, 1, 2)], arrays=[path])
+        assert K.n_faces(1) == m + 3
+        D = chains.dense_boundary(K, 2)
+        assert D.tolist() == [[1], [-1], [1]]
+        assert laplacian(K, 2, "L_down").tolist() == [[3.0]]
 
 
 class TestApplyQUp:

@@ -1,6 +1,7 @@
 import io
 import math
 import numbers
+import os
 import re
 import warnings
 from itertools import combinations, permutations
@@ -108,18 +109,24 @@ class TestFromFacets:
         with pytest.raises(TooLarge):
             from_facets(2 ** 62, [(0, 1, 2)])
 
+    @pytest.mark.parametrize("n, facet", [(10 ** 20, (0, 1, 2)), (2 ** 63, (0,))])
+    def test_vertex_count_past_int64_refused(self, n, facet):
+        with pytest.raises(TooLarge, match=r"below 2\^63"):
+            from_facets(n, [facet])
+        assert from_facets(2 ** 63 - 1, [(0,)]).n_vertices == 2 ** 63 - 1
+
     def test_unsorted_input_normalized(self):
         K = from_facets(3, [(2, 0, 1)])
         assert K.facets == ((0, 1, 2),)
 
 
 def _reached(*args, **kwargs):
-    raise AssertionError("construction started over the face budget")
+    raise AssertionError("construction started over the cell budget")
 
 
 class TestFaceBudget:
-    """A construction over `FACE_BUDGET` listed faces is refused before
-    the closure or the subset listing starts."""
+    """A construction whose closure lists more than `CELL_BUDGET` int64
+    cells is refused before the closure or the subset listing starts."""
 
     # 30 vertices: 85 bytes whose closure lists 2^30 - 1 faces; 15,000:
     # a count with more digits than an int may print
@@ -128,7 +135,7 @@ class TestFaceBudget:
         monkeypatch.setattr(complex_core, "_prefix_keys", _reached)
         path = tmp_path / "wide.facets"
         path.write_text(f"n {width}\n" + " ".join(map(str, range(width))) + "\n")
-        with pytest.raises(TooLarge, match="face budget"):
+        with pytest.raises(TooLarge, match="cell budget"):
             read_facets(path)
 
     @pytest.mark.parametrize("build", [
@@ -145,13 +152,29 @@ class TestFaceBudget:
         comb = math.comb
         monkeypatch.setattr(math, "comb",
                             lambda n, k: comb(n, k) if k < 64 else _reached())
-        with pytest.raises(TooLarge, match="face budget"):
+        with pytest.raises(TooLarge, match="cell budget"):
             build()
 
+    def test_cells_not_faces(self, monkeypatch):
+        # a facet on 22 vertices lists 2^22 - 1 faces, which a budget of
+        # 2^24 faces let through, but 22 * 2^21 int64 cells
+        monkeypatch.setattr(complex_core, "_prefix_keys", _reached)
+        with pytest.raises(TooLarge, match="cell budget"):
+            from_facets(22, [range(22)])
+
+    def test_width_three_verdicts(self):
+        # the 2,190-vertex tent, C(2189, 2) triangles, lists 28,737,192
+        # cells and fits; one vertex more does not
+        complex_core.require_cells_fit([(math.comb(2189, 2), 3)], "the tent")
+        with pytest.raises(TooLarge, match="cell budget"):
+            complex_core.require_cells_fit([(math.comb(2190, 2), 3)], "the tent")
+        with pytest.raises(TooLarge, match="cell budget"):
+            tented(2191)
+
     def test_budget_is_inclusive(self, monkeypatch):
-        # a triangle lists 7 faces, two triangles 14
-        monkeypatch.setattr(complex_core, "FACE_BUDGET", 7)
-        monkeypatch.setattr(families, "FACE_BUDGET", 7)
+        # a triangle lists 12 cells (3 vertices, 3 edges, 1 triangle), two
+        # triangles 24
+        monkeypatch.setattr(complex_core, "CELL_BUDGET", 12)
         assert from_facets(3, [(0, 1, 2)]).n_faces(1) == 3
         assert families.subset_rows(3, 3).tolist() == [[0, 1, 2]]
         with pytest.raises(TooLarge):
@@ -585,6 +608,15 @@ class TestIntegerParameters:
         with pytest.raises(BadParams):
             call()
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: asymptotic_check(1, None), BadParams),
+        (lambda: tent_plus_faces(6, None), BadParams),
+        (lambda: spectral_bound(10 ** 400, 2, 0), TooLarge),
+    ], ids=["asymptotic_n_list", "plus_faces_added", "spectral_bound_float"])
+    def test_hostile_arguments_refused_typed(self, call, error):
+        with pytest.raises(error):
+            call()
+
     def test_numpy_integers_accepted(self):
         assert facet_bound(np.int64(6), 2, np.int32(1)) == facet_bound(6, 2, 1)
         assert tented(np.int64(6), np.int64(2)) == tented(6, 2)
@@ -713,6 +745,38 @@ class TestFacetsFormat:
         p.write_text("0 1 2\n")
         with pytest.raises(BadParams):
             read_facets(p)
+
+    @pytest.mark.parametrize("header", [
+        "n 1_0", "n \u0663", "n 5 junk", "n 99999999999999999999"])
+    def test_header_count_is_one_label(self, tmp_path, header):
+        # int() reads each of these counts; the label grammar does not
+        path = tmp_path / "h.facets"
+        path.write_text(f"{header}\n0 1 2\n", encoding="utf-8")
+        with pytest.raises(BadParams, match=f"malformed header '{header}'"):
+            read_facets(path)
+
+    @pytest.mark.parametrize("path", [None, 2.5, 99])
+    def test_read_of_no_path_refused(self, path):
+        with pytest.raises(BadParams, match="file system path"):
+            read_facets(path)
+
+    def test_file_descriptor_is_no_path(self, tmp_path):
+        # an int would name a descriptor, which open() would also close
+        (tmp_path / "k.facets").write_text("n 3\n0 1 2\n")
+        fd = os.open(tmp_path / "k.facets", os.O_RDWR)
+        try:
+            with pytest.raises(BadParams, match="file system path"):
+                read_facets(fd)
+            with pytest.raises(BadParams, match="file system path"):
+                write_facets(tented(4), fd)
+            os.fstat(fd)  # still open
+        finally:
+            os.close(fd)
+        assert read_facets(tmp_path / "k.facets").facets == ((0, 1, 2),)
+
+    def test_missing_file_is_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_facets(tmp_path / "absent.facets")
 
     def test_write_into_missing_directory_refused(self, tmp_path):
         path = tmp_path / "missing" / "x.facets"

@@ -131,7 +131,7 @@ class TestIntegerRank:
         # same elimination in Python ints
         K = grid_surface(8)
         left, _, _ = homology._coreduce(K)
-        A = homology._residual_boundary(K, left, 2)
+        A = chains.dense_boundary(K, 2, left)
         assert A.shape[1] == K.n_faces(2) == 128 and A.any()
         echelon, pivots = homology._bareiss(A.copy())
         wide, wide_pivots = homology._bareiss(A.astype(object))
@@ -570,7 +570,7 @@ class TestBasicHoles:
         # boundary and the removed pairs
         assert betti_profile(K).betti[2] == 1
         left, _, _ = homology._coreduce(K)
-        A = homology._residual_boundary(K, left, 2)
+        A = chains.dense_boundary(K, 2, left)
         assert A.shape == residual and A.any() == (residual != (0, 1))
         assert is_basic_hole(K) == naive_deletion_check(K) == want
 
