@@ -62,9 +62,16 @@ def check_seed(seed) -> None:
 def require_cells_fit(shapes: Iterable[tuple[int, int]], what: str) -> None:
     """Refuse with `TooLarge` candidate facets, given as (count, width)
     pairs, whose closure lists more than `CELL_BUDGET` cells: count * w *
-    2^(w-1) for each pair."""
-    # one facet on 64 vertices is over it: capping w keeps the shift small
-    if sum(count * min(w, 64) << min(w, 64) for count, w in shapes) >> 1 > CELL_BUDGET:
+    2^(w-1) for each pair. The sum is taken in Python ints, so a numpy
+    integer count or width cannot wrap it."""
+    # one facet on as many vertices as the budget has bits is over the
+    # budget by itself: capping w there keeps the shift small
+    cap = CELL_BUDGET.bit_length()
+    cells = 0
+    for count, w in shapes:
+        w = min(operator.index(w), cap)
+        cells += operator.index(count) * w << w
+    if cells >> 1 > CELL_BUDGET:
         raise TooLarge(f"the closure of {what} lists more int64 cells than "
                        f"the cell budget of {CELL_BUDGET}")
 
@@ -163,6 +170,7 @@ def from_facets(n: int, facets: Iterable[Iterable[int]] = (), require_pure: bool
     """
     if not (is_integer(n) and n > 0):
         raise BadParams(f"n_vertices must be a positive integer, got {n!r}")
+    n = operator.index(n)  # a numpy integer would wrap the key-range check
     if n >= 2 ** 63:
         raise TooLarge("n_vertices must be below 2^63, the range of the int64 "
                        "face keys")

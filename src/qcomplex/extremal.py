@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import permutations
 from typing import NamedTuple
@@ -85,13 +86,13 @@ RESOLVE_MARGIN = 1e-12
 
 def facet_bound(n: int, r: int, t: int) -> int:
     """Closed-form maximum facet count at prescribed top Betti number."""
-    _check_bound_params(n, r, t)
+    n, r, t = _bound_params(n, r, t)
     return math.comb(n - 1, r) + t
 
 
 def spectral_bound(n: int, r: int, t: int) -> float:
     """Closed-form upper bound on the top spectral radius."""
-    _check_bound_params(n, r, t)
+    n, r, t = _bound_params(n, r, t)
     try:
         return float(r * n - r * r + t + 1)
     except OverflowError:
@@ -99,10 +100,13 @@ def spectral_bound(n: int, r: int, t: int) -> float:
                        "range") from None
 
 
-def _check_bound_params(n: int, r: int, t: int) -> None:
+def _bound_params(n: int, r: int, t: int) -> tuple[int, int, int]:
+    """The checked parameters as Python ints, in which numpy integers
+    cannot wrap the bound's arithmetic."""
     require_int(n=n, r=r, t=t)
     if r < 1 or n < r + 1 or t < 0:
         raise BadParams(f"need r >= 1, n >= r+1, t >= 0; got n={n}, r={r}, t={t}")
+    return operator.index(n), operator.index(r), operator.index(t)
 
 
 # -- triangle-space tables ----------------------------------------------------

@@ -13,7 +13,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import homology
-from .complex_core import (CELL_BUDGET, Face, SimplicialComplex, check_seed, face,
+from .complex_core import (Face, SimplicialComplex, check_seed, face,
                            from_facets, is_integer, require_cells_fit, require_int)
 from .errors import (
     BadParams,
@@ -48,10 +48,11 @@ MAX_ATTEMPTS = 500
 def subset_rows(n: int, k: int) -> np.ndarray:
     """The k-subsets of range(n), one row each, in lexicographic order.
     Rows over the cell budget are refused with `TooLarge`, as `from_facets`
-    would refuse them, before any is listed. C(n, k) is taken only for k
-    below the budget's bit length: one k-subset alone is over it above."""
-    count = math.comb(n, k) if k < CELL_BUDGET.bit_length() else 1
-    require_cells_fit([(count, k)], f"the {k}-subsets of {n} vertices")
+    would refuse them, before any is listed. C(n, k) is taken only once
+    one k-subset fits: for a wider k it may take seconds."""
+    what = f"the {k}-subsets of {n} vertices"
+    require_cells_fit([(1, k)], what)
+    require_cells_fit([(math.comb(n, k), k)], what)
     flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64)
     return flat.reshape(-1, k)
 

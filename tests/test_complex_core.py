@@ -155,6 +155,24 @@ class TestFaceBudget:
         with pytest.raises(TooLarge, match="cell budget"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: simplex_skeleton(45_000, np.int64(3)),
+        lambda: tented(45_001, np.int64(4)),
+        lambda: families.subset_rows(np.int64(45_000), np.int64(4)),
+    ], ids=["skeleton", "tented", "subset_rows"])
+    def test_numpy_integer_counts(self, monkeypatch, build):
+        # C(45000, 4) * 4 << 4 wraps to a negative int64: the budget is
+        # counted in Python ints
+        monkeypatch.setattr(np, "fromiter", _reached)
+        with pytest.raises(TooLarge, match="cell budget"):
+            build()
+
+    def test_numpy_integer_vertex_count(self):
+        # 5 * 2^62 wraps to 2^62 in int64, which let the key-range check pass
+        with pytest.raises(TooLarge, match="overflow the int64 keys"):
+            from_facets(np.int64(2 ** 62), [range(5)])
+        assert type(from_facets(np.int64(3), [(0, 1, 2)]).n_vertices) is int
+
     def test_cells_not_faces(self, monkeypatch):
         # a facet on 22 vertices lists 2^22 - 1 faces, which a budget of
         # 2^24 faces let through, but 22 * 2^21 int64 cells
@@ -620,6 +638,15 @@ class TestIntegerParameters:
     def test_numpy_integers_accepted(self):
         assert facet_bound(np.int64(6), 2, np.int32(1)) == facet_bound(6, 2, 1)
         assert tented(np.int64(6), np.int64(2)) == tented(6, 2)
+
+    @pytest.mark.parametrize("n, r, t", [(2 ** 40, 2, 1), (2 ** 62, 3, 2)])
+    def test_numpy_integer_bounds_do_not_wrap(self, n, r, t):
+        # C(n - 1, r) + np.int64(t) overflows; r * n wraps in int64
+        as_numpy = tuple(map(np.int64, (n, r, t)))
+        assert facet_bound(*as_numpy) == facet_bound(n, r, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_bound(*as_numpy) == spectral_bound(n, r, t)
 
 
 class TestIsomorphism:

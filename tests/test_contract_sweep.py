@@ -34,7 +34,7 @@ MEMORY_LIMIT = 1 << 30
 CALL_SECONDS = 5
 
 HOSTILE = (None, "1", 2.5, True, -1, 2 ** 63, 10 ** 400, math.nan, math.inf,
-           [1], ())
+           [1], (), np.int64(-1), np.int64(2 ** 62))
 
 #: Marks the complex argument of a valid call.
 K = "<complex>"
@@ -171,6 +171,10 @@ def _extra_cases(files, tent):
         ("tented", "r=30", (40,), {"r": 30}),
         ("simplex_skeleton", "n=10**6", (big, 2), {}),
         ("simplex_skeleton", "half", (big, big // 2 - 1), {}),
+        # C(45000, 4) * 4 << 4 wraps in int64 arithmetic
+        ("simplex_skeleton", "r=int64(3)", (45_000, np.int64(3)), {}),
+        ("tented", "r=int64(4)", (45_001,), {"r": np.int64(4)}),
+        ("from_facets", "n=int64(2**62)", (np.int64(2 ** 62), [range(4)]), {}),
         ("delta_sphere", "r=10**6", (big,), {}),
         ("rhombic", "r=10**6", (big,), {}),
         ("tent_plus_common_edge", "n=10**6", (big, 1), {}),
