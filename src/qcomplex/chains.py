@@ -55,6 +55,7 @@ def boundary_index_table(K: SimplicialComplex, i: int) -> np.ndarray:
         keep = [[c for c in range(i + 1) if c != j] for j in range(i + 1)]
         omitted = K.rows(i)[:, keep].reshape(-1, i)
         tab = K._cache[key] = K.row_index(omitted).reshape(-1, i + 1)
+        tab.setflags(write=False)
     return tab
 
 
@@ -72,6 +73,8 @@ def coface_index(K: SimplicialComplex, i: int) -> tuple[np.ndarray, ...]:
         ptr = np.bincount(flat + 1, minlength=K.n_faces(i) + 1).cumsum()
         cof, pos = np.divmod(np.argsort(flat, kind="stable"), i + 2)
         index = K._cache[key] = (ptr, cof, pos)
+        for a in index:
+            a.setflags(write=False)
     return index
 
 

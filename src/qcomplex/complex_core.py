@@ -28,10 +28,10 @@ Face = tuple[int, ...]
 
 #: Most int64 cells a construction may list before duplicates are dropped:
 #: the closure of its candidate facets, whose faces on k of a facet's w
-#: vertices are rows of k cells, w * 2^(w-1) cells in all. `from_facets`
-#: and `families.subset_rows` refuse more with `TooLarge`
-#: (`require_cells_fit`) before they build anything. 12 * floor(2^24 / 7):
-#: the 2,190-vertex tent, 2,394,766 triangles, lists 28,737,192 cells.
+#: vertices are rows of k cells, w * 2^(w-1) cells in all. `from_facets`,
+#: `families.subset_rows` (every tent) and, for a residual boundary,
+#: `homology.betti_profile` refuse more with `TooLarge` before building
+#: it. 12 * floor(2^24 / 7): the 2,190-vertex tent lists 28,737,192 cells.
 CELL_BUDGET = 12 * ((1 << 24) // 7)
 
 #: Brute-force canonical form limit: the permutation search takes about
@@ -103,7 +103,8 @@ class SimplicialComplex:
 
     Construct through :func:`from_facets`; the constructor assumes its
     arguments are already validated and closed. The facets are kept as
-    sorted int64 row arrays, one per width, until read as tuples.
+    sorted int64 row arrays, one per width, until read as tuples. Its
+    arrays, cached ones included, are read-only: a write raises ValueError.
     """
 
     __slots__ = ("n_vertices", "dim", "_maximal", "_rows", "_keys", "_cache")
@@ -112,6 +113,8 @@ class SimplicialComplex:
                  rows: list[np.ndarray], keys: list[np.ndarray]):
         self.n_vertices = n_vertices
         self.dim = len(rows) - 1
+        for a in (*maximal, *rows, *keys):
+            a.setflags(write=False)
         self._maximal, self._rows, self._keys = maximal, rows, keys
         self._cache: dict = {}  # facet tuples; chains and homology results
 

@@ -31,8 +31,8 @@ and a search domain is the ascending array of the ids of its orbits:
   from those labeled values.
 - Witness orbits take their canonical form from the same permutation
   tables. The tent plus t faces on the edge {1, 2} is the first
-  C(n-1, 2) + t triangles in lexicographic order, so its orbit is that
-  of the mask of those low bits.
+  C(n-1, 2) + t triangles in lexicographic order (`families.subset_rows`),
+  so its orbit is that of the mask of those low bits.
 
 The proof inspectors read the incidence arrays only: the vertices closing
 the peak face's edges come from `chains.coface_index`, and down-neighbour

@@ -2,13 +2,16 @@
 
 Label conventions are fixed so that generated complexes are deterministic:
 the apex of a tented complex is always vertex 0, and the shared edge of
-the tent-plus-common-edge family is always {1, 2}.
+the tent-plus-common-edge family is always {1, 2}. So each tent is a
+lexicographic prefix of the (r+1)-subsets of range(n), as `subset_rows`
+lists it: those through vertex 0, then for r = 2 the t faces (1, 2, 3)
+... (1, 2, t + 2).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -45,16 +48,19 @@ RANDOM_MAX_N = 12
 MAX_ATTEMPTS = 500
 
 
-def subset_rows(n: int, k: int) -> np.ndarray:
-    """The k-subsets of range(n), one row each, in lexicographic order.
-    Rows over the cell budget are refused with `TooLarge`, as `from_facets`
-    would refuse them, before any is listed. C(n, k) is taken only once
-    one k-subset fits: for a wider k it may take seconds."""
-    what = f"the {k}-subsets of {n} vertices"
+def subset_rows(n: int, k: int, tent: int | None = None) -> np.ndarray:
+    """The k-subsets of range(n), one row each, in lexicographic order;
+    with ``tent`` = t the first C(n-1, k-1) + t: those through vertex 0,
+    then t more. Rows over the cell budget are refused with `TooLarge`,
+    as `from_facets` would refuse them, before any is listed. The count
+    is taken only once one k-subset fits: for a wider k it takes seconds."""
+    what = (f"the {k}-subsets of {n} vertices" if tent is None
+            else f"the {n}-vertex tent of {k}-subsets")
     require_cells_fit([(1, k)], what)
-    require_cells_fit([(math.comb(n, k), k)], what)
-    flat = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.int64)
-    return flat.reshape(-1, k)
+    count = math.comb(n, k) if tent is None else math.comb(n - 1, k - 1) + tent
+    require_cells_fit([(count, k)], what)
+    listed = islice(combinations(range(n), k), count)
+    return np.fromiter(chain.from_iterable(listed), np.int64).reshape(-1, k)
 
 
 def simplex_skeleton(n: int, r: int) -> SimplicialComplex:
@@ -70,8 +76,7 @@ def tented(n: int, r: int = 2) -> SimplicialComplex:
     require_int(n=n, r=r)
     if r < 1 or n < r + 1:
         raise BadParams(f"need r >= 1 and n >= r+1, got n={n}, r={r}")
-    apex_rows = np.pad(subset_rows(n - 1, r) + 1, ((0, 0), (1, 0)))  # 0 in front
-    return from_facets(n, arrays=[apex_rows], require_pure=True)
+    return from_facets(n, arrays=[subset_rows(n, r + 1, tent=0)], require_pure=True)
 
 
 def delta_sphere(r: int) -> SimplicialComplex:
@@ -102,9 +107,7 @@ def tent_plus_common_edge(n: int, t: int) -> SimplicialComplex:
     require_int(n=n, t=t)
     if not 1 <= t <= n - 3:
         raise BadParams(f"need 1 <= t <= n-3, got n={n}, t={t}")
-    apex_rows = np.pad(subset_rows(n - 1, 2) + 1, ((0, 0), (1, 0)))
-    added = np.column_stack((np.full((t, 2), (1, 2)), np.arange(3, 3 + t)))
-    return from_facets(n, arrays=[apex_rows, added], require_pure=True)
+    return from_facets(n, arrays=[subset_rows(n, 3, tent=t)], require_pure=True)
 
 
 def tent_plus_faces(n: int, added) -> SimplicialComplex:
@@ -132,8 +135,8 @@ def tent_plus_faces(n: int, added) -> SimplicialComplex:
         if f in seen:
             raise DuplicateFace(f"added face {f} repeated")
         seen.add(f)
-    apex_rows = np.pad(subset_rows(n - 1, 2) + 1, ((0, 0), (1, 0)))
-    return from_facets(n, added_faces, require_pure=True, arrays=[apex_rows])
+    return from_facets(n, added_faces, require_pure=True,
+                       arrays=[subset_rows(n, 3, tent=0)])
 
 
 def random_pure2(n: int, target_t: int | None = None,

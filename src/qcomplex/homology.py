@@ -34,7 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from . import chains
+from . import chains, complex_core
 from .complex_core import SimplicialComplex, is_integer
 from .errors import (
     BadParams,
@@ -49,18 +49,6 @@ from .errors import (
 # (update magnitude <= 2*M^2 must fit in int64); `_bareiss` turns the
 # matrix into Python ints before an update with a larger entry.
 _INT64_GUARD = np.int64(1) << 31
-
-#: Largest dense int64 residual boundary matrix, in bytes, that
-#: `betti_profile` and `is_basic_hole` allocate after the reduction; larger
-#: ones raise `TooLarge`. `_bareiss` holds about three more working
-#: copies, so the peak is about four times this. A tent with t added
-#: faces reduces to t triangles with zero boundary at any size, also with
-#: its apex relabelled; a surface with boundary to beta_1 edges with zero
-#: boundary; the 59-simplex's 2-skeleton to 32509 such triangles per
-#: component; and a sphere to one top face, whose kernel vector
-#: `is_basic_hole` extends to the cycle without any other matrix. A closed
-#: surface keeps every triangle.
-DENSE_BYTES_LIMIT = 256 * 2**20
 
 #: `hodge_betti` counts the eigenvalues below this as zeros, and refuses
 #: one in the guard band [ZERO_TOL, 100 * ZERO_TOL).
@@ -241,24 +229,25 @@ def _coreduce(K: SimplicialComplex
             remove(0, v)
             reduce()
     cached = K._cache["coreduction"] = (
-        [np.frombuffer(mask, dtype=bool) for mask in left], starts,
+        [np.frombuffer(bytes(mask), dtype=bool) for mask in left], starts,
         np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    cached[2].setflags(write=False)  # the masks read immutable bytes
     return cached
 
 
 def betti_profile(K: SimplicialComplex) -> BettiProfile:
     """Exact Betti numbers over the rationals: reduce, then eliminate.
-    Cached on the complex."""
+    Cached on the complex. A residual boundary over the cell budget
+    (`complex_core.CELL_BUDGET`) is refused with `TooLarge`."""
     profile = K._cache.get("betti")
     if profile is not None:
         return profile
     alive, starts, _ = _coreduce(K)
     sizes = [int(mask.sum()) for mask in alive]
     for i in range(1, K.dim + 1):  # refuse before any allocation or elimination
-        if (nbytes := 8 * sizes[i - 1] * sizes[i]) > DENSE_BYTES_LIMIT:
+        if sizes[i - 1] * sizes[i] > (budget := complex_core.CELL_BUDGET):
             raise TooLarge(f"dense {sizes[i - 1]} x {sizes[i]} residual boundary "
-                           f"needs {nbytes / 2**20:.0f} MiB, above the "
-                           f"{DENSE_BYTES_LIMIT // 2**20} MiB limit")
+                           f"has more int64 cells than the cell budget of {budget}")
     residual = [0]
     for i in range(1, K.dim + 1):
         A = chains.dense_boundary(K, i, alive)
@@ -298,6 +287,7 @@ def _gram_spectrum(K: SimplicialComplex, j: int) -> np.ndarray:
         else:
             gram = chains.laplacian(K, j, "L_down")
         eigs = K._cache[key] = np.linalg.eigvalsh(gram)
+        eigs.setflags(write=False)
     return eigs
 
 

@@ -31,7 +31,7 @@ from qcomplex import (
     tented,
     write_facets,
 )
-from qcomplex import cli, complex_core, families
+from qcomplex import cli, complex_core, families, homology
 from qcomplex.errors import (
     BadParams,
     BadVertexId,
@@ -120,6 +120,38 @@ class TestFromFacets:
         assert K.facets == ((0, 1, 2),)
 
 
+class TestReadOnly:
+    """The complex is immutable: the arrays stored and cached on it
+    refuse every write, and the answers read from them stay put."""
+
+    @staticmethod
+    def answers(K):
+        return (homology.betti_profile(K), homology.is_basic_hole(K),
+                [hodge_betti(K, i) for i in range(K.dim + 1)],
+                spectral_radius(K, 1).value, K.facets)
+
+    def test_writes_refused(self):
+        K, fresh = tented(6), tented(6)
+        # a write of row 1 of the triangle table over row 0 would turn the
+        # Betti numbers from (1, 0, 0) into (1, 1, 1), and q_1 from 9 into
+        # 9.6386
+        stored = [*K._maximal, *K._rows, *K._keys,
+                  *(boundary_index_table(K, i) for i in (1, 2)),
+                  *coface_index(K, 0), *coface_index(K, 1)]
+        for a in stored:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a[::-1]
+        assert self.answers(K) == self.answers(fresh)
+        masks, _, pairs = homology._coreduce(K)
+        cached = [*masks, pairs, homology._gram_spectrum(K, 1),
+                  homology._gram_spectrum(K, 2)]
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a[::-1]
+        K._cache.pop("betti")
+        assert self.answers(K) == self.answers(fresh)
+
+
 def _reached(*args, **kwargs):
     raise AssertionError("construction started over the cell budget")
 
@@ -142,10 +174,12 @@ class TestFaceBudget:
         lambda: delta_sphere(30), lambda: simplex_skeleton(200, 4),
         # 20,001 rows of 20,000 vertices: 3.2 GB had they been listed
         lambda: delta_sphere(19_999), lambda: rhombic(20_000),
-        # C(10^6, 5 * 10^5) alone takes seconds to compute
+        # C(10^6, 5 * 10^5) alone takes seconds to compute, and so does
+        # C(10^6 - 1, 5 * 10^5 - 1), the size of the tent
         lambda: simplex_skeleton(10 ** 6, 5 * 10 ** 5 - 1),
+        lambda: tented(10 ** 6, 5 * 10 ** 5 - 1),
     ], ids=["delta_sphere_30", "skeleton_200_4", "delta_sphere_19999",
-            "rhombic_20000", "skeleton_half"])
+            "rhombic_20000", "skeleton_half", "tented_half"])
     def test_subset_listing(self, monkeypatch, build):
         monkeypatch.setattr(complex_core, "_prefix_keys", _reached)
         monkeypatch.setattr(families, "combinations", _reached)
@@ -188,6 +222,19 @@ class TestFaceBudget:
             complex_core.require_cells_fit([(math.comb(2190, 2), 3)], "the tent")
         with pytest.raises(TooLarge, match="cell budget"):
             tented(2191)
+
+    @pytest.mark.parametrize("build", [
+        lambda: tented(2191), lambda: tent_plus_common_edge(2191, 1),
+        lambda: tent_plus_faces(2191, [(1, 2, 3)]),
+    ], ids=["tented", "tent_plus_common_edge", "tent_plus_faces"])
+    def test_tents_refused_before_listing(self, monkeypatch, build):
+        # the 2,191-vertex tent lists 2,396,955 triangles in 28,763,460
+        # cells, but its apex-free pairs, C(2190, 2) rows of 2, fit the
+        # budget: the check is at the width handed to from_facets
+        monkeypatch.setattr(np, "fromiter", _reached)
+        monkeypatch.setattr(families, "combinations", _reached)
+        with pytest.raises(TooLarge, match="cell budget"):
+            build()
 
     def test_budget_is_inclusive(self, monkeypatch):
         # a triangle lists 12 cells (3 vertices, 3 edges, 1 triangle), two

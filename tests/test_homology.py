@@ -21,7 +21,7 @@ from qcomplex import (
     tent_plus_common_edge,
     tented,
 )
-from qcomplex import chains, homology
+from qcomplex import chains, complex_core, homology
 from qcomplex.errors import (
     BadParams,
     NotBasicHole,
@@ -225,13 +225,15 @@ class TestBettiProfile:
         assert profile.ranks == (0, 118, 3422)
         assert not is_basic_hole(twice)
         # the 6-vertex real projective plane has no free face and
-        # coreduces to a nonzero 5 x 5 top boundary (200 bytes), which a
-        # limit one byte lower refuses before any elimination runs
-        monkeypatch.setattr(homology, "DENSE_BYTES_LIMIT", 8 * 5 * 5 - 1)
+        # coreduces to a nonzero 5 x 5 top boundary (25 cells), which a
+        # cell budget one lower refuses before any elimination runs. The
+        # planes are built first: construction reads the same budget
+        planes = projective_plane(), projective_plane()
+        monkeypatch.setattr(complex_core, "CELL_BUDGET", 5 * 5 - 1)
         with pytest.raises(TooLarge, match="5 x 5"):
-            betti_profile(projective_plane())
+            betti_profile(planes[0])
         with pytest.raises(TooLarge, match="5 x 5"):
-            is_basic_hole(projective_plane())
+            is_basic_hole(planes[1])
         monkeypatch.undo()
         assert betti_profile(projective_plane()).betti == (1, 0, 0)
         # the 240-vertex tent's 28680 x 28442 top boundary (6.5 GB)
@@ -274,7 +276,7 @@ class TestBettiProfile:
         # the free edges collapse every triangle, and the graph left
         # reduces to beta_1 edges with no boundary. Coreduction pairs
         # alone remove no triangle here: the punctured torus would stall
-        # at a 7201 x 7199 residual, above DENSE_BYTES_LIMIT
+        # at a 7201 x 7199 residual, above complex_core.CELL_BUDGET
         monkeypatch.setattr(homology, "integer_rank", None)
         profile = betti_profile(K)
         assert profile.betti == betti
