@@ -20,7 +20,7 @@ and a search domain is the ascending array of the ids of its orbits:
   `homology.integer_rank`. Rank, coverage and facet count are stored
   once per orbit and read through the orbit id.
 - The top eigenvalue of the up signless Laplacian comes from one batched
-  `eigvalsh` per chunk of masks. Each Q_up is the sum of its triangles'
+  `eigvalsh` call over the masks. Each Q_up is the sum of its triangles'
   outer products of signless boundary columns, so it is the very matrix
   a per-mask B B^T gives, and so are its eigenvalues. The representatives
   are solved first. A member's Q_up is its representative's in permuted
@@ -64,8 +64,6 @@ from .families import simplex_skeleton, tent_plus_common_edge
 
 #: Masks per step of the ascending orbit scan.
 _SCAN_CHUNK = 4096
-#: Masks per batched eigensolve.
-_Q_CHUNK = 1024
 
 #: Exhaustive enumeration limit, with or without the full-skeleton filter.
 SEARCH_MAX_N = 6
@@ -109,18 +107,13 @@ def _bound_params(n: int, r: int, t: int) -> tuple[int, int, int]:
     return operator.index(n), operator.index(r), operator.index(t)
 
 
-# -- triangle-space tables ----------------------------------------------------
-
-
-class _TriangleSpace(NamedTuple):
-    skeleton: SimplicialComplex   # 2-skeleton of the (n-1)-simplex
-    triangles: tuple[Face, ...]
-    signed: np.ndarray            # dense (edges, triangles) int64 boundary
-    signless: np.ndarray          # dense (edges, triangles) signless boundary
-    tetrahedra: np.ndarray        # mask of each tetrahedron's four faces
+# -- search tables -------------------------------------------------------------
 
 
 class _Tables(NamedTuple):
+    triangles: np.ndarray         # (m, 3) triangle rows; bit k of a mask is row k
+    signless: np.ndarray          # dense (edges, m) float signless boundary
+    maps: np.ndarray              # (n!, m) image of each triangle per permutation
     orbit: np.ndarray             # int32 orbit id per mask
     reps: np.ndarray              # least mask of each orbit, by orbit id
     rank: np.ndarray              # int8 boundary rank per orbit
@@ -128,33 +121,8 @@ class _Tables(NamedTuple):
     popcount: np.ndarray          # int8 facet count per orbit
 
 
-@functools.cache
-def _triangle_space(n: int) -> _TriangleSpace:
-    S = simplex_skeleton(n, 2)
-    signed = chains.dense_boundary(S, 2)
-    faces = (chains.boundary_index_table(simplex_skeleton(n, 3), 3)
-             if n > 3 else np.empty((0, 4), dtype=np.int64))
-    return _TriangleSpace(S, tuple(map(tuple, S.rows(2).tolist())), signed,
-                          np.abs(signed).astype(np.float64),
-                          (1 << faces).sum(axis=1))
-
-
-@functools.cache
-def _perm_triangle_maps(n: int) -> np.ndarray:
-    """(n!, triangles) table: where each vertex permutation sends each
-    triangle index."""
-    S = _triangle_space(n).skeleton
-    perms = np.array(list(permutations(range(n))), dtype=np.int64)
-    images = np.sort(perms[:, S.rows(2)], axis=2).reshape(-1, 3)
-    return S.row_index(images).reshape(len(perms), -1)
-
-
 def _mask_bits(mask: int) -> list[int]:
     return [k for k in range(int(mask).bit_length()) if mask >> k & 1]
-
-
-def _mask_faces(space: _TriangleSpace, mask: int) -> list[Face]:
-    return [space.triangles[k] for k in _mask_bits(mask)]
 
 
 def _image_table(weights: np.ndarray) -> np.ndarray:
@@ -168,15 +136,22 @@ def _image_table(weights: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _tables(n: int) -> _Tables:
-    """Orbit id of every mask, and each orbit's rank, full-skeleton
-    coverage and facet count.
+    """The triangles of the (n-1)-simplex and their permutation images, the
+    orbit id of every mask, and each orbit's rank, full-skeleton coverage
+    and facet count; every array read-only.
 
     Masks are scanned in ascending order, so the first mask met in an
     orbit is its least; its images, one row of each half-mask image table
     OR-ed, are the orbit. Ranks follow the rules in the module docstring.
     """
-    space = _triangle_space(n)
-    weights = (1 << _perm_triangle_maps(n)).astype(np.int32)
+    S = simplex_skeleton(n, 2)
+    triangles = S.rows(2)
+    signed = chains.dense_boundary(S, 2)
+    signless = np.abs(signed).astype(np.float64)
+    perms = np.array(list(permutations(range(n))), dtype=np.int64)
+    images = np.sort(perms[:, triangles], axis=2).reshape(-1, 3)
+    maps = S.row_index(images).reshape(len(perms), -1)
+    weights = (1 << maps).astype(np.int32)
     m = weights.shape[1]
     h = m // 2
     low, high = _image_table(weights[:, :h]), _image_table(weights[:, h:])
@@ -190,12 +165,14 @@ def _tables(n: int) -> _Tables:
                 reps.append(mask)
     least = np.array(reps, dtype=np.int64)
     bits = (least[:, None] >> np.arange(m) & 1).astype(float)
-    degree = bits @ space.signless.T   # edge degrees per representative
+    degree = bits @ signless.T   # edge degrees per representative
     # free[i, k] > 0: triangle k of representative i has an edge that
     # no other of its triangles has, so it lies in no 2-cycle
-    free = ((degree == 1) @ space.signless) * bits
+    free = ((degree == 1) @ signless) * bits
     drop = free.argmax(axis=1).tolist()
-    tets = space.tetrahedra   # drop a face of a tetrahedron in the mask
+    faces = (chains.boundary_index_table(simplex_skeleton(n, 3), 3)
+             if n > 3 else np.empty((0, 4), dtype=np.int64))
+    tets = (1 << faces).sum(axis=1)   # drop a face of a tetrahedron in the mask
     full = least[:, None] & tets == tets
     face = np.where(full, tets & -tets, 0).max(axis=1, initial=0).tolist()
     rank = np.zeros(len(reps), dtype=np.int8)
@@ -205,29 +182,26 @@ def _tables(n: int) -> _Tables:
         elif face[i]:
             rank[i] = rank[orbit[mask ^ face[i]]]
         elif mask:
-            rank[i] = homology.integer_rank(space.signed[:, _mask_bits(mask)])
-    return _Tables(orbit, least, rank, (degree > 0).all(axis=1),
-                   bits.sum(axis=1).astype(np.int8))
+            rank[i] = homology.integer_rank(signed[:, _mask_bits(mask)])
+    tables = _Tables(triangles, signless, maps, orbit, least, rank,
+                     (degree > 0).all(axis=1), bits.sum(axis=1).astype(np.int8))
+    for array in tables:
+        array.setflags(write=False)
+    return tables
 
 
 def _q_values(n: int, masks: np.ndarray) -> np.ndarray:
     """Top eigenvalue of the up signless Laplacian for each mask, bitwise
     the value a per-mask solve gives."""
-    B = _triangle_space(n).signless
+    B = _tables(n).signless
     edges = B.shape[0]
     # Q_up of a mask is the sum of its triangles' outer products b b^T.
     # Adding each one's 0/1 support, rather than a BLAS product, keeps
     # the threaded BLAS from spinning a core through the eigensolves.
-    support = [np.flatnonzero(np.outer(b, b)) for b in B.T]
-    out = np.empty(masks.size)
-    for start in range(0, masks.size, _Q_CHUNK):
-        chunk = masks[start:start + _Q_CHUNK]
-        Q = np.zeros((chunk.size, edges * edges))
-        for k, nz in enumerate(support):
-            Q[:, nz] += (chunk >> k & 1)[:, None]
-        out[start:start + chunk.size] = np.linalg.eigvalsh(
-            Q.reshape(-1, edges, edges))[:, -1]
-    return out
+    Q = np.zeros((masks.size, edges * edges))
+    for k, b in enumerate(B.T):
+        Q[:, np.flatnonzero(np.outer(b, b))] += (masks >> k & 1)[:, None]
+    return np.linalg.eigvalsh(Q.reshape(-1, edges, edges))[:, -1]
 
 
 # -- enumeration and searches -------------------------------------------------
@@ -293,14 +267,14 @@ def _canonical_forms(n: int, orbits) -> tuple[tuple[Face, ...], ...]:
     used id onto a lower unused one lowers every facet it touches), so it
     is the least facet list over all relabellings of the orbit's complex.
     """
-    space = _triangle_space(n)
-    maps = _perm_triangle_maps(n)
+    tables = _tables(n)
+    maps, triangles = tables.maps, tuple(map(tuple, tables.triangles.tolist()))
     reversed_weights = 1 << (maps.shape[1] - 1 - maps)
     forms = []
-    for rep in _tables(n).reps[orbits].tolist():
+    for rep in tables.reps[orbits].tolist():
         bits = _mask_bits(rep)
         least = maps[reversed_weights[:, bits].sum(axis=1).argmax(), bits]
-        forms.append(tuple(space.triangles[k] for k in sorted(least.tolist())))
+        forms.append(tuple(triangles[k] for k in sorted(least.tolist())))
     return tuple(sorted(forms))
 
 
@@ -353,10 +327,9 @@ def max_spectral_search(n: int, t: int,
                   | (rep_qs > bound + BOUND_SLACK - RESOLVE_MARGIN)]
     members = np.flatnonzero(_in_orbits(n, near))
     qs = _q_values(n, members)
-    space = _triangle_space(n)
     violations = [
         {"kind": "spectral_bound", "q1": q, "bound": bound,
-         "facets": [list(f) for f in _mask_faces(space, mask)]}
+         "facets": tables.triangles[_mask_bits(mask)].tolist()}
         for mask, q in zip(members.tolist(), qs.tolist())
         if q > bound + BOUND_SLACK
     ]

@@ -18,19 +18,20 @@ from qcomplex import (
     perron_profile,
     perron_vector,
     proof_inspector,
+    simplex_skeleton,
     spectral_bound,
     asymptotic_check,
     tent_plus_common_edge,
     tent_plus_faces,
     tented,
 )
-from qcomplex import extremal, homology, spectra
+from qcomplex import chains, extremal, homology, spectra
 from qcomplex.errors import (
     BadParams, NoApex, NotPure, PrecisionInsufficient, TooLarge)
 from qcomplex.chains import boundary_sums, is_path_connected
 from qcomplex.extremal import (
     EPS_MAXIMIZER, RESOLVE_MARGIN, InspectorReport, _canonical_forms, _domain,
-    _mask_faces, _q_values, _tables, _triangle_space)
+    _q_values, _tables)
 
 from conftest import (down_neighbors, down_neighbors_via_vertex, face_index,
                       faces, has_face, pure2_complexes)
@@ -68,6 +69,12 @@ def brute_force_covering_count(n):
     return count
 
 
+def _mask_faces(n, mask):
+    """The triangles of a mask, as tuples: bit k is row k of the table."""
+    triangles = _tables(n).triangles.tolist()
+    return [tuple(f) for k, f in enumerate(triangles) if mask >> k & 1]
+
+
 def domain_masks(n, full_skeleton):
     """The masks of the search domain, ascending."""
     tables = _tables(n)
@@ -77,8 +84,7 @@ def domain_masks(n, full_skeleton):
 
 class TestEnumeration:
     def test_n4_five_complexes(self):
-        space = _triangle_space(4)
-        got = [from_facets(4, _mask_faces(space, mask), require_pure=True)
+        got = [from_facets(4, _mask_faces(4, mask), require_pure=True)
                for mask in domain_masks(4, True).tolist()]
         assert len(got) == 5 == brute_force_covering_count(4)
         sizes = sorted(len(K.facets) for K in got)
@@ -106,13 +112,11 @@ class TestEnumeration:
 
     def test_search_betti_matches_exact_profile(self):
         # dual route: the orbit rank table against coreduced Betti numbers
-        space = _triangle_space(5)
         tables = _tables(5)
         rng = np.random.default_rng(5)
         for _ in range(40):
             mask = int(rng.integers(1, 1 << 10))
-            picked = [space.triangles[k] for k in range(10) if mask >> k & 1]
-            K = from_facets(5, picked, require_pure=True)
+            K = from_facets(5, _mask_faces(5, mask), require_pure=True)
             orbit = tables.orbit[mask]
             assert (tables.popcount[orbit] - tables.rank[orbit]
                     == betti_profile(K).betti[2])
@@ -169,17 +173,16 @@ def dfs_rank_table(n):
     return out
 
 
-def per_mask_q(space, mask):
+def per_mask_q(n, mask):
     """Oracle: one dense solve of B B^T on the mask's signless columns."""
-    B = space.signless[:, [k for k in range(len(space.triangles))
-                           if mask >> k & 1]]
+    signless = _tables(n).signless
+    B = signless[:, [k for k in range(signless.shape[1]) if mask >> k & 1]]
     return np.linalg.eigvalsh(B @ B.T)[-1]
 
 
 def canonical_oracle(n, masks):
-    space = _triangle_space(n)
     return tuple(sorted({
-        canonical_form(from_facets(n, _mask_faces(space, int(mask)),
+        canonical_form(from_facets(n, _mask_faces(n, int(mask)),
                                    require_pure=True))
         for mask in masks}))
 
@@ -188,16 +191,21 @@ class TestTriangleSpace:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_matches_combinations(self, n):
         triangles, signed = oracle_boundary(n)
-        space = _triangle_space(n)
-        assert space.triangles == tuple(triangles)
-        assert space.signless.dtype == np.float64
-        assert np.array_equal(space.signless, np.abs(signed))
-        assert space.signed.dtype == np.int64
-        assert np.array_equal(space.signed, signed)
-        # each tetrahedron's four faces, as a mask over the triangle list
-        assert space.tetrahedra.tolist() == [
-            sum(1 << triangles.index(f) for f in combinations(tet, 3))
-            for tet in combinations(range(n), 4)]
+        tables = _tables(n)
+        assert tables.triangles.tolist() == [list(f) for f in triangles]
+        assert tables.signless.dtype == np.float64
+        assert np.array_equal(tables.signless, np.abs(signed))
+        # the rank rules read the signed boundary of the same skeleton
+        dense = chains.dense_boundary(simplex_skeleton(n, 2), 2)
+        assert dense.dtype == np.int64 and np.array_equal(dense, signed)
+
+    def test_tables_are_read_only(self):
+        # a write into a cached table would change every later search
+        before = max_spectral_search(5, 1)
+        for array in _tables(5):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] += 1
+        assert max_spectral_search(5, 1) == before
 
 
 def oracle_orbit_images(n, perm):
@@ -232,7 +240,7 @@ class TestOrbits:
     def test_image_tables_match_weight_sums(self):
         # row r of a half table is the image of r's bits under every
         # permutation, as the sum of the permuted triangles' weights
-        weights = 1 << extremal._perm_triangle_maps(6)
+        weights = 1 << _tables(6).maps
         for half in (weights[:, :10], weights[:, 10:]):
             table = extremal._image_table(half)
             assert table.dtype == np.int32 and table.shape == (1 << 10, 720)
@@ -267,11 +275,10 @@ class TestRankTable:
         assert np.array_equal(tables.rank[tables.orbit], dfs_rank_table(n))
 
     def test_n6_sample_matches_exact_betti(self):
-        space = _triangle_space(6)
         tables = _tables(6)
         rng = np.random.default_rng(6)
         for mask in rng.choice(np.arange(1, 1 << 20), 2000, replace=False):
-            K = from_facets(6, _mask_faces(space, int(mask)),
+            K = from_facets(6, _mask_faces(6, int(mask)),
                             require_pure=True)
             orbit = tables.orbit[mask]
             assert (tables.popcount[orbit] - tables.rank[orbit]
@@ -287,9 +294,7 @@ class TestRankTable:
         rank = homology.integer_rank
         monkeypatch.setattr(homology, "integer_rank",
                             lambda A: calls.append(A.shape) or rank(A))
-        for build in (extremal._triangle_space, extremal._perm_triangle_maps,
-                      extremal._tables):
-            build.cache_clear()
+        _tables.cache_clear()
         tables = _tables(n)
         assert len(calls) == eliminations
         assert tables.rank[0] == 0 and tables.reps[0] == 0
@@ -298,12 +303,25 @@ class TestRankTable:
 class TestQValues:
     @pytest.mark.parametrize("n,sample", [(5, None), (6, 1500)])
     def test_bitwise_equal_to_per_mask_solve(self, n, sample):
-        space = _triangle_space(n)
-        every = np.arange(1 << len(space.triangles))
+        every = np.arange(1 << len(_tables(n).triangles))
         masks = every if sample is None else np.random.default_rng(
             n).choice(every, sample, replace=False)
-        want = np.array([per_mask_q(space, int(mask)) for mask in masks])
+        want = np.array([per_mask_q(n, int(mask)) for mask in masks])
         assert _q_values(n, masks).tobytes() == want.tobytes()
+
+    def test_search_solves_at_most_1024_masks_at_once(self, monkeypatch):
+        # _q_values solves all its masks in one batch; over the spectral
+        # searches at n = 5 and 6 the largest batch is 704 masks
+        sizes = []
+        solve = extremal._q_values
+        monkeypatch.setattr(extremal, "_q_values", lambda n, masks: sizes.append(
+            masks.size) or solve(n, masks))
+        for n in (5, 6):
+            for t in (0, 1, 2):
+                for full_skeleton in (True, False):
+                    max_spectral_search(n, t, full_skeleton=full_skeleton)
+        assert len(sizes) == 24
+        assert max(sizes) <= 1024
 
 
 class TestDedup:
@@ -372,8 +390,7 @@ def per_mask_search(n, t):
     masks = domain_masks(n, True)
     orbits = tables.orbit[masks]
     hits = masks[tables.popcount[orbits] - tables.rank[orbits] == t]
-    space = _triangle_space(n)
-    qs = np.array([per_mask_q(space, int(mask)) for mask in hits])
+    qs = np.array([per_mask_q(n, int(mask)) for mask in hits])
     return hits, qs
 
 
@@ -395,9 +412,8 @@ class TestOrbitResolve:
         hits, qs = per_mask_search(5, 1)
         bound = float(qs.min())
         monkeypatch.setattr(extremal, "spectral_bound", lambda n, r, t: bound)
-        space = _triangle_space(5)
         want = [{"kind": "spectral_bound", "q1": float(q), "bound": bound,
-                 "facets": [list(f) for f in _mask_faces(space, int(mask))]}
+                 "facets": [list(f) for f in _mask_faces(5, int(mask))]}
                 for mask, q in zip(hits, qs)
                 if q > bound + extremal.BOUND_SLACK]
         assert len(want) > 2 * (qs >= qs.max() - EPS_MAXIMIZER).sum()
@@ -486,9 +502,7 @@ class TestMaxSpectralSearch:
             assert rep.max_q1 > 2 * n - 3
 
     def test_cold_and_warm_cache_reports_equal(self):
-        for build in (extremal._triangle_space, extremal._perm_triangle_maps,
-                      extremal._tables):
-            build.cache_clear()
+        _tables.cache_clear()
         cold = max_spectral_search(5, 1), max_facets_search(5, 2)
         warm = max_spectral_search(5, 1), max_facets_search(5, 2)
         assert cold == warm

@@ -22,6 +22,7 @@ from qcomplex import (
     tented,
 )
 from qcomplex import chains, complex_core, homology
+from qcomplex.extremal import _tables
 from qcomplex.errors import (
     BadParams,
     NotBasicHole,
@@ -640,6 +641,27 @@ class TestBasicHoleProperties:
     def test_non_hole_rejected(self):
         with pytest.raises(NotBasicHole):
             check_basic_hole_properties(tented(5, 2))
+
+    @pytest.mark.parametrize("n,classes,holes", [(4, 1, 1), (5, 8, 2),
+                                                 (6, 596, 6)])
+    def test_every_class_with_one_hole_up_to_six_vertices(self, n, classes,
+                                                          holes):
+        # one representative per isomorphism class of triangle sets with
+        # beta_2 = 1, read off the search's orbit tables
+        tables = _tables(n)
+        triangles = tables.triangles.tolist()
+        reps = tables.reps[tables.popcount - tables.rank == 1].tolist()
+        assert len(reps) == classes
+        found = []
+        for mask in reps:
+            K = from_facets(n, [f for k, f in enumerate(triangles)
+                                if mask >> k & 1], require_pure=True)
+            basic = is_basic_hole(K)
+            assert basic == naive_deletion_check(K)
+            if basic:
+                found.append(K)
+        assert len(found) == holes
+        assert all(check_basic_hole_properties(K).all_pass for K in found)
 
     @given(pure2_complexes(max_n=7))
     @settings(max_examples=40, deadline=None)
