@@ -9,8 +9,11 @@ and a search domain is the ascending array of the ids of its orbits:
 
 - One ascending scan of the masks gives every mask an orbit id. The
   first mask met in an orbit, its least, is the orbit's representative;
-  its images under all n! permutations are the OR of one row of each of
-  two image tables, indexed by its low and its high half of bits.
+  its images under all n! permutations are the OR of one row of each
+  block table, one int64 table per 7-bit block of the mask (`_images`).
+  The images equal to the representative count its stabiliser, so the
+  orbit holds n! / stabiliser masks, and a domain's mask count is the
+  sum of those over its orbits.
 - The rank of each representative's signed boundary columns is exact.
   A triangle with an edge that no other triangle has lies in no 2-cycle,
   so it adds one to the rank of the mask without it: a smaller mask, in
@@ -27,12 +30,14 @@ and a search domain is the ascending array of the ids of its orbits:
   order, and its computed eigenvalue can differ in the last bits, so the
   members of every orbit within `RESOLVE_MARGIN` of the witness window
   or of the bound are listed and re-solved one by one, in ascending mask
-  order. The maximum, the witnesses and the bound violations are read
-  from those labeled values.
-- Witness orbits take their canonical form from the same permutation
-  tables. The tent plus t faces on the edge {1, 2} is the first
-  C(n-1, 2) + t triangles in lexicographic order (`families.subset_rows`),
-  so its orbit is that of the mask of those low bits.
+  order: the distinct images of those orbits' representatives. The
+  maximum, the witnesses and the bound violations are read from those
+  labeled values.
+- Witness orbits take their canonical form from the same block tables:
+  the image with the largest bit-reversed mask. The tent plus t faces on
+  the edge {1, 2} is the first C(n-1, 2) + t triangles in lexicographic
+  order (`families.subset_rows`), so its orbit is that of the mask of
+  those low bits.
 
 The proof inspectors read the incidence arrays only: the vertices closing
 the peak face's edges come from `chains.coface_index`, and down-neighbour
@@ -64,6 +69,13 @@ from .families import simplex_skeleton, tent_plus_common_edge
 
 #: Masks per step of the ascending orbit scan.
 _SCAN_CHUNK = 4096
+#: Mask bits per image table: a mask's images are the OR of one row per
+#: block of this many bits.
+_BLOCK_BITS = 7
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
+#: Each block value with its bits reversed.
+_REVERSED = np.array([int(f"{r:0{_BLOCK_BITS}b}"[::-1], 2)
+                      for r in range(1 << _BLOCK_BITS)], dtype=np.int64)
 
 #: Exhaustive enumeration limit, with or without the full-skeleton filter.
 SEARCH_MAX_N = 6
@@ -113,9 +125,10 @@ def _bound_params(n: int, r: int, t: int) -> tuple[int, int, int]:
 class _Tables(NamedTuple):
     triangles: np.ndarray         # (m, 3) triangle rows; bit k of a mask is row k
     signless: np.ndarray          # dense (edges, m) float signless boundary
-    maps: np.ndarray              # (n!, m) image of each triangle per permutation
+    blocks: tuple[np.ndarray, ...]  # int64 (2^7, n!) images of each 7-bit block
     orbit: np.ndarray             # int32 orbit id per mask
     reps: np.ndarray              # least mask of each orbit, by orbit id
+    stabiliser: np.ndarray        # permutations fixing each representative
     rank: np.ndarray              # int8 boundary rank per orbit
     cover: np.ndarray             # whether each orbit covers every edge
     popcount: np.ndarray          # int8 facet count per orbit
@@ -128,47 +141,62 @@ def _mask_bits(mask: int) -> list[int]:
 def _image_table(weights: np.ndarray) -> np.ndarray:
     """(2^k, n!) images of the masks over k columns of triangle weights:
     rows [2^j, 2^(j+1)) are rows [0, 2^j) OR-ed with column j."""
-    table = np.zeros((1 << weights.shape[1], weights.shape[0]), np.int32)
+    table = np.zeros((1 << weights.shape[1], weights.shape[0]), np.int64)
     for j, column in enumerate(weights.T):
         table[1 << j:2 << j] = table[:1 << j] | column
     return table
 
 
+def _block_images(blocks, masks):
+    """Images of a mask (or a 1-D array of masks) under every permutation:
+    the OR of one row of each block table, indexed by the mask's block."""
+    images = blocks[0][masks & _BLOCK_MASK]
+    for b in range(1, len(blocks)):
+        images = images | blocks[b][masks >> _BLOCK_BITS * b & _BLOCK_MASK]
+    return images
+
+
 @functools.cache
 def _tables(n: int) -> _Tables:
-    """The triangles of the (n-1)-simplex and their permutation images, the
-    orbit id of every mask, and each orbit's rank, full-skeleton coverage
-    and facet count; every array read-only.
+    """The triangles of the (n-1)-simplex, the image tables of the masks'
+    7-bit blocks, the orbit id of every mask, and each orbit's stabiliser
+    count, rank, full-skeleton coverage and facet count; every array
+    read-only.
 
+    Row r of block table b holds the images of r << 7b under all n!
+    permutations (at n = 6, 128, 128 and 64 rows of 720 int64 words).
     Masks are scanned in ascending order, so the first mask met in an
-    orbit is its least; its images, one row of each half-mask image table
-    OR-ed, are the orbit. Ranks follow the rules in the module docstring.
+    orbit is its least; its images are the orbit, and those equal to it
+    count its stabiliser. Ranks follow the rules in the module docstring,
+    from integer products of the 0/1 incidence, which wake no BLAS thread.
     """
     S = simplex_skeleton(n, 2)
     triangles = S.rows(2)
     signed = chains.dense_boundary(S, 2)
-    signless = np.abs(signed).astype(np.float64)
+    incidence = np.abs(signed)
     perms = np.array(list(permutations(range(n))), dtype=np.int64)
     images = np.sort(perms[:, triangles], axis=2).reshape(-1, 3)
-    maps = S.row_index(images).reshape(len(perms), -1)
-    weights = (1 << maps).astype(np.int32)
+    weights = 1 << S.row_index(images).reshape(len(perms), -1)
     m = weights.shape[1]
-    h = m // 2
-    low, high = _image_table(weights[:, :h]), _image_table(weights[:, h:])
+    blocks = tuple(_image_table(weights[:, j:j + _BLOCK_BITS])
+                   for j in range(0, m, _BLOCK_BITS))
     orbit = np.full(1 << m, -1, dtype=np.int32)
     reps: list[int] = []
+    stabiliser: list[int] = []
     for start in range(0, orbit.size, _SCAN_CHUNK):
         unseen = np.flatnonzero(orbit[start:start + _SCAN_CHUNK] < 0)
         for mask in (unseen + start).tolist():
             if orbit[mask] < 0:
-                orbit[low[mask & (1 << h) - 1] | high[mask >> h]] = len(reps)
+                images = _block_images(blocks, mask)
+                orbit[images] = len(reps)
                 reps.append(mask)
+                stabiliser.append(np.count_nonzero(images == mask))
     least = np.array(reps, dtype=np.int64)
-    bits = (least[:, None] >> np.arange(m) & 1).astype(float)
-    degree = bits @ signless.T   # edge degrees per representative
+    bits = least[:, None] >> np.arange(m) & 1
+    degree = bits @ incidence.T   # edge degrees per representative
     # free[i, k] > 0: triangle k of representative i has an edge that
     # no other of its triangles has, so it lies in no 2-cycle
-    free = ((degree == 1) @ signless) * bits
+    free = ((degree == 1) @ incidence) * bits
     drop = free.argmax(axis=1).tolist()
     faces = (chains.boundary_index_table(simplex_skeleton(n, 3), 3)
              if n > 3 else np.empty((0, 4), dtype=np.int64))
@@ -183,11 +211,17 @@ def _tables(n: int) -> _Tables:
             rank[i] = rank[orbit[mask ^ face[i]]]
         elif mask:
             rank[i] = homology.integer_rank(signed[:, _mask_bits(mask)])
-    tables = _Tables(triangles, signless, maps, orbit, least, rank,
+    tables = _Tables(triangles, incidence.astype(np.float64), blocks, orbit,
+                     least, np.array(stabiliser, dtype=np.int64), rank,
                      (degree > 0).all(axis=1), bits.sum(axis=1).astype(np.int8))
-    for array in tables:
+    for array in (*tables[:2], *blocks, *tables[3:]):
         array.setflags(write=False)
     return tables
+
+
+def _images(n: int, masks) -> np.ndarray:
+    """(k, n!) images of k masks under every vertex permutation."""
+    return _block_images(_tables(n).blocks, np.asarray(masks, dtype=np.int64))
 
 
 def _q_values(n: int, masks: np.ndarray) -> np.ndarray:
@@ -217,14 +251,6 @@ def _domain(n: int, t: int, full_skeleton: bool) -> np.ndarray:
     tables = _tables(n)
     inside = tables.cover if full_skeleton else tables.popcount > 0
     return np.flatnonzero(inside & (tables.popcount - tables.rank == t))
-
-
-def _in_orbits(n: int, orbits: np.ndarray) -> np.ndarray:
-    """Whether each mask lies in one of the orbits."""
-    tables = _tables(n)
-    chosen = np.zeros(len(tables.reps), dtype=bool)
-    chosen[orbits] = True
-    return chosen[tables.orbit]
 
 
 def _tent_orbit(n: int, t: int) -> int:
@@ -262,20 +288,27 @@ def _canonical_forms(n: int, orbits) -> tuple[tuple[Face, ...], ...]:
     Images of one mask have one size, and for equal sizes the sorted
     facet lists order like the bit-reversed masks (the least triangle of
     a symmetric difference is its highest reversed bit). So the least
-    facet list in the orbit is the image with the largest reversed mask.
-    It uses only vertex ids below the number of used vertices (moving a
-    used id onto a lower unused one lowers every facet it touches), so it
-    is the least facet list over all relabellings of the orbit's complex.
+    facet list in the orbit is the image with the largest reversed mask;
+    each 7-bit block is reversed by lookup, which reverses the mask
+    padded to whole blocks and so keeps the order. It uses only vertex
+    ids below the number of used vertices (moving a used id onto a lower
+    unused one lowers every facet it touches), so it is the least facet
+    list over all relabellings of the orbit's complex.
     """
     tables = _tables(n)
-    maps, triangles = tables.maps, tuple(map(tuple, tables.triangles.tolist()))
-    reversed_weights = 1 << (maps.shape[1] - 1 - maps)
-    forms = []
-    for rep in tables.reps[orbits].tolist():
-        bits = _mask_bits(rep)
-        least = maps[reversed_weights[:, bits].sum(axis=1).argmax(), bits]
-        forms.append(tuple(triangles[k] for k in sorted(least.tolist())))
-    return tuple(sorted(forms))
+    triangles = tuple(map(tuple, tables.triangles.tolist()))
+    images = _images(n, tables.reps[orbits])
+    top = len(tables.blocks) - 1
+    flipped = sum(_REVERSED[images >> _BLOCK_BITS * b & _BLOCK_MASK]
+                  << _BLOCK_BITS * (top - b) for b in range(top + 1))
+    least = images[np.arange(len(images)), flipped.argmax(axis=1)]
+    return tuple(sorted(tuple(triangles[k] for k in _mask_bits(mask))
+                        for mask in least.tolist()))
+
+
+def _enumerated_count(n: int, orbits: np.ndarray) -> int:
+    """Masks in the orbits: n! over the stabiliser count of each."""
+    return int((math.factorial(n) // _tables(n).stabiliser[orbits]).sum())
 
 
 def max_facets_search(n: int, t: int,
@@ -299,8 +332,7 @@ def max_facets_search(n: int, t: int,
     tent_hit = _tent_orbit(n, t) in top
     if not tent_hit:
         violations.append({"kind": "tent_not_witness", "t": t})
-    return SearchReport(n, t, full_skeleton,
-                        int(np.count_nonzero(_in_orbits(n, orbits))),
+    return SearchReport(n, t, full_skeleton, _enumerated_count(n, orbits),
                         max_facets=best, facet_witnesses=_canonical_forms(n, top),
                         bound_violations=tuple(violations),
                         tent_attains_max=tent_hit)
@@ -325,7 +357,7 @@ def max_spectral_search(n: int, t: int,
     bound = spectral_bound(n, 2, t)
     near = orbits[(rep_qs >= rep_qs.max() - EPS_MAXIMIZER - RESOLVE_MARGIN)
                   | (rep_qs > bound + BOUND_SLACK - RESOLVE_MARGIN)]
-    members = np.flatnonzero(_in_orbits(n, near))
+    members = np.unique(_images(n, tables.reps[near]))
     qs = _q_values(n, members)
     violations = [
         {"kind": "spectral_bound", "q1": q, "bound": bound,
@@ -335,8 +367,7 @@ def max_spectral_search(n: int, t: int,
     ]
     best = float(qs.max())
     top = np.unique(tables.orbit[members[qs >= best - EPS_MAXIMIZER]])
-    return SearchReport(n, t, full_skeleton,
-                        int(np.count_nonzero(_in_orbits(n, orbits))),
+    return SearchReport(n, t, full_skeleton, _enumerated_count(n, orbits),
                         max_q1=best, spectral_witnesses=_canonical_forms(n, top),
                         bound_violations=tuple(violations),
                         tent_attains_max=_tent_orbit(n, t) in top)

@@ -50,6 +50,12 @@ from .errors import (
 # matrix into Python ints before an update with a larger entry.
 _INT64_GUARD = np.int64(1) << 31
 
+#: Most cell updates an elimination may take: rows x columns x
+#: min(rows, columns) of a residual boundary, a bound on Bareiss's work.
+#: About 2.5 s on a 2-core machine; the closed 22 x 22 grid torus (a
+#: 969 x 968 top residual) fits it, the 23 x 23 one does not.
+ELIMINATION_BUDGET = 1 << 30
+
 #: `hodge_betti` counts the eigenvalues below this as zeros, and refuses
 #: one in the guard band [ZERO_TOL, 100 * ZERO_TOL).
 ZERO_TOL = 1e-8
@@ -238,16 +244,22 @@ def _coreduce(K: SimplicialComplex
 def betti_profile(K: SimplicialComplex) -> BettiProfile:
     """Exact Betti numbers over the rationals: reduce, then eliminate.
     Cached on the complex. A residual boundary over the cell budget
-    (`complex_core.CELL_BUDGET`) is refused with `TooLarge`."""
+    (`complex_core.CELL_BUDGET`), or whose elimination would pass
+    `ELIMINATION_BUDGET`, is refused with `TooLarge`; `is_basic_hole`
+    eliminates the top one again only after this profile answered."""
     profile = K._cache.get("betti")
     if profile is not None:
         return profile
     alive, starts, _ = _coreduce(K)
     sizes = [int(mask.sum()) for mask in alive]
     for i in range(1, K.dim + 1):  # refuse before any allocation or elimination
-        if sizes[i - 1] * sizes[i] > (budget := complex_core.CELL_BUDGET):
-            raise TooLarge(f"dense {sizes[i - 1]} x {sizes[i]} residual boundary "
+        rows, cols = sizes[i - 1], sizes[i]
+        if rows * cols > (budget := complex_core.CELL_BUDGET):
+            raise TooLarge(f"dense {rows} x {cols} residual boundary "
                            f"has more int64 cells than the cell budget of {budget}")
+        if rows * cols * min(rows, cols) > (budget := ELIMINATION_BUDGET):
+            raise TooLarge(f"eliminating the {rows} x {cols} residual boundary "
+                           f"passes the elimination budget of {budget} cell updates")
     residual = [0]
     for i in range(1, K.dim + 1):
         A = chains.dense_boundary(K, i, alive)

@@ -1,7 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -202,7 +205,11 @@ class TestTriangleSpace:
     def test_tables_are_read_only(self):
         # a write into a cached table would change every later search
         before = max_spectral_search(5, 1)
-        for array in _tables(5):
+        tables = _tables(5)
+        arrays = [a for field in tables
+                  for a in (field if isinstance(field, tuple) else (field,))]
+        assert len(arrays) == len(tables) - 1 + len(tables.blocks)
+        for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array.flat[0] += 1
         assert max_spectral_search(5, 1) == before
@@ -238,15 +245,22 @@ class TestOrbits:
             assert np.array_equal(orbit[oracle_orbit_images(n, perm)], orbit)
 
     def test_image_tables_match_weight_sums(self):
-        # row r of a half table is the image of r's bits under every
-        # permutation, as the sum of the permuted triangles' weights
-        weights = 1 << _tables(6).maps
-        for half in (weights[:, :10], weights[:, 10:]):
-            table = extremal._image_table(half)
-            assert table.dtype == np.int32 and table.shape == (1 << 10, 720)
-            for r in range(1 << 10):
-                bits = [j for j in range(10) if r >> j & 1]
-                assert np.array_equal(table[r], half[:, bits].sum(axis=1))
+        # row r of block table b is the image of r's bits, moved up by 7b,
+        # under every permutation, as the sum of the permuted triangles'
+        # weights
+        triangles = list(combinations(range(6), 3))
+        weights = np.array([[1 << triangles.index(tuple(sorted(
+            perm[v] for v in t))) for t in triangles]
+            for perm in permutations(range(6))], dtype=np.int64)
+        blocks = _tables(6).blocks
+        assert [table.shape for table in blocks] == [(128, 720), (128, 720),
+                                                      (64, 720)]
+        for b, table in enumerate(blocks):
+            assert table.dtype == np.int64
+            block = weights[:, 7 * b:7 * b + 7]
+            for r in range(len(table)):
+                bits = [j for j in range(7) if r >> j & 1]
+                assert np.array_equal(table[r], block[:, bits].sum(axis=1))
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_representative_is_least_member(self, n):
@@ -266,6 +280,95 @@ class TestOrbits:
         deviation = np.abs(_q_values(n, hits)
                            - _q_values(n, tables.reps[tables.orbit[hits]]))
         assert deviation.max() < RESOLVE_MARGIN / 10
+
+
+def in_orbits(n, orbits):
+    """Oracle: whether each of the 2^m masks lies in one of the orbits."""
+    tables = _tables(n)
+    chosen = np.zeros(len(tables.reps), dtype=bool)
+    chosen[orbits] = True
+    return chosen[tables.orbit]
+
+
+def domains(ns):
+    return [(n, t, full_skeleton) for n in ns for t in range(n - 2)
+            for full_skeleton in (True, False)]
+
+
+class TestImages:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_stabiliser_counts_match_orbit_sizes(self, n):
+        tables = _tables(n)
+        assert np.array_equal(math.factorial(n) // tables.stabiliser,
+                              np.bincount(tables.orbit))
+
+    @pytest.mark.parametrize("n,t,full_skeleton", domains([3, 4, 5, 6]))
+    def test_enumerated_count_matches_mask_sweep(self, n, t, full_skeleton):
+        orbits = _domain(n, t, full_skeleton)
+        want = int(np.count_nonzero(in_orbits(n, orbits)))
+        assert extremal._enumerated_count(n, orbits) == want
+        assert (max_facets_search(n, t, full_skeleton).enumerated_count
+                == want)
+
+    def test_unrestricted_n6_counts_match_mask_sweep(self):
+        got = [int(np.count_nonzero(in_orbits(6, _domain(6, t, False))))
+               for t in (0, 1, 2)]
+        assert got == [358_884, 313_650, 199_645]
+
+    @pytest.mark.parametrize("n,t,full_skeleton", domains([5, 6]))
+    def test_spectral_members_match_mask_sweep(self, n, t, full_skeleton,
+                                               monkeypatch):
+        # the second batch of a spectral search holds the members of the
+        # orbits whose representatives came near the maximum or the bound
+        calls = []
+        solve = extremal._q_values
+        monkeypatch.setattr(extremal, "_q_values", lambda n, masks: calls.append(
+            (masks, solve(n, masks))) or calls[-1][1])
+        max_spectral_search(n, t, full_skeleton=full_skeleton)
+        (reps, rep_qs), (members, _) = calls
+        tables = _tables(n)
+        orbits = tables.orbit[reps]
+        bound = spectral_bound(n, 2, t)
+        near = orbits[(rep_qs >= rep_qs.max() - EPS_MAXIMIZER - RESOLVE_MARGIN)
+                      | (rep_qs > bound + extremal.BOUND_SLACK
+                         - RESOLVE_MARGIN)]
+        assert np.array_equal(members, np.flatnonzero(in_orbits(n, near)))
+
+    def test_images_are_the_orbit(self):
+        tables = _tables(6)
+        rng = np.random.default_rng(20)
+        masks = rng.choice(1 << 20, 50, replace=False)
+        images = extremal._images(6, masks)
+        assert images.shape == (50, 720) and images.dtype == np.int64
+        for mask, row in zip(masks.tolist(), images):
+            assert np.array_equal(np.unique(row), np.flatnonzero(
+                tables.orbit == tables.orbit[mask]))
+
+
+def test_searches_leave_no_blas_thread_spinning():
+    # a float product on a BLAS with worker threads leaves them spinning
+    # after it returns; the search builds its tables in integers. A fresh
+    # process, since an earlier BLAS call here could leave one spinning
+    code = """if True:
+        import resource, time
+        from qcomplex import max_facets_search, max_spectral_search
+        max_facets_search(6, 1), max_spectral_search(6, 1)
+        def cpu():
+            usage = resource.getrusage(resource.RUSAGE_SELF)
+            return usage.ru_utime + usage.ru_stime
+        before = cpu()
+        time.sleep(0.2)
+        print(cpu() - before)
+    """
+    package_root = os.path.dirname(os.path.dirname(extremal.__file__))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert float(proc.stdout) < 0.02
 
 
 class TestRankTable:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from itertools import combinations
 
 import numpy as np
@@ -294,6 +295,31 @@ class TestBettiProfile:
         left, _, _ = homology._coreduce(K)
         assert [int(mask.sum()) for mask in left] == [0, 73, 72]
         assert betti_profile(K).betti == (1, 2, 1)
+
+    def test_closed_torus_over_the_elimination_budget_is_refused_at_once(self):
+        # the 51 x 51 torus's 5203 x 5202 residual fits the cell budget, but
+        # its elimination would run for minutes
+        K = grid_surface(51)
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="5203 x 5202.*elimination budget"):
+            betti_profile(K)
+        with pytest.raises(TooLarge, match="elimination budget"):
+            is_basic_hole(K)
+        assert time.perf_counter() - start < 1.0
+        assert 5203 * 5202 <= complex_core.CELL_BUDGET
+
+    def test_elimination_budget_one_lower_refuses(self, monkeypatch):
+        # the projective plane's 5 x 5 top residual takes 5 * 5 * 5 updates
+        planes = projective_plane(), projective_plane()
+        monkeypatch.setattr(homology, "ELIMINATION_BUDGET", 5 * 5 * 5 - 1)
+        monkeypatch.setattr(homology, "integer_rank", None)
+        with pytest.raises(TooLarge, match="5 x 5"):
+            betti_profile(planes[0])
+        with pytest.raises(TooLarge, match="5 x 5"):
+            is_basic_hole(planes[1])
+        monkeypatch.undo()
+        monkeypatch.setattr(homology, "ELIMINATION_BUDGET", 5 * 5 * 5)
+        assert betti_profile(planes[0]).betti == (1, 0, 0)
 
     def test_two_components(self, two_triangles):
         assert betti_profile(two_triangles).betti == (2, 0, 0)
